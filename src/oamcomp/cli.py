@@ -42,7 +42,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"refusing to write a non-finite value: {exc}") from exc
     if path is None:
         click.echo(text, nl=False)
     else:
@@ -118,7 +121,7 @@ def cmd_compile(input_path, output_path, report_path, spec_stages) -> None:
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--output", "output_path", type=click.Path(), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--monte-carlo", "mc_runs", type=int, default=0,
+@click.option("--monte-carlo", "mc_runs", type=click.IntRange(min=0), default=0,
               help="Also sample this many absorption-event runs.")
 @_guarded
 def cmd_simulate(netlist_path, input_path, output_path, seed, mc_runs) -> None:
@@ -132,14 +135,11 @@ def cmd_simulate(netlist_path, input_path, output_path, seed, mc_runs) -> None:
     }
     if mc_runs > 0:
         rng = np.random.default_rng(seed)
-        successes = sum(
-            extraction.monte_carlo_run(state, netlist, rng).success
-            for _ in range(mc_runs)
-        )
+        rate = extraction.monte_carlo_survival(state, netlist, mc_runs, rng)
         payload["monte_carlo"] = {
             "runs": mc_runs,
-            "successes": successes,
-            "success_rate": successes / mc_runs,
+            "successes": round(rate * mc_runs),
+            "success_rate": rate,
             "seed": seed,
         }
     _write_json(output_path, payload)

@@ -28,8 +28,7 @@ from .elements import (
     ReintegrateGate,
     Stages,
 )
-from .extraction import analytic_netlist_survival
-from .state import PhotonState, basis_state
+from .state import PhotonState, basis_state, survival_probability
 from . import elements as _elements
 
 UNITARITY_TOL = 1e-9
@@ -49,7 +48,7 @@ def unitarity_residual(matrix: np.ndarray) -> float:
 def check_unitary(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     residual = unitarity_residual(matrix)
-    if residual > tol:
+    if not residual <= tol:
         raise ValidationError(
             f"matrix is not unitary: residual {residual:.3e} exceeds {tol:.1e}"
         )
@@ -71,8 +70,10 @@ def unitary_from_json(data: dict) -> np.ndarray:
             [[complex(float(re), float(im)) for re, im in row] for row in rows],
             dtype=complex,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed unitary JSON: {exc}") from exc
+    if not np.isfinite(matrix).all():
+        raise ValidationError("unitary JSON holds a non-finite entry")
     if matrix.shape != (d, d):
         raise ValidationError(
             f"declared dimension {d} does not match a {matrix.shape} entry grid"
@@ -104,7 +105,7 @@ class TwoLevelFactor:
         u2 = np.asarray(self.u2, dtype=complex)
         if u2.shape != (2, 2):
             raise ValidationError(f"factor matrix must be 2x2, got {u2.shape}")
-        if unitarity_residual(u2) > FACTOR_TOL:
+        if not unitarity_residual(u2) <= FACTOR_TOL:
             raise ValidationError("factor matrix is not unitary")
         object.__setattr__(self, "u2", u2)
 
@@ -346,7 +347,7 @@ def compile_unitary(
     netlist = Netlist(n=n, mode_count=3, elements=tuple(seq))
     residual = reconstruct_and_verify(netlist, U)
     if spec_stages == IDEAL:
-        if residual > IDEAL_RESIDUAL_GUARD:
+        if not residual <= IDEAL_RESIDUAL_GUARD:
             raise RuntimeError(
                 f"internal compile bug: ideal-mode residual {residual:.3e}"
             )
@@ -354,7 +355,7 @@ def compile_unitary(
     else:
         if input_state is None:
             input_state = basis_state(0, 0, n)
-        survival = analytic_netlist_survival(input_state, netlist)
+        survival = survival_probability(_elements.run_netlist(input_state, netlist))
     report = CompileReport(
         factor_count=len(factors),
         element_count=len(netlist),

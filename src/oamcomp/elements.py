@@ -1,8 +1,10 @@
 """Optical element IR and exact netlist execution.
 
 Five primitives (phase shifter, hologram, beamsplitter, OAM filter, mirror)
-plus two macro gates (extract / reintegrate) that the compiler emits and the
-executor either applies ideally or expands into a Zeno chain.
+plus two macro gates (extract / reintegrate) that the compiler emits.  The
+executor applies a macro gate either ideally or, at a finite stage count, as
+the exact closed form of its Zeno chain; the chain itself, as primitives, is
+built in :mod:`oamcomp.extraction`.
 
 Beamsplitter convention: the mode-pair amplitudes ``(a, b)`` at each OAM
 index transform by the proper rotation ``[[cos t, sin t], [-sin t, cos t]]``,
@@ -14,11 +16,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from .errors import ValidationError
-from .state import PhotonState
+from .state import ModeOAM, PhotonState
 
 #: Marker for the lossless, infinite-stage limit of the extraction gate.
 IDEAL = "ideal"
@@ -30,6 +32,10 @@ Stages = Union[int, str]  # positive int or IDEAL
 class PhaseShifter:
     mode: int
     phi: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.phi):
+            raise ValidationError(f"phase must be finite, got {self.phi!r}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,8 @@ class BeamSplitter:
     def __post_init__(self) -> None:
         if self.mode_a == self.mode_b:
             raise ValidationError("beamsplitter requires two distinct modes")
+        if not math.isfinite(self.theta):
+            raise ValidationError(f"beamsplitter angle must be finite, got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +71,12 @@ class Mirror:
 
 
 @dataclass(frozen=True)
-class ExtractGate:
-    """Macro: move the OAM-``m`` component of ``src`` to OAM 0 of ``dst``."""
+class ExtractionSpec:
+    """Parameters of one extraction gate on the mode pair ``(src, dst)``.
+
+    ``stages`` is a positive beamsplitter count, or :data:`IDEAL` for the
+    lossless infinite-stage limit.
+    """
 
     m: int
     src: int
@@ -72,27 +84,27 @@ class ExtractGate:
     stages: Stages = IDEAL
 
     def __post_init__(self) -> None:
-        _check_spec(self.src, self.dst, self.stages)
+        if self.src == self.dst:
+            raise ValidationError("extraction requires src != dst")
+        # ``type`` rather than ``isinstance``: a bool is an int.
+        if self.stages != IDEAL and not (type(self.stages) is int and self.stages >= 1):
+            raise ValidationError(f"stage count must be a positive integer, got {self.stages!r}")
+
+    @property
+    def theta(self) -> float:
+        if self.stages == IDEAL:
+            raise ValidationError("ideal gate has no beamsplitter angle")
+        return math.pi / (2 * self.stages)
 
 
 @dataclass(frozen=True)
-class ReintegrateGate:
+class ExtractGate(ExtractionSpec):
+    """Macro: move the OAM-``m`` component of ``src`` to OAM 0 of ``dst``."""
+
+
+@dataclass(frozen=True)
+class ReintegrateGate(ExtractionSpec):
     """Macro: inverse of :class:`ExtractGate` on the same mode pair."""
-
-    m: int
-    src: int
-    dst: int
-    stages: Stages = IDEAL
-
-    def __post_init__(self) -> None:
-        _check_spec(self.src, self.dst, self.stages)
-
-
-def _check_spec(src: int, dst: int, stages: Stages) -> None:
-    if src == dst:
-        raise ValidationError("extraction requires src != dst")
-    if stages != IDEAL and (not isinstance(stages, int) or stages < 1):
-        raise ValidationError(f"stage count must be a positive integer, got {stages!r}")
 
 
 Element = Union[
@@ -135,7 +147,7 @@ class Netlist:
             n = int(data["n"])
             modes = int(data["modes"])
             elements = [_element_from_json(entry) for entry in data["elements"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ValidationError):
                 raise
             raise ValidationError(f"malformed netlist JSON: {exc}") from exc
@@ -145,54 +157,40 @@ class Netlist:
 def _element_modes(el: Element) -> tuple[int, ...]:
     if isinstance(el, BeamSplitter):
         return (el.mode_a, el.mode_b)
-    if isinstance(el, (ExtractGate, ReintegrateGate)):
+    if isinstance(el, ExtractionSpec):
         return (el.src, el.dst)
     return (el.mode,)
 
 
+#: Netlist JSON ``type`` tag of each element class; the other JSON keys are
+#: the class's field names.
+_ELEMENT_TYPES = {
+    "ps": PhaseShifter, "holo": Hologram, "bs": BeamSplitter, "filter": Filter,
+    "mirror": Mirror, "extract": ExtractGate, "reintegrate": ReintegrateGate,
+}
+_ELEMENT_TAGS = {cls: tag for tag, cls in _ELEMENT_TYPES.items()}
+_ELEMENT_FIELDS = {cls: fields(cls) for cls in _ELEMENT_TAGS}
+
+
 def _element_to_json(el: Element) -> dict:
-    if isinstance(el, PhaseShifter):
-        return {"type": "ps", "mode": el.mode, "phi": el.phi}
-    if isinstance(el, Hologram):
-        return {"type": "holo", "mode": el.mode, "k": el.k}
-    if isinstance(el, BeamSplitter):
-        return {"type": "bs", "mode_a": el.mode_a, "mode_b": el.mode_b, "theta": el.theta}
-    if isinstance(el, Filter):
-        return {"type": "filter", "mode": el.mode, "m": el.m}
-    if isinstance(el, Mirror):
-        return {"type": "mirror", "mode": el.mode}
-    if isinstance(el, ExtractGate):
-        return {"type": "extract", "m": el.m, "src": el.src, "dst": el.dst,
-                "stages": el.stages}
-    if isinstance(el, ReintegrateGate):
-        return {"type": "reintegrate", "m": el.m, "src": el.src, "dst": el.dst,
-                "stages": el.stages}
-    raise ValidationError(f"unknown element {el!r}")
+    if type(el) not in _ELEMENT_TAGS:
+        raise ValidationError(f"unknown element {el!r}")
+    return {"type": _ELEMENT_TAGS[type(el)], **vars(el)}
 
 
 def _element_from_json(entry: dict) -> Element:
-    kind = entry.get("type")
-    if kind == "ps":
-        return PhaseShifter(mode=int(entry["mode"]), phi=float(entry["phi"]))
-    if kind == "holo":
-        return Hologram(mode=int(entry["mode"]), k=int(entry["k"]))
-    if kind == "bs":
-        return BeamSplitter(
-            mode_a=int(entry["mode_a"]),
-            mode_b=int(entry["mode_b"]),
-            theta=float(entry["theta"]),
-        )
-    if kind == "filter":
-        return Filter(mode=int(entry["mode"]), m=int(entry["m"]))
-    if kind == "mirror":
-        return Mirror(mode=int(entry["mode"]))
-    if kind in ("extract", "reintegrate"):
-        stages = entry["stages"]
-        stages = IDEAL if stages == IDEAL else int(stages)
-        cls = ExtractGate if kind == "extract" else ReintegrateGate
-        return cls(m=int(entry["m"]), src=int(entry["src"]), dst=int(entry["dst"]),
-                   stages=stages)
-    raise ValidationError(f"unknown element type {kind!r}")
+    cls = _ELEMENT_TYPES.get(entry["type"])
+    if cls is None:
+        raise ValidationError(f"unknown element type {entry['type']!r}")
+    return cls(**{f.name: _field_from_json(f.type, entry[f.name]) for f in _ELEMENT_FIELDS[cls]})
+
+
+def _field_from_json(kind: str, value) -> float | Stages:
+    if isinstance(value, bool):
+        raise ValidationError(f"expected a number, got {value!r}")
+    if kind == "float":
+        return float(value)
+    return IDEAL if kind == "Stages" and value == IDEAL else int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +268,103 @@ def apply_element(state: PhotonState, el: Element) -> PhotonState:
     if isinstance(el, Mirror):
         return apply_mirror(state, el.mode)
     if isinstance(el, (ExtractGate, ReintegrateGate)):
-        # Late import: macro semantics live in the extraction module.
-        from . import extraction
-
-        return extraction.apply_macro(state, el)
+        return apply_macro(state, el)
     raise ValidationError(f"unknown element {el!r}")
 
 
-def run_netlist(state: PhotonState, netlist: Netlist) -> PhotonState:
-    """Apply all elements in order; the result may be sub-normalized."""
+# ---------------------------------------------------------------------------
+# Macro gate semantics.
+
+#: Occupancy guard: amplitudes below this are floating-point residue from a
+#: previous Zeno chain, not a second photon component.
+OCCUPANCY_TOL = 1e-9
+
+
+def _check_vacant(state: PhotonState, slot: ModeOAM, role: str) -> None:
+    if not abs(state.amplitudes.get(slot, 0)) <= OCCUPANCY_TOL:
+        raise ValidationError(f"{role} (mode {slot[0]}, OAM {slot[1]}) already occupied")
+
+
+def _move(state: PhotonState, source: ModeOAM, target: ModeOAM, role: str) -> PhotonState:
+    _check_vacant(state, target, role)
+    amps = dict(state.amplitudes)
+    if source in amps:
+        amps[target] = amps.pop(source)
+    return PhotonState(n=state.n, amplitudes=amps)
+
+
+def ideal_extract(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
+    """Move the amplitude at ``(src, m)`` to ``(dst, 0)``; all else untouched."""
+    return _move(state, (spec.src, spec.m), (spec.dst, 0), "destination")
+
+
+def ideal_reintegrate(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
+    """Inverse of :func:`ideal_extract`: ``(dst, 0)`` back to ``(src, m)``."""
+    return _move(state, (spec.dst, 0), (spec.src, spec.m), "reintegration target")
+
+
+def zeno_extract(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
+    """The finite-``N`` chain; ``l != m`` components are attenuated."""
+    _check_vacant(state, (spec.dst, 0), "destination")
+    return _zeno_chain(state, spec, spec.theta, filter_first=False)
+
+
+def zeno_reintegrate(
+    state: PhotonState, spec: ExtractionSpec, filter_first: bool = False
+) -> PhotonState:
+    """The inverse chain, at angle ``-pi/2N``; see ``lower_reintegrate_to_netlist``."""
+    _check_vacant(state, (spec.src, spec.m), "reintegration target")
+    return _zeno_chain(state, spec, -spec.theta, filter_first)
+
+
+def _zeno_chain(
+    state: PhotonState, spec: ExtractionSpec, theta: float, filter_first: bool
+) -> PhotonState:
+    """Exact output of the ``N``-stage chain with beamsplitter angle ``theta``.
+
+    The chain is hologram ``-m`` on ``src``, ``N`` times a beamsplitter on
+    ``(dst, src)`` and an OAM-0 filter on ``dst``, then hologram ``+m``.  It
+    acts on each pair ``(a, b) = (amp(dst, j), amp(src, j + m))`` on its own.
+    At ``j = 0`` the filter passes everything, so the stages compose to the
+    rotation by ``N theta``.  At ``j != 0`` the first filter absorbs the
+    ``dst`` part and each later stage scales the ``src`` part by
+    ``cos theta``.  With ``filter_first`` each filter precedes its
+    beamsplitter, ``R (P R)^{N-1} P``: ``a`` is absorbed at once and the last
+    rotation leaves ``b sin theta cos^{N-1} theta`` in ``dst``.
+    """
+    src, dst, m, stages = spec.src, spec.dst, spec.m, spec.stages
+    c, s = math.cos(theta), math.sin(theta)
+    c_n, s_n = math.cos(stages * theta), math.sin(stages * theta)
+    decay = c ** (stages - 1)
+    amps = {
+        key: amp for key, amp in state.amplitudes.items() if key[0] not in (src, dst)
+    }
+    pairs = {l if mode == dst else l - m for mode, l in state.amplitudes if mode in (src, dst)}
+    for j in pairs:
+        a, b = state.amplitude(dst, j), state.amplitude(src, j + m)
+        if j == 0:
+            a, b = a * c_n + b * s_n, -a * s_n + b * c_n
+        elif filter_first:
+            a, b = b * s * decay, b * c * decay
+        else:
+            a, b = 0, (-a * s + b * c) * decay
+        if a:
+            amps[(dst, j)] = a
+        if b:
+            amps[(src, j + m)] = b
+    return PhotonState(n=state.n, amplitudes=amps)
+
+
+def apply_macro(state: PhotonState, gate: ExtractGate | ReintegrateGate) -> PhotonState:
+    """The ideal move, or at a finite stage count the exact Zeno chain."""
+    extract = isinstance(gate, ExtractGate)
+    if gate.stages == IDEAL:
+        return (ideal_extract if extract else ideal_reintegrate)(state, gate)
+    return (zeno_extract if extract else zeno_reintegrate)(state, gate)
+
+
+def check_state_fits(state: PhotonState, netlist: Netlist) -> None:
+    """Reject a state whose width or occupied modes do not fit ``netlist``."""
     if state.n != netlist.n:
         raise ValidationError(
             f"state width {state.n} does not match netlist width {netlist.n}"
@@ -288,6 +374,11 @@ def run_netlist(state: PhotonState, netlist: Netlist) -> PhotonState:
             f"state occupies mode {state.max_mode()} outside the netlist's "
             f"{netlist.mode_count} modes"
         )
+
+
+def run_netlist(state: PhotonState, netlist: Netlist) -> PhotonState:
+    """Apply all elements in order; the result may be sub-normalized."""
+    check_state_fits(state, netlist)
     for el in netlist.elements:
         state = apply_element(state, el)
     return state

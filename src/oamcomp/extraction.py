@@ -1,4 +1,4 @@
-"""Extraction gate: ideal semantics, Zeno-chain lowering, survival accounting.
+"""Extraction gate: Zeno-chain lowering, survival accounting, absorption sampling.
 
 The gate moves the OAM-``m`` component of a superposition in one spatial mode
 into OAM 0 of another mode.  Physically it is realized by a chain of ``N``
@@ -7,6 +7,11 @@ the targeted component rotates losslessly into the destination mode (the
 beamsplitter is a rotation, so the chain composes to a quarter turn), while
 every other component is repeatedly clipped by the filters and survives with
 probability ``cos(pi / (2 N)) ** (2 N)``, which tends to 1 as ``N`` grows.
+
+The gate's semantics, ideal and in the chain's exact closed form, live with
+the other elements' in :mod:`oamcomp.elements` and are re-exported here.  The
+chain of primitives built below is the physical elaboration of the gate and
+the oracle that tests hold the closed form to.
 """
 
 from __future__ import annotations
@@ -17,161 +22,46 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .elements import (
-    IDEAL,
-    BeamSplitter,
-    Element,
-    ExtractGate,
-    Filter,
-    Hologram,
-    Netlist,
-    ReintegrateGate,
-    Stages,
-    apply_element,
+from .elements import (  # noqa: F401  (the gate semantics are re-exported)
+    IDEAL, OCCUPANCY_TOL, BeamSplitter, Element, ExtractGate, ExtractionSpec, Filter,
+    Hologram, Netlist, ReintegrateGate, Stages, apply_element, apply_macro,
+    check_state_fits, ideal_extract, ideal_reintegrate, zeno_extract, zeno_reintegrate,
 )
-from .state import PhotonState, survival_probability
-
-#: Occupancy guard: amplitudes below this are floating-point residue from a
-#: previous Zeno chain, not a second photon component.
-OCCUPANCY_TOL = 1e-9
+from .state import PhotonState, normalized, survival_probability
 
 
-@dataclass(frozen=True)
-class ExtractionSpec:
-    """Parameters of one extraction gate.
-
-    ``stages`` is a positive beamsplitter count, or :data:`IDEAL` for the
-    lossless infinite-stage limit.
-    """
-
-    m: int
-    src: int
-    dst: int
-    stages: Stages = IDEAL
-
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValidationError("extraction requires src != dst")
-        if self.stages != IDEAL and (
-            not isinstance(self.stages, int) or self.stages < 1
-        ):
-            raise ValidationError(f"invalid stage count {self.stages!r}")
-
-    @property
-    def theta(self) -> float:
-        if self.stages == IDEAL:
-            raise ValidationError("ideal gate has no beamsplitter angle")
-        return math.pi / (2 * self.stages)
-
-
-def _check_vacant(state: PhotonState, mode: int, l: int, role: str) -> None:
-    if abs(state.amplitude(mode, l)) > OCCUPANCY_TOL:
-        raise ValidationError(f"{role} (mode {mode}, OAM {l}) already occupied")
-
-
-def ideal_extract(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
-    """Move the amplitude at ``(src, m)`` to ``(dst, 0)``; all else untouched."""
-    _check_vacant(state, spec.dst, 0, "destination")
-    amps = dict(state.amplitudes)
-    moving = amps.pop((spec.src, spec.m), None)
-    if moving is not None:
-        amps[(spec.dst, 0)] = moving
-    return PhotonState(n=state.n, amplitudes=amps)
-
-
-def ideal_reintegrate(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
-    """Inverse of :func:`ideal_extract`: ``(dst, 0)`` back to ``(src, m)``."""
-    _check_vacant(state, spec.src, spec.m, "reintegration target")
-    amps = dict(state.amplitudes)
-    moving = amps.pop((spec.dst, 0), None)
-    if moving is not None:
-        amps[(spec.src, spec.m)] = moving
-    return PhotonState(n=state.n, amplitudes=amps)
-
-
-def _extract_elements(spec: ExtractionSpec) -> list[Element]:
+def _chain_elements(spec: ExtractionSpec, sign: int, filter_first: bool) -> list[Element]:
+    """The chain at angle ``sign * pi/2N``: +1 extracts, -1 reintegrates."""
+    if spec.stages == IDEAL:
+        raise ValidationError("the ideal gate has no finite Zeno chain")
     # Beamsplitter argument order (dst first) fixes the sign so that the
     # extracted amplitude arrives at (dst, 0) with factor +1.
-    theta = spec.theta
-    elements: list[Element] = [Hologram(mode=spec.src, k=-spec.m)]
-    for _ in range(spec.stages):
-        elements.append(BeamSplitter(mode_a=spec.dst, mode_b=spec.src, theta=theta))
-        elements.append(Filter(mode=spec.dst, m=0))
-    elements.append(Hologram(mode=spec.src, k=spec.m))
-    return elements
-
-
-def _reintegrate_elements(spec: ExtractionSpec, filter_first: bool) -> list[Element]:
-    theta = spec.theta
-    elements: list[Element] = [Hologram(mode=spec.src, k=-spec.m)]
-    for _ in range(spec.stages):
-        stage: list[Element] = [
-            BeamSplitter(mode_a=spec.dst, mode_b=spec.src, theta=-theta),
-            Filter(mode=spec.dst, m=0),
-        ]
-        if filter_first:
-            stage.reverse()
-        elements.extend(stage)
-    elements.append(Hologram(mode=spec.src, k=spec.m))
-    return elements
+    stage = [BeamSplitter(mode_a=spec.dst, mode_b=spec.src, theta=sign * spec.theta),
+             Filter(mode=spec.dst, m=0)]
+    if filter_first:
+        stage.reverse()
+    return [Hologram(mode=spec.src, k=-spec.m), *stage * spec.stages,
+            Hologram(mode=spec.src, k=spec.m)]
 
 
 def lower_extract_to_netlist(spec: ExtractionSpec, width: int = 1) -> Netlist:
     """Zeno-chain elaboration of the gate into the five primitives."""
-    if spec.stages == IDEAL:
-        raise ValidationError("cannot lower the ideal gate to a finite netlist")
-    return Netlist(
-        n=width,
-        mode_count=max(spec.src, spec.dst) + 1,
-        elements=tuple(_extract_elements(spec)),
-    )
+    elements = _chain_elements(spec, 1, filter_first=False)
+    return Netlist(n=width, mode_count=max(spec.src, spec.dst) + 1, elements=elements)
 
 
 def lower_reintegrate_to_netlist(
     spec: ExtractionSpec, width: int = 1, filter_first: bool = False
 ) -> Netlist:
-    """Inverse chain.
+    """Inverse chain, at angle ``-pi/2N``.
 
     ``filter_first=True`` gives the strict element-wise reversal of the
     extract chain; the default places each filter after its beamsplitter so
     the final leaked amplitudes are absorbed and the aux mode ends empty.
     Both orderings act identically on the extracted component.
     """
-    if spec.stages == IDEAL:
-        raise ValidationError("cannot lower the ideal gate to a finite netlist")
-    return Netlist(
-        n=width,
-        mode_count=max(spec.src, spec.dst) + 1,
-        elements=tuple(_reintegrate_elements(spec, filter_first)),
-    )
-
-
-def zeno_extract(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
-    """Run the finite-``N`` chain; ``l != m`` components are attenuated."""
-    _check_vacant(state, spec.dst, 0, "destination")
-    for el in _extract_elements(spec):
-        state = apply_element(state, el)
-    return state
-
-
-def zeno_reintegrate(
-    state: PhotonState, spec: ExtractionSpec, filter_first: bool = False
-) -> PhotonState:
-    _check_vacant(state, spec.src, spec.m, "reintegration target")
-    for el in _reintegrate_elements(spec, filter_first):
-        state = apply_element(state, el)
-    return state
-
-
-def apply_macro(state: PhotonState, gate: ExtractGate | ReintegrateGate) -> PhotonState:
-    spec = ExtractionSpec(m=gate.m, src=gate.src, dst=gate.dst, stages=gate.stages)
-    if isinstance(gate, ExtractGate):
-        if spec.stages == IDEAL:
-            return ideal_extract(state, spec)
-        return zeno_extract(state, spec)
-    if spec.stages == IDEAL:
-        return ideal_reintegrate(state, spec)
-    return zeno_reintegrate(state, spec)
+    elements = _chain_elements(spec, -1, filter_first)
+    return Netlist(n=width, mode_count=max(spec.src, spec.dst) + 1, elements=elements)
 
 
 # ---------------------------------------------------------------------------
@@ -198,41 +88,6 @@ def extraction_survival(spec: ExtractionSpec, input_coeffs) -> float:
     return kept + rest * component_survival(spec.stages)
 
 
-def analytic_apply(state: PhotonState, gate: ExtractGate | ReintegrateGate) -> PhotonState:
-    """Exact per-component transfer matrix of one gate, applied in closed form.
-
-    Assumes the gate's aux mode carries no amplitude besides the extracted
-    component (true for compiler-generated netlists).
-    """
-    spec = ExtractionSpec(m=gate.m, src=gate.src, dst=gate.dst, stages=gate.stages)
-    attenuation = (
-        1.0 if spec.stages == IDEAL else math.cos(spec.theta) ** spec.stages
-    )
-    if isinstance(gate, ExtractGate):
-        moved_from, moved_to = (spec.src, spec.m), (spec.dst, 0)
-    else:
-        moved_from, moved_to = (spec.dst, 0), (spec.src, spec.m)
-    amps: dict[tuple[int, int], complex] = {}
-    for (mode, l), amp in state.amplitudes.items():
-        if (mode, l) == moved_from:
-            amps[moved_to] = amp
-        elif mode == spec.src:
-            amps[(mode, l)] = amp * attenuation
-        else:
-            amps[(mode, l)] = amp
-    return PhotonState(n=state.n, amplitudes=amps)
-
-
-def analytic_netlist_survival(state: PhotonState, netlist: Netlist) -> float:
-    """Survival of ``state`` through ``netlist`` via closed-form gate factors."""
-    for el in netlist.elements:
-        if isinstance(el, (ExtractGate, ReintegrateGate)):
-            state = analytic_apply(state, el)
-        else:
-            state = apply_element(state, el)
-    return survival_probability(state)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo absorption sampling.
 
@@ -242,16 +97,77 @@ def expand_netlist(netlist: Netlist) -> Netlist:
     elements: list[Element] = []
     for el in netlist.elements:
         if isinstance(el, (ExtractGate, ReintegrateGate)):
-            if el.stages == IDEAL:
-                raise ValidationError("cannot expand an ideal macro gate")
-            spec = ExtractionSpec(m=el.m, src=el.src, dst=el.dst, stages=el.stages)
-            if isinstance(el, ExtractGate):
-                elements.extend(_extract_elements(spec))
-            else:
-                elements.extend(_reintegrate_elements(spec, filter_first=False))
+            sign = 1 if isinstance(el, ExtractGate) else -1
+            elements.extend(_chain_elements(el, sign, filter_first=False))
         else:
             elements.append(el)
     return replace(netlist, elements=tuple(elements))
+
+
+@dataclass(frozen=True)
+class LossProfile:
+    """Where a photon can be absorbed along a netlist, from one exact pass.
+
+    ``initial`` is the input's squared norm and ``final`` the output state.
+    ``filters`` holds the index of every filter in :func:`expand_netlist`'s
+    netlist and ``survival`` the squared norm just after each.
+    """
+
+    initial: float
+    final: PhotonState
+    filters: np.ndarray
+    survival: np.ndarray
+
+    def absorption(self) -> np.ndarray:
+        """Probability that each filter absorbs the photon, ``|psi_{k-1}|^2 - |psi_k|^2``."""
+        return -np.diff(self.survival, prepend=self.initial)
+
+    def absorbed_at(self, u: float) -> int | None:
+        """Index of the first filter after which the survival is at most ``u``
+        (``None`` if there is none): where a run drawing ``u`` is absorbed."""
+        hit = np.flatnonzero(self.survival <= u)
+        return int(self.filters[hit[0]]) if hit.size else None
+
+    def success_probability(self) -> float:
+        """Probability that one run passes every filter."""
+        if not self.initial:
+            return float(not self.survival.size)
+        return float(self.survival.min(initial=self.initial) / self.initial)
+
+
+def loss_profile(state: PhotonState, netlist: Netlist) -> LossProfile:
+    """Run ``state`` through ``netlist`` once, recording the survival after
+    every filter of the netlist's expansion.
+
+    A finite-stage gate expands to hologram, ``N`` times (beamsplitter,
+    filter), hologram.  Inside it only the ``l != m`` components of ``src``
+    lose weight, by ``cos^2 theta`` per filter after the first, and they hold
+    all of their remaining weight at the gate's output; so the output fixes
+    the survival after each of the gate's filters.
+    """
+    check_state_fits(state, netlist)
+    initial = survival_probability(state)
+    filters, survival = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    index = 0
+    for el in netlist.elements:
+        if isinstance(el, (ExtractGate, ReintegrateGate)):
+            if el.stages == IDEAL:
+                raise ValidationError("the ideal gate has no finite Zeno chain")
+            state = apply_macro(state, el)
+            leak = sum(abs(amp) ** 2 for (mode, l), amp in state.amplitudes.items()
+                       if mode == el.src and l != el.m)
+            to_go = np.arange(1 - el.stages, 1)  # k - N for the gate's filters k = 1..N
+            filters.append(index + 2 * el.stages + 2 * to_go)
+            survival.append(survival_probability(state) - leak
+                            + leak * math.cos(el.theta) ** (2 * to_go))
+            index += 2 * el.stages + 2
+            continue
+        state = apply_element(state, el)
+        if isinstance(el, Filter):
+            filters.append(np.array([index]))
+            survival.append(np.array([survival_probability(state)]))
+        index += 1
+    return LossProfile(initial, state, np.concatenate(filters), np.concatenate(survival))
 
 
 @dataclass(frozen=True)
@@ -264,30 +180,20 @@ class MonteCarloResult:
 def monte_carlo_run(
     state: PhotonState, netlist: Netlist, rng: np.random.Generator
 ) -> MonteCarloResult:
-    """Sample one physical run: each filter either passes or absorbs the photon.
+    """Sample one physical run: the photon is absorbed at one filter or passes all.
 
-    The returned state, on success, is the normalized conditional state; the
-    probability of ``success`` over many runs estimates the survival
-    probability of the deterministic simulation.
+    One uniform draw ``u`` in ``[0, |psi|^2)`` picks the first filter after
+    which the survival probability is at most ``u``, so filter ``k`` absorbs
+    with probability ``(|psi_{k-1}|^2 - |psi_k|^2) / |psi|^2``.  On success
+    the returned state is the normalized conditional state; the success
+    frequency over many runs estimates the survival probability.
     """
-    expanded = expand_netlist(netlist)
-    for idx, el in enumerate(expanded.elements):
-        if isinstance(el, Filter):
-            before = survival_probability(state)
-            state = apply_element(state, el)
-            after = survival_probability(state)
-            pass_prob = 0.0 if before == 0.0 else after / before
-            if rng.random() >= pass_prob:
-                return MonteCarloResult(success=False, state=None, absorbed_at=idx)
-            # Condition on passage: renormalize back to the pre-filter norm.
-            scale = 1.0 / math.sqrt(pass_prob)
-            state = PhotonState(
-                n=state.n,
-                amplitudes={k: v * scale for k, v in state.amplitudes.items()},
-            )
-        else:
-            state = apply_element(state, el)
-    return MonteCarloResult(success=True, state=state, absorbed_at=None)
+    profile = loss_profile(state, netlist)
+    absorbed = profile.absorbed_at(rng.random() * profile.initial)
+    if absorbed is not None:
+        return MonteCarloResult(success=False, state=None, absorbed_at=absorbed)
+    final = normalized(profile.final) if profile.final.amplitudes else profile.final
+    return MonteCarloResult(success=True, state=final, absorbed_at=None)
 
 
 def monte_carlo_survival(
@@ -296,7 +202,5 @@ def monte_carlo_survival(
     """Empirical survival frequency over ``runs`` sampled physical runs."""
     if runs < 1:
         raise ValidationError("need at least one Monte Carlo run")
-    successes = sum(
-        monte_carlo_run(state, netlist, rng).success for _ in range(runs)
-    )
-    return successes / runs
+    p = loss_profile(state, netlist).success_probability()
+    return int(rng.binomial(runs, p)) / runs

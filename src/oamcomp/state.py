@@ -8,6 +8,7 @@ cumulative absorption probability.  All operations return new states.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -41,7 +42,7 @@ class PhotonState:
             if mode < 0:
                 raise ValidationError(f"negative spatial mode index {mode}")
         norm2 = sum(abs(a) ** 2 for a in amps.values())
-        if norm2 > 1.0 + NORM_EPS:
+        if not norm2 <= 1.0 + NORM_EPS:
             raise ValidationError(f"squared norm {norm2} exceeds 1 + eps")
         object.__setattr__(self, "amplitudes", MappingProxyType(amps))
 
@@ -78,10 +79,11 @@ class PhotonState:
             amps: dict[ModeOAM, complex] = {}
             for entry in data["amplitudes"]:
                 key = (int(entry["mode"]), int(entry["l"]))
-                amps[key] = amps.get(key, 0j) + complex(
-                    float(entry["re"]), float(entry["im"])
-                )
-        except (KeyError, TypeError, ValueError) as exc:
+                amp = complex(float(entry["re"]), float(entry["im"]))
+                if not cmath.isfinite(amp):
+                    raise ValueError(f"non-finite amplitude at {key}")
+                amps[key] = amps.get(key, 0j) + amp
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed state JSON: {exc}") from exc
         return cls(n=n, amplitudes=amps)
 

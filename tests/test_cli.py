@@ -131,6 +131,46 @@ class TestSimulate:
         assert abs(mc["success_rate"] - 27 / 64) < 0.1
 
 
+class TestRejectsBadInput:
+    """Bad input exits 2 and writes nothing."""
+
+    def test_nan_unitary_entry(self, runner, tmp_path):
+        data = unitary_to_json(haar_random_unitary(4, np.random.default_rng(0)))
+        data["rows"][1][2][0] = float("nan")
+        write_json(tmp_path / "u.json", data)
+        result = runner.invoke(main, [
+            "compile", "--input", str(tmp_path / "u.json"),
+            "--output", str(tmp_path / "net.json"),
+            "--report", str(tmp_path / "rep.json"),
+        ])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"]["type"] == "validation"
+        assert not (tmp_path / "net.json").exists()
+        assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("elements, amplitude, extra", [
+        ([{"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": True}], 1.0, []),
+        ([{"type": "ps", "mode": 0, "phi": float("nan")}], 1.0, []),
+        ([{"type": "bs", "mode_a": 0, "mode_b": 1, "theta": float("inf")}], 1.0, []),
+        ([], float("nan"), []),
+        ([], 1.0, ["--monte-carlo", "-5"]),
+    ], ids=["bool-stages", "nan-phase", "inf-angle", "nan-amplitude", "negative-runs"])
+    def test_bad_simulate_input(self, runner, tmp_path, elements, amplitude, extra):
+        write_json(tmp_path / "s.json", {
+            "n": 1, "amplitudes": [{"mode": 0, "l": 1, "re": amplitude, "im": 0.0}],
+        })
+        write_json(tmp_path / "net.json", {"n": 1, "modes": 2, "elements": elements})
+        result = runner.invoke(main, [
+            "simulate", "--netlist", str(tmp_path / "net.json"),
+            "--input", str(tmp_path / "s.json"),
+            "--output", str(tmp_path / "out.json"), *extra,
+        ])
+        assert result.exit_code == 2
+        if not extra:  # option errors are reported by click, not as JSON
+            assert json.loads(result.stderr)["error"]["type"] == "validation"
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestVerify:
     def test_pipeline_closes(self, runner, tmp_path):
         U = haar_random_unitary(4, np.random.default_rng(8))

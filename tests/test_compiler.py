@@ -222,6 +222,11 @@ def test_unitary_json_shape_mismatch():
         unitary_from_json({"d": 3, "rows": [[[1, 0]]]})
 
 
+def test_non_finite_matrix_is_not_unitary():
+    with pytest.raises(ValidationError):
+        check_unitary(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+
+
 def test_haar_unitary_is_unitary(rng):
     for d in (2, 4, 8):
         check_unitary(haar_random_unitary(d, rng))

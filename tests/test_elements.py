@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from oamcomp.elements import (
     BeamSplitter,
+    ExtractGate,
     Filter,
     Hologram,
     Mirror,
     Netlist,
     PhaseShifter,
+    ReintegrateGate,
     apply_beamsplitter,
     apply_filter,
     apply_hologram,
@@ -234,6 +236,17 @@ class TestNetlist:
             Netlist.from_json_dict(
                 {"n": 1, "modes": 1, "elements": [{"type": "prism", "mode": 0}]}
             )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PhaseShifter(mode=0, phi=math.nan),
+    lambda: BeamSplitter(mode_a=0, mode_b=1, theta=-math.inf),
+    lambda: ExtractGate(m=0, src=0, dst=1, stages=True),
+    lambda: ReintegrateGate(m=0, src=0, dst=1, stages=0),
+])
+def test_constructors_reject_bad_parameters(make):
+    with pytest.raises(ValidationError):
+        make()
 
 
 class TestReflectionParity:

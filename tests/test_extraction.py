@@ -1,19 +1,26 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oamcomp.compiler import compile_unitary, haar_random_unitary
 from oamcomp.elements import (
+    OCCUPANCY_TOL,
     BeamSplitter,
+    ExtractGate,
     Filter,
     Hologram,
+    Mirror,
     Netlist,
+    ReintegrateGate,
+    apply_element,
     run_netlist,
 )
 from oamcomp.errors import ValidationError
 from oamcomp.extraction import (
     ExtractionSpec,
-    analytic_netlist_survival,
     component_survival,
     expand_netlist,
     extraction_survival,
@@ -21,6 +28,7 @@ from oamcomp.extraction import (
     ideal_reintegrate,
     lower_extract_to_netlist,
     lower_reintegrate_to_netlist,
+    loss_profile,
     monte_carlo_run,
     monte_carlo_survival,
     survival_lower_bound,
@@ -140,7 +148,7 @@ class TestZenoExtract:
         s = random_state(rng, 2)
         via_gate = zeno_extract(s, spec)
         via_netlist = run_netlist(s, lower_extract_to_netlist(spec, width=2))
-        assert states_close(via_gate, via_netlist, tol=0)
+        assert states_close(via_gate, via_netlist, tol=1e-12)
 
     def test_converges_to_ideal(self, rng):
         s = random_state(rng, 2)
@@ -293,10 +301,114 @@ class TestMonteCarlo:
         ]
         assert runs_a == runs_b
 
+    def test_deep_chain_runs_stay_valid(self):
+        # Renormalising after every passed filter used to push the state's
+        # norm past 1 + eps here: 6 of these 8 runs raised.
+        net, _ = compile_unitary(
+            haar_random_unitary(8, np.random.default_rng(0)), spec_stages=500
+        )
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            result = monte_carlo_run(basis_state(0, 0, 3), net, rng)
+            if result.success:
+                assert survival_probability(result.state) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_norm_input_absorbed_at_first_filter(self):
+        net = Netlist(
+            n=1, mode_count=2,
+            elements=(Mirror(0), ExtractGate(m=0, src=0, dst=1, stages=4)),
+        )
+        result = monte_carlo_run(PhotonState(n=1), net, np.random.default_rng(0))
+        # mirror, then the chain: hologram, beamsplitter, filter
+        assert (result.success, result.absorbed_at) == (False, 3)
+        assert monte_carlo_survival(PhotonState(n=1), net, 10, np.random.default_rng(0)) == 0
+
+
+def filter_oracle(state, netlist):
+    """Index of every Filter of ``expand_netlist(netlist)``, with the squared
+    norm just before and just after it, from primitive-by-primitive runs."""
+    indices, before, after = [], [], []
+    for index, el in enumerate(expand_netlist(netlist).elements):
+        norm2 = survival_probability(state)
+        state = apply_element(state, el)
+        if isinstance(el, Filter):
+            indices.append(index)
+            before.append(norm2)
+            after.append(survival_probability(state))
+    return indices, np.array(before), np.array(after)
+
+
+amplitude_maps = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(-4, 8)),
+    st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False),
+    max_size=10,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["extract", "reintegrate", "reintegrate_filter_first"]),
+    stages=st.integers(1, 2000),
+    m=st.integers(-3, 5),
+    modes=st.permutations([0, 1, 2]),
+    amps=amplitude_maps,
+    residue=st.floats(0, OCCUPANCY_TOL),
+)
+def test_closed_form_gate_matches_primitive_chain(kind, stages, m, modes, amps, residue):
+    src, dst = modes[0], modes[1]
+    spec = ExtractionSpec(m=m, src=src, dst=dst, stages=stages)
+    # Anything anywhere, aux modes included, except in the slot the gate
+    # requires vacant, which holds at most occupancy-tolerance residue.
+    amps = {**amps, ((dst, 0) if kind == "extract" else (src, m)): residue}
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    if norm > 1:
+        amps = {key: a / norm for key, a in amps.items()}
+    state = PhotonState(n=2, amplitudes=amps)
+    if kind == "extract":
+        fused = zeno_extract(state, spec)
+        chain = lower_extract_to_netlist(spec)
+    else:
+        filter_first = kind == "reintegrate_filter_first"
+        fused = zeno_reintegrate(state, spec, filter_first=filter_first)
+        chain = lower_reintegrate_to_netlist(spec, filter_first=filter_first)
+    # The lowered chain, widened to take any test state.
+    chain = replace(chain, n=2, mode_count=3)
+    assert states_close(fused, run_netlist(state, chain), tol=1e-12)
+
+
+def test_loss_profile_matches_expanded_filters(rng):
+    compiled, _ = compile_unitary(haar_random_unitary(4, rng), spec_stages=25)
+    net = Netlist(
+        n=2, mode_count=3,
+        elements=(
+            ExtractGate(m=1, src=0, dst=1, stages=40),
+            ExtractGate(m=3, src=0, dst=2, stages=1),
+            BeamSplitter(mode_a=1, mode_b=2, theta=0.3),
+            Filter(mode=2, m=0),
+            ReintegrateGate(m=3, src=0, dst=2, stages=7),
+            ReintegrateGate(m=1, src=0, dst=1, stages=40),
+            Hologram(mode=0, k=1),
+            Filter(mode=0, m=2),
+            Hologram(mode=0, k=-1),
+            *compiled.elements,
+        ),
+    )
+    # Aux-mode content off OAM 0 leaks into the chains as well.
+    amps = {(0, l): complex(*rng.normal(size=2)) for l in range(4)}
+    amps.update({(1, 2): 0.4j, (2, -1): 0.3, (1, -2): 0.2})
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    s = PhotonState(n=2, amplitudes={key: a / norm for key, a in amps.items()})
+    indices, before, after = filter_oracle(s, net)
+    profile = loss_profile(s, net)
+    assert profile.filters.tolist() == indices
+    assert np.max(np.abs(profile.absorption() - (before - after))) <= 1e-12
+    for u in rng.uniform(0, profile.initial, size=200):
+        first = next((i for i, norm2 in zip(indices, after) if norm2 <= u), None)
+        assert profile.absorbed_at(u) == first
+
 
 def test_analytic_netlist_survival_matches_simulation(rng):
-    from oamcomp.elements import ExtractGate, ReintegrateGate
-
+    """The closed-form gates' netlist survival equals the primitive chain's."""
     net = Netlist(
         n=2, mode_count=3,
         elements=(
@@ -308,6 +420,6 @@ def test_analytic_netlist_survival_matches_simulation(rng):
         ),
     )
     s = random_state(rng, 2)
-    simulated = survival_probability(run_netlist(s, net))
-    analytic = analytic_netlist_survival(s, net)
+    simulated = survival_probability(run_netlist(s, expand_netlist(net)))
+    analytic = survival_probability(run_netlist(s, net))
     assert simulated == pytest.approx(analytic, abs=1e-11)

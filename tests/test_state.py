@@ -57,6 +57,10 @@ class TestFromAmplitudes:
         with pytest.raises(ValidationError):
             from_amplitudes(0, [1.0, 0.1], 1)
 
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValidationError):
+            from_amplitudes(0, [float("nan"), 0.0], 1)
+
     def test_readback_roundtrip(self, rng):
         s = random_state(rng, 3)
         assert from_amplitudes(0, s.coefficients(0), 3).coefficients(0) == s.coefficients(0)
