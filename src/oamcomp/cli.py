@@ -2,8 +2,12 @@
 
 All randomness flows from one explicit ``--seed`` (default 0) and output
 files are written atomically with sorted keys, so identical invocations
-produce byte-identical outputs.  Exit codes: 0 success, 2 validation
-failure, 3 I/O failure.
+produce byte-identical outputs.  Exit codes: 0 success; 1 internal error (a
+check on the program's own result failed, such as the ideal-mode residual
+guard; no output is written); 2 bad input, whether a bad option (error type
+``usage``) or a bad file (``validation``); 3 I/O failure (``io``).  Every
+failure prints one JSON object ``{"error": {"type": ..., "message": ...}}``
+on stderr.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ import numpy as np
 
 from . import compiler, extraction, readout as readout_mod
 from .elements import IDEAL, Netlist, run_netlist
-from .errors import ValidationError
+from .errors import InternalError, ValidationError
 from .state import PhotonState, basis_state, survival_probability
 
+EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 
@@ -56,7 +61,7 @@ def _read_json(path: str) -> dict:
     with open(path) as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax, encoding or nesting
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -74,8 +79,31 @@ def _guarded(fn):
             _fail("validation", str(exc), EXIT_VALIDATION)
         except OSError as exc:
             _fail("io", str(exc), EXIT_IO)
+        except InternalError as exc:
+            _fail("internal", str(exc), EXIT_INTERNAL)
 
     return wrapper
+
+
+class JsonUsageGroup(click.Group):
+    """A command group that reports click's usage errors (a bad option value,
+    an unknown option or command) as JSON with exit code 2, like every other
+    failure.  ``oamc`` without arguments still prints the help."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        bare = not args
+        try:
+            return super().make_context(info_name, args, parent, **extra)
+        except click.UsageError as exc:
+            if bare:
+                raise
+            _fail("usage", exc.format_message(), exc.exit_code)
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail("usage", exc.format_message(), exc.exit_code)
 
 
 class StagesParam(click.ParamType):
@@ -96,7 +124,7 @@ class StagesParam(click.ParamType):
 STAGES = StagesParam()
 
 
-@click.group()
+@click.group(cls=JsonUsageGroup)
 def main() -> None:
     """Compiler and simulator for OAM-encoded single-photon computing."""
 
@@ -202,13 +230,16 @@ def cmd_zeno_sweep(m, n_list, output_path) -> None:
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--strategy", type=click.Choice(["sorter", "repeat", "demux"]),
               required=True)
-@click.option("--mode", type=int, default=0, show_default=True)
+@click.option("--mode", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Spatial mode to read out.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", "output_path", type=click.Path(), default=None)
 @_guarded
 def cmd_readout(input_path, strategy, mode, seed, output_path) -> None:
     """Plan or sample a readout of the final OAM state."""
     state = PhotonState.from_json_dict(_read_json(input_path))
+    if mode not in state.modes():
+        raise ValidationError(f"--mode {mode} holds no amplitude in {input_path}")
     rng = np.random.default_rng(seed)
     payload: dict = {"strategy": strategy, "n": state.n, "seed": seed}
     if strategy == "sorter":

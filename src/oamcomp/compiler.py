@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LeakageError, ValidationError
+from .errors import InternalError, LeakageError, ValidationError
 from .elements import (
     IDEAL,
     BeamSplitter,
@@ -42,7 +42,9 @@ def unitarity_residual(matrix: np.ndarray) -> float:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
     d = matrix.shape[0]
-    return float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(d)))
+    # A huge entry makes the residual inf or NaN, which every check rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(d)))
 
 
 def check_unitary(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
@@ -291,39 +293,46 @@ def _netlist_is_lossless(netlist: Netlist) -> bool:
     return True
 
 
-def reconstruct_and_verify(netlist: Netlist, U: np.ndarray) -> float:
-    """Frobenius distance between the simulated basis-response map and ``U``.
+def basis_response(netlist: Netlist) -> np.ndarray:
+    """The ``d x d`` map the netlist applies to the computational basis of mode 0.
 
-    Lossless netlists are compared directly and checked for leakage outside
-    the computational subspace of mode 0; lossy (finite-stage) netlists are
-    compared through their renormalized conditional columns.
+    All ``d`` basis inputs go through the netlist in one pass, as the columns
+    of one amplitude map.  Lossless netlists are checked for leakage outside
+    the computational subspace of mode 0; the columns of lossy (finite-stage)
+    netlists are renormalized to their conditional states.
     """
+    d = 1 << netlist.n
+    basis = np.eye(d, dtype=complex)
+    out = _elements.propagate({(0, l): basis[l] for l in range(d)}, netlist.elements)
+    absent = np.zeros(d, dtype=complex)
+    effective = np.array([out.get((0, l), absent) for l in range(d)])
+    if _netlist_is_lossless(netlist):
+        offenders = sorted(
+            (mode, l) for (mode, l), row in out.items()
+            if (mode != 0 or not 0 <= l < d) and np.any(np.abs(row) > 1e-9)
+        )
+        if offenders:
+            raise LeakageError(offenders)
+        return effective
+    norms = np.linalg.norm(effective, axis=0)
+    absorbed = np.flatnonzero(norms == 0.0)
+    if absorbed.size:
+        raise ValidationError(f"basis input {absorbed[0]} was fully absorbed")
+    return effective / norms
+
+
+def reconstruct_and_verify(netlist: Netlist, U: np.ndarray) -> float:
+    """Frobenius distance between the netlist's :func:`basis_response` and ``U``."""
     U = np.asarray(U, dtype=complex)
     d = U.shape[0]
-    if d != 1 << netlist.n:
+    # Widths first: ``netlist.n`` comes from a file and may be huge.
+    if netlist.n != d.bit_length() - 1 or d != 1 << netlist.n:
         raise ValidationError(
             f"unitary dimension {d} does not match netlist width {netlist.n}"
         )
-    lossless = _netlist_is_lossless(netlist)
-    effective = np.zeros((d, d), dtype=complex)
-    for col in range(d):
-        out = _elements.run_netlist(basis_state(0, col, netlist.n), netlist)
-        if lossless:
-            offenders = [
-                (mode, l)
-                for (mode, l), amp in out.amplitudes.items()
-                if (mode != 0 or not 0 <= l < d) and abs(amp) > 1e-9
-            ]
-            if offenders:
-                raise LeakageError(offenders)
-        column = np.array(out.coefficients(0), dtype=complex)
-        if not lossless:
-            norm = np.linalg.norm(column)
-            if norm == 0.0:
-                raise ValidationError(f"basis input {col} was fully absorbed")
-            column = column / norm
-        effective[:, col] = column
-    return float(np.linalg.norm(effective - U))
+    effective = basis_response(netlist)
+    with np.errstate(over="ignore"):  # a huge entry of ``U`` gives inf, refused on output
+        return float(np.linalg.norm(effective - U))
 
 
 def compile_unitary(
@@ -348,7 +357,7 @@ def compile_unitary(
     residual = reconstruct_and_verify(netlist, U)
     if spec_stages == IDEAL:
         if not residual <= IDEAL_RESIDUAL_GUARD:
-            raise RuntimeError(
+            raise InternalError(
                 f"internal compile bug: ideal-mode residual {residual:.3e}"
             )
         survival = 1.0

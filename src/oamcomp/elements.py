@@ -4,7 +4,9 @@ Five primitives (phase shifter, hologram, beamsplitter, OAM filter, mirror)
 plus two macro gates (extract / reintegrate) that the compiler emits.  The
 executor applies a macro gate either ideally or, at a finite stage count, as
 the exact closed form of its Zeno chain; the chain itself, as primitives, is
-built in :mod:`oamcomp.extraction`.
+built in :mod:`oamcomp.extraction`.  The executor runs one input state, or
+many inputs at once as the columns of one amplitude map, and checks every
+input's norm after every element.
 
 Beamsplitter convention: the mode-pair amplitudes ``(a, b)`` at each OAM
 index transform by the proper rotation ``[[cos t, sin t], [-sin t, cos t]]``,
@@ -17,15 +19,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
-from typing import Union
+from typing import Mapping, Union
+
+import numpy as np
 
 from .errors import ValidationError
-from .state import ModeOAM, PhotonState
+from .state import NORM_EPS, ModeOAM, PhotonState
 
 #: Marker for the lossless, infinite-stage limit of the extraction gate.
 IDEAL = "ideal"
 
 Stages = Union[int, str]  # positive int or IDEAL
+
+#: Largest finite stage count: the gate's closed form takes ``N theta`` in
+#: double precision, which holds every integer only up to ``2**53``.
+MAX_STAGES = 2**53
 
 
 @dataclass(frozen=True)
@@ -87,8 +95,12 @@ class ExtractionSpec:
         if self.src == self.dst:
             raise ValidationError("extraction requires src != dst")
         # ``type`` rather than ``isinstance``: a bool is an int.
-        if self.stages != IDEAL and not (type(self.stages) is int and self.stages >= 1):
-            raise ValidationError(f"stage count must be a positive integer, got {self.stages!r}")
+        if self.stages != IDEAL and not (
+            type(self.stages) is int and 1 <= self.stages <= MAX_STAGES
+        ):
+            raise ValidationError(
+                f"stage count must be an integer in [1, 2**53], got {self.stages!r}"
+            )
 
     @property
     def theta(self) -> float:
@@ -122,6 +134,8 @@ class Netlist:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
+        if self.n < 1:
+            raise ValidationError(f"qubit count must be >= 1, got {self.n}")
         if self.mode_count < 1:
             raise ValidationError("mode_count must be >= 1")
         for el in self.elements:
@@ -194,132 +208,68 @@ def _field_from_json(kind: str, value) -> float | Stages:
 
 
 # ---------------------------------------------------------------------------
-# Primitive semantics.  All are pure: state in, new state out.
+# Element semantics on an amplitude map ``(mode, l) -> value``.  A value is a
+# complex amplitude, or a numpy array of ``k`` amplitudes when ``k`` inputs go
+# through a netlist together: every element is linear and acts on each input
+# alike, so one pass computes all of them.  The functions are pure, map in,
+# new map out; they may keep exact zeros, which ``PhotonState`` drops.
+
+Amplitudes = Mapping[ModeOAM, Union[complex, np.ndarray]]
 
 
-def apply_phase_shifter(state: PhotonState, mode: int, phi: float) -> PhotonState:
-    """Multiply every amplitude in ``mode`` by ``exp(i * phi)``."""
-    factor = cmath.exp(1j * phi)
-    amps = {
-        key: (amp * factor if key[0] == mode else amp)
-        for key, amp in state.amplitudes.items()
-    }
-    return PhotonState(n=state.n, amplitudes=amps)
+def _phase_shift(amps: Amplitudes, el: PhaseShifter) -> dict:
+    """Multiply every amplitude in ``el.mode`` by ``exp(i * phi)``."""
+    factor = cmath.exp(1j * el.phi)
+    return {key: (amp * factor if key[0] == el.mode else amp) for key, amp in amps.items()}
 
 
-def apply_hologram(state: PhotonState, mode: int, k: int) -> PhotonState:
-    """Shift every OAM index in ``mode`` by ``k`` (bijective relabeling)."""
-    amps = {}
-    for (m, l), amp in state.amplitudes.items():
-        amps[(m, l + k) if m == mode else (m, l)] = amp
-    return PhotonState(n=state.n, amplitudes=amps)
+def _hologram(amps: Amplitudes, el: Hologram) -> dict:
+    """Shift every OAM index in ``el.mode`` by ``k`` (bijective relabeling)."""
+    return {((m, l + el.k) if m == el.mode else (m, l)): amp for (m, l), amp in amps.items()}
 
 
-def apply_beamsplitter(
-    state: PhotonState, mode_a: int, mode_b: int, theta: float
-) -> PhotonState:
+def _beamsplitter(amps: Amplitudes, el: BeamSplitter) -> dict:
     """Rotate the ``(mode_a, mode_b)`` amplitude pair at every OAM index."""
-    if mode_a == mode_b:
-        raise ValidationError("beamsplitter requires two distinct modes")
-    c, s = math.cos(theta), math.sin(theta)
-    amps = {
-        key: amp for key, amp in state.amplitudes.items() if key[0] not in (mode_a, mode_b)
-    }
-    indices = {l for m, l in state.amplitudes if m in (mode_a, mode_b)}
-    for l in indices:
-        a = state.amplitude(mode_a, l)
-        b = state.amplitude(mode_b, l)
-        new_a = a * c + b * s
-        new_b = -a * s + b * c
-        if new_a != 0:
-            amps[(mode_a, l)] = new_a
-        if new_b != 0:
-            amps[(mode_b, l)] = new_b
-    return PhotonState(n=state.n, amplitudes=amps)
+    mode_a, mode_b = el.mode_a, el.mode_b
+    c, s = math.cos(el.theta), math.sin(el.theta)
+    out = {key: amp for key, amp in amps.items() if key[0] not in (mode_a, mode_b)}
+    for l in {l for m, l in amps if m in (mode_a, mode_b)}:
+        a, b = amps.get((mode_a, l), 0), amps.get((mode_b, l), 0)
+        out[(mode_a, l)] = a * c + b * s
+        out[(mode_b, l)] = -a * s + b * c
+    return out
 
 
-def apply_filter(state: PhotonState, mode: int, m: int) -> PhotonState:
-    """Project ``mode`` onto OAM ``m``; everything else in that mode is absorbed."""
-    amps = {
-        key: amp
-        for key, amp in state.amplitudes.items()
-        if key[0] != mode or key[1] == m
-    }
-    return PhotonState(n=state.n, amplitudes=amps)
+def _filter(amps: Amplitudes, el: Filter) -> dict:
+    """Project ``el.mode`` onto OAM ``m``; everything else in that mode is absorbed."""
+    return {key: amp for key, amp in amps.items() if key[0] != el.mode or key[1] == el.m}
 
 
-def apply_mirror(state: PhotonState, mode: int) -> PhotonState:
-    """Reflect OAM in ``mode``: amplitude at ``l`` moves to ``-l``."""
-    amps = {}
-    for (m, l), amp in state.amplitudes.items():
-        amps[(m, -l) if m == mode else (m, l)] = amp
-    return PhotonState(n=state.n, amplitudes=amps)
+def _mirror(amps: Amplitudes, el: Mirror) -> dict:
+    """Reflect OAM in ``el.mode``: amplitude at ``l`` moves to ``-l``."""
+    return {((m, -l) if m == el.mode else (m, l)): amp for (m, l), amp in amps.items()}
 
-
-def apply_element(state: PhotonState, el: Element) -> PhotonState:
-    if isinstance(el, PhaseShifter):
-        return apply_phase_shifter(state, el.mode, el.phi)
-    if isinstance(el, Hologram):
-        return apply_hologram(state, el.mode, el.k)
-    if isinstance(el, BeamSplitter):
-        return apply_beamsplitter(state, el.mode_a, el.mode_b, el.theta)
-    if isinstance(el, Filter):
-        return apply_filter(state, el.mode, el.m)
-    if isinstance(el, Mirror):
-        return apply_mirror(state, el.mode)
-    if isinstance(el, (ExtractGate, ReintegrateGate)):
-        return apply_macro(state, el)
-    raise ValidationError(f"unknown element {el!r}")
-
-
-# ---------------------------------------------------------------------------
-# Macro gate semantics.
 
 #: Occupancy guard: amplitudes below this are floating-point residue from a
 #: previous Zeno chain, not a second photon component.
 OCCUPANCY_TOL = 1e-9
 
 
-def _check_vacant(state: PhotonState, slot: ModeOAM, role: str) -> None:
-    if not abs(state.amplitudes.get(slot, 0)) <= OCCUPANCY_TOL:
+def _check_vacant(amps: Amplitudes, slot: ModeOAM, role: str) -> None:
+    amp = amps.get(slot)
+    if amp is not None and not np.all(abs(amp) <= OCCUPANCY_TOL):
         raise ValidationError(f"{role} (mode {slot[0]}, OAM {slot[1]}) already occupied")
 
 
-def _move(state: PhotonState, source: ModeOAM, target: ModeOAM, role: str) -> PhotonState:
-    _check_vacant(state, target, role)
-    amps = dict(state.amplitudes)
-    if source in amps:
-        amps[target] = amps.pop(source)
-    return PhotonState(n=state.n, amplitudes=amps)
+def _move(amps: Amplitudes, source: ModeOAM, target: ModeOAM) -> dict:
+    out = dict(amps)
+    if source in out:
+        out[target] = out.pop(source)
+    return out
 
 
-def ideal_extract(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
-    """Move the amplitude at ``(src, m)`` to ``(dst, 0)``; all else untouched."""
-    return _move(state, (spec.src, spec.m), (spec.dst, 0), "destination")
-
-
-def ideal_reintegrate(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
-    """Inverse of :func:`ideal_extract`: ``(dst, 0)`` back to ``(src, m)``."""
-    return _move(state, (spec.dst, 0), (spec.src, spec.m), "reintegration target")
-
-
-def zeno_extract(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
-    """The finite-``N`` chain; ``l != m`` components are attenuated."""
-    _check_vacant(state, (spec.dst, 0), "destination")
-    return _zeno_chain(state, spec, spec.theta, filter_first=False)
-
-
-def zeno_reintegrate(
-    state: PhotonState, spec: ExtractionSpec, filter_first: bool = False
-) -> PhotonState:
-    """The inverse chain, at angle ``-pi/2N``; see ``lower_reintegrate_to_netlist``."""
-    _check_vacant(state, (spec.src, spec.m), "reintegration target")
-    return _zeno_chain(state, spec, -spec.theta, filter_first)
-
-
-def _zeno_chain(
-    state: PhotonState, spec: ExtractionSpec, theta: float, filter_first: bool
-) -> PhotonState:
+def _zeno_chain(amps: Amplitudes, spec: ExtractionSpec, theta: float,
+                filter_first: bool) -> dict:
     """Exact output of the ``N``-stage chain with beamsplitter angle ``theta``.
 
     The chain is hologram ``-m`` on ``src``, ``N`` times a beamsplitter on
@@ -336,31 +286,146 @@ def _zeno_chain(
     c, s = math.cos(theta), math.sin(theta)
     c_n, s_n = math.cos(stages * theta), math.sin(stages * theta)
     decay = c ** (stages - 1)
-    amps = {
-        key: amp for key, amp in state.amplitudes.items() if key[0] not in (src, dst)
-    }
-    pairs = {l if mode == dst else l - m for mode, l in state.amplitudes if mode in (src, dst)}
-    for j in pairs:
-        a, b = state.amplitude(dst, j), state.amplitude(src, j + m)
+    out = {key: amp for key, amp in amps.items() if key[0] not in (src, dst)}
+    for j in {l if mode == dst else l - m for mode, l in amps if mode in (src, dst)}:
+        a, b = amps.get((dst, j), 0), amps.get((src, j + m), 0)
         if j == 0:
-            a, b = a * c_n + b * s_n, -a * s_n + b * c_n
+            out[(dst, j)], out[(src, j + m)] = a * c_n + b * s_n, -a * s_n + b * c_n
         elif filter_first:
-            a, b = b * s * decay, b * c * decay
+            out[(dst, j)], out[(src, j + m)] = b * s * decay, b * c * decay
         else:
-            a, b = 0, (-a * s + b * c) * decay
-        if a:
-            amps[(dst, j)] = a
-        if b:
-            amps[(src, j + m)] = b
-    return PhotonState(n=state.n, amplitudes=amps)
+            out[(src, j + m)] = (-a * s + b * c) * decay
+    return out
+
+
+def _extract(amps: Amplitudes, spec: ExtractionSpec, ideal: bool) -> dict:
+    """Move ``(src, m)`` to ``(dst, 0)``: ideally, or through the finite chain."""
+    _check_vacant(amps, (spec.dst, 0), "destination")
+    if ideal:
+        return _move(amps, (spec.src, spec.m), (spec.dst, 0))
+    return _zeno_chain(amps, spec, spec.theta, filter_first=False)
+
+
+def _reintegrate(amps: Amplitudes, spec: ExtractionSpec, ideal: bool,
+                 filter_first: bool = False) -> dict:
+    """Inverse of :func:`_extract`: ``(dst, 0)`` back to ``(src, m)``."""
+    _check_vacant(amps, (spec.src, spec.m), "reintegration target")
+    if ideal:
+        return _move(amps, (spec.dst, 0), (spec.src, spec.m))
+    return _zeno_chain(amps, spec, -spec.theta, filter_first)
+
+
+def _macro(amps: Amplitudes, gate: ExtractGate | ReintegrateGate) -> dict:
+    """The ideal move, or at a finite stage count the exact Zeno chain."""
+    move = _extract if isinstance(gate, ExtractGate) else _reintegrate
+    return move(amps, gate, gate.stages == IDEAL)
+
+
+_SEMANTICS = {
+    PhaseShifter: _phase_shift, Hologram: _hologram, BeamSplitter: _beamsplitter,
+    Filter: _filter, Mirror: _mirror, ExtractGate: _macro, ReintegrateGate: _macro,
+}
+
+
+def step(amps: Amplitudes, el: Element) -> dict:
+    """The amplitude map after element ``el``."""
+    semantics = _SEMANTICS.get(type(el))
+    if semantics is None:
+        raise ValidationError(f"unknown element {el!r}")
+    return semantics(amps, el)
+
+
+def squared_norms(amps: Amplitudes) -> np.ndarray | float:
+    """Squared norm of each input held in ``amps`` (one number for scalars).
+
+    Raises when one exceeds ``1 + NORM_EPS`` or is not a number: no element
+    adds weight, so that is a fault, caught at the element that made it.
+    """
+    values = list(amps.values())
+    if values and isinstance(values[0], np.ndarray):
+        rows = np.array(values)
+        norm2 = (rows.real ** 2 + rows.imag ** 2).sum(axis=0)
+        ok = (norm2 <= 1.0 + NORM_EPS).all()
+    else:  # one input, as complex scalars: plain Python is quicker than numpy
+        norm2 = sum(x * x for x in map(abs, values))
+        ok = norm2 <= 1.0 + NORM_EPS
+    if not ok:
+        raise ValidationError(f"squared norm {np.max(norm2)} exceeds 1 + eps")
+    return norm2
+
+
+def propagate(amps: Amplitudes, elements) -> dict:
+    """Apply ``elements`` in order, checking every input's norm after each."""
+    for el in elements:
+        amps = step(amps, el)
+        squared_norms(amps)
+    return dict(amps)
+
+
+# ---------------------------------------------------------------------------
+# The same semantics on one validated state: state in, new state out.
+
+
+def _on_state(state: PhotonState, semantics, *args) -> PhotonState:
+    return PhotonState(n=state.n, amplitudes=semantics(state.amplitudes, *args))
+
+
+def apply_element(state: PhotonState, el: Element) -> PhotonState:
+    return _on_state(state, step, el)
+
+
+def apply_phase_shifter(state: PhotonState, mode: int, phi: float) -> PhotonState:
+    """Multiply every amplitude in ``mode`` by ``exp(i * phi)``."""
+    return apply_element(state, PhaseShifter(mode=mode, phi=phi))
+
+
+def apply_hologram(state: PhotonState, mode: int, k: int) -> PhotonState:
+    """Shift every OAM index in ``mode`` by ``k`` (bijective relabeling)."""
+    return apply_element(state, Hologram(mode=mode, k=k))
+
+
+def apply_beamsplitter(
+    state: PhotonState, mode_a: int, mode_b: int, theta: float
+) -> PhotonState:
+    """Rotate the ``(mode_a, mode_b)`` amplitude pair at every OAM index."""
+    return apply_element(state, BeamSplitter(mode_a=mode_a, mode_b=mode_b, theta=theta))
+
+
+def apply_filter(state: PhotonState, mode: int, m: int) -> PhotonState:
+    """Project ``mode`` onto OAM ``m``; everything else in that mode is absorbed."""
+    return apply_element(state, Filter(mode=mode, m=m))
+
+
+def apply_mirror(state: PhotonState, mode: int) -> PhotonState:
+    """Reflect OAM in ``mode``: amplitude at ``l`` moves to ``-l``."""
+    return apply_element(state, Mirror(mode=mode))
 
 
 def apply_macro(state: PhotonState, gate: ExtractGate | ReintegrateGate) -> PhotonState:
     """The ideal move, or at a finite stage count the exact Zeno chain."""
-    extract = isinstance(gate, ExtractGate)
-    if gate.stages == IDEAL:
-        return (ideal_extract if extract else ideal_reintegrate)(state, gate)
-    return (zeno_extract if extract else zeno_reintegrate)(state, gate)
+    return _on_state(state, _macro, gate)
+
+
+def ideal_extract(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
+    """Move the amplitude at ``(src, m)`` to ``(dst, 0)``; all else untouched."""
+    return _on_state(state, _extract, spec, True)
+
+
+def ideal_reintegrate(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
+    """Inverse of :func:`ideal_extract`: ``(dst, 0)`` back to ``(src, m)``."""
+    return _on_state(state, _reintegrate, spec, True)
+
+
+def zeno_extract(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
+    """The finite-``N`` chain; ``l != m`` components are attenuated."""
+    return _on_state(state, _extract, spec, False)
+
+
+def zeno_reintegrate(
+    state: PhotonState, spec: ExtractionSpec, filter_first: bool = False
+) -> PhotonState:
+    """The inverse chain, at angle ``-pi/2N``; see ``lower_reintegrate_to_netlist``."""
+    return _on_state(state, _reintegrate, spec, False, filter_first)
 
 
 def check_state_fits(state: PhotonState, netlist: Netlist) -> None:
@@ -379,9 +444,7 @@ def check_state_fits(state: PhotonState, netlist: Netlist) -> None:
 def run_netlist(state: PhotonState, netlist: Netlist) -> PhotonState:
     """Apply all elements in order; the result may be sub-normalized."""
     check_state_fits(state, netlist)
-    for el in netlist.elements:
-        state = apply_element(state, el)
-    return state
+    return PhotonState(n=state.n, amplitudes=propagate(state.amplitudes, netlist.elements))
 
 
 @dataclass(frozen=True)

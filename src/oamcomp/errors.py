@@ -16,3 +16,7 @@ class LeakageError(ValidationError):
         if message is None:
             message = f"amplitude outside computational range at {self.offenders}"
         super().__init__(message)
+
+
+class InternalError(RuntimeError):
+    """A check on the program's own result failed: a bug, not bad input."""

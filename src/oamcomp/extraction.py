@@ -25,7 +25,8 @@ from .errors import ValidationError
 from .elements import (  # noqa: F401  (the gate semantics are re-exported)
     IDEAL, OCCUPANCY_TOL, BeamSplitter, Element, ExtractGate, ExtractionSpec, Filter,
     Hologram, Netlist, ReintegrateGate, Stages, apply_element, apply_macro,
-    check_state_fits, ideal_extract, ideal_reintegrate, zeno_extract, zeno_reintegrate,
+    check_state_fits, ideal_extract, ideal_reintegrate, squared_norms, step, zeno_extract,
+    zeno_reintegrate,
 )
 from .state import PhotonState, normalized, survival_probability
 
@@ -148,26 +149,27 @@ def loss_profile(state: PhotonState, netlist: Netlist) -> LossProfile:
     check_state_fits(state, netlist)
     initial = survival_probability(state)
     filters, survival = [np.zeros(0, dtype=int)], [np.zeros(0)]
-    index = 0
+    index, amps = 0, state.amplitudes
     for el in netlist.elements:
-        if isinstance(el, (ExtractGate, ReintegrateGate)):
-            if el.stages == IDEAL:
-                raise ValidationError("the ideal gate has no finite Zeno chain")
-            state = apply_macro(state, el)
-            leak = sum(abs(amp) ** 2 for (mode, l), amp in state.amplitudes.items()
+        macro = isinstance(el, (ExtractGate, ReintegrateGate))
+        if macro and el.stages == IDEAL:
+            raise ValidationError("the ideal gate has no finite Zeno chain")
+        amps = step(amps, el)
+        norm2 = squared_norms(amps)
+        if macro:
+            leak = sum(abs(amp) ** 2 for (mode, l), amp in amps.items()
                        if mode == el.src and l != el.m)
             to_go = np.arange(1 - el.stages, 1)  # k - N for the gate's filters k = 1..N
             filters.append(index + 2 * el.stages + 2 * to_go)
-            survival.append(survival_probability(state) - leak
-                            + leak * math.cos(el.theta) ** (2 * to_go))
+            survival.append(norm2 - leak + leak * math.cos(el.theta) ** (2 * to_go))
             index += 2 * el.stages + 2
             continue
-        state = apply_element(state, el)
         if isinstance(el, Filter):
             filters.append(np.array([index]))
-            survival.append(np.array([survival_probability(state)]))
+            survival.append(np.array([norm2]))
         index += 1
-    return LossProfile(initial, state, np.concatenate(filters), np.concatenate(survival))
+    final = PhotonState(n=state.n, amplitudes=amps)
+    return LossProfile(initial, final, np.concatenate(filters), np.concatenate(survival))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,8 @@ class PhotonState:
         for mode, l in amps:
             if mode < 0:
                 raise ValidationError(f"negative spatial mode index {mode}")
-        norm2 = sum(abs(a) ** 2 for a in amps.values())
+        # ``x * x`` rather than ``x ** 2``: it overflows to inf, not an exception.
+        norm2 = sum(x * x for x in map(abs, amps.values()))
         if not norm2 <= 1.0 + NORM_EPS:
             raise ValidationError(f"squared norm {norm2} exceeds 1 + eps")
         object.__setattr__(self, "amplitudes", MappingProxyType(amps))

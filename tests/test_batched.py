@@ -1,0 +1,163 @@
+"""The batched basis response against one validated run per basis input."""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oamcomp import elements
+from oamcomp.compiler import (
+    basis_response,
+    compile_unitary,
+    haar_random_unitary,
+    reconstruct_and_verify,
+)
+from oamcomp.elements import (
+    IDEAL,
+    BeamSplitter,
+    ExtractGate,
+    Filter,
+    Hologram,
+    Mirror,
+    Netlist,
+    PhaseShifter,
+    ReintegrateGate,
+    run_netlist,
+)
+from oamcomp.errors import LeakageError, ValidationError
+from oamcomp.state import basis_state
+
+
+def per_column_response(netlist: Netlist) -> np.ndarray:
+    """The unoptimised basis response: ``run_netlist`` on each basis input.
+
+    Every column is run before any output is looked at, as in the batched
+    pass, which finds a fault (norm, occupied slot) in any column before it
+    checks outputs for leakage or absorption.
+    """
+    d = 1 << netlist.n
+    outs = [run_netlist(basis_state(0, col, netlist.n), netlist) for col in range(d)]
+    lossless = not any(
+        isinstance(el, Filter)
+        or isinstance(el, (ExtractGate, ReintegrateGate)) and el.stages != IDEAL
+        for el in netlist.elements
+    )
+    if lossless:
+        offenders = sorted({
+            (mode, l)
+            for out in outs
+            for (mode, l), amp in out.amplitudes.items()
+            if (mode != 0 or not 0 <= l < d) and abs(amp) > 1e-9
+        })
+        if offenders:
+            raise LeakageError(offenders)
+    effective = np.zeros((d, d), dtype=complex)
+    for col, out in enumerate(outs):
+        column = np.array(out.coefficients(0), dtype=complex)
+        if not lossless:
+            norm = np.linalg.norm(column)
+            if norm == 0.0:
+                raise ValidationError(f"basis input {col} was fully absorbed")
+            column = column / norm
+        effective[:, col] = column
+    return effective
+
+
+def outcome(response, netlist):
+    try:
+        return response(netlist), None
+    except ValidationError as exc:
+        return None, exc
+
+
+def assert_same_response(netlist: Netlist) -> bool:
+    """Both paths give the same matrix and residual, or the same error class."""
+    batched, batched_error = outcome(basis_response, netlist)
+    oracle, oracle_error = outcome(per_column_response, netlist)
+    assert type(batched_error) is type(oracle_error), (batched_error, oracle_error)
+    if isinstance(oracle_error, LeakageError):
+        assert batched_error.offenders == oracle_error.offenders
+    elif "absorbed" in str(oracle_error):
+        assert str(batched_error) == str(oracle_error)
+    if oracle_error is not None:
+        return False
+    np.testing.assert_allclose(batched, oracle, rtol=0, atol=1e-12)
+    U = haar_random_unitary(1 << netlist.n, np.random.default_rng(netlist.n))
+    residual = reconstruct_and_verify(netlist, U)
+    assert abs(residual - np.linalg.norm(oracle - U)) <= 1e-12
+    return True
+
+
+@st.composite
+def netlists(draw):
+    n = draw(st.integers(1, 3))
+    mode_count = draw(st.integers(2, 4))
+    mode = st.integers(0, mode_count - 1)
+    pair = st.permutations(range(mode_count)).map(lambda p: p[:2])
+    oam = st.integers(-2, (1 << n) + 1)
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    stages = st.one_of(st.just(IDEAL), st.integers(1, 50))
+
+    def two_mode(cls, *rest):
+        return pair.flatmap(lambda p: st.builds(cls, st.just(p[0]), st.just(p[1]), *rest))
+
+    def gate(cls):
+        return pair.flatmap(
+            lambda p: st.builds(cls, m=oam, src=st.just(p[0]), dst=st.just(p[1]),
+                                stages=stages))
+
+    element = st.one_of(
+        st.builds(PhaseShifter, mode, angle),
+        st.builds(Hologram, mode, st.integers(-3, 3)),
+        two_mode(BeamSplitter, angle),
+        st.builds(Filter, mode, oam),
+        st.builds(Mirror, mode),
+        gate(ExtractGate),
+        gate(ReintegrateGate),
+    )
+    return Netlist(n=n, mode_count=mode_count, elements=draw(st.lists(element, max_size=12)))
+
+
+def _amplifying_phase_shift(amps, el):
+    """A faulty phase shifter with gain 1.5, to trip the norm guard."""
+    return {key: amp * 1.5 if key[0] == el.mode else amp for key, amp in amps.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(netlist=netlists(), faulty=st.booleans())
+def test_batched_response_matches_per_column_runs(netlist, faulty):
+    if not faulty:
+        assert_same_response(netlist)
+        return
+    with mock.patch.dict(elements._SEMANTICS, {PhaseShifter: _amplifying_phase_shift}):
+        assert_same_response(netlist)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("stages", [IDEAL, 3, 50])
+def test_compiled_netlists_match_per_column_runs(d, stages):
+    U = haar_random_unitary(d, np.random.default_rng(d))
+    netlist, _ = compile_unitary(U, stages)
+    assert assert_same_response(netlist)
+
+
+@pytest.mark.parametrize("netlist, error, message", [
+    (Netlist(n=1, mode_count=2, elements=(Hologram(mode=0, k=2),)),
+     LeakageError, r"\[\(0, 2\), \(0, 3\)\]"),
+    (Netlist(n=2, mode_count=2, elements=(
+        BeamSplitter(mode_a=0, mode_b=1, theta=0.5), ExtractGate(m=1, src=0, dst=1))),
+     ValidationError, "destination .mode 1, OAM 0. already occupied"),
+    (Netlist(n=2, mode_count=1, elements=(Filter(mode=0, m=2),)),
+     ValidationError, "basis input 0 was fully absorbed"),
+    (Netlist(n=1, mode_count=1, elements=(PhaseShifter(mode=0, phi=0.0),)),
+     ValidationError, "squared norm 2.25 exceeds 1 \\+ eps"),
+])
+def test_batched_errors_name_the_fault(netlist, error, message):
+    """Leaks list every leaking key of any column, absorption names the first
+    absorbed column; phase shifters amplify here, to trip the norm guard."""
+    with mock.patch.dict(elements._SEMANTICS, {PhaseShifter: _amplifying_phase_shift}):
+        with pytest.raises(error, match=message) as caught:
+            basis_response(netlist)
+    assert type(caught.value) is error

@@ -1,10 +1,15 @@
+import copy
+import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oamcomp import compiler
 from oamcomp.cli import main
 from oamcomp.compiler import haar_random_unitary, unitary_to_json
 from oamcomp.state import basis_state, from_amplitudes
@@ -148,14 +153,16 @@ class TestRejectsBadInput:
         assert not (tmp_path / "net.json").exists()
         assert not (tmp_path / "rep.json").exists()
 
-    @pytest.mark.parametrize("elements, amplitude, extra", [
-        ([{"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": True}], 1.0, []),
-        ([{"type": "ps", "mode": 0, "phi": float("nan")}], 1.0, []),
-        ([{"type": "bs", "mode_a": 0, "mode_b": 1, "theta": float("inf")}], 1.0, []),
-        ([], float("nan"), []),
-        ([], 1.0, ["--monte-carlo", "-5"]),
+    @pytest.mark.parametrize("elements, amplitude, extra, kind", [
+        ([{"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": True}], 1.0, [],
+         "validation"),
+        ([{"type": "ps", "mode": 0, "phi": float("nan")}], 1.0, [], "validation"),
+        ([{"type": "bs", "mode_a": 0, "mode_b": 1, "theta": float("inf")}], 1.0, [],
+         "validation"),
+        ([], float("nan"), [], "validation"),
+        ([], 1.0, ["--monte-carlo", "-5"], "usage"),
     ], ids=["bool-stages", "nan-phase", "inf-angle", "nan-amplitude", "negative-runs"])
-    def test_bad_simulate_input(self, runner, tmp_path, elements, amplitude, extra):
+    def test_bad_simulate_input(self, runner, tmp_path, elements, amplitude, extra, kind):
         write_json(tmp_path / "s.json", {
             "n": 1, "amplitudes": [{"mode": 0, "l": 1, "re": amplitude, "im": 0.0}],
         })
@@ -166,9 +173,47 @@ class TestRejectsBadInput:
             "--output", str(tmp_path / "out.json"), *extra,
         ])
         assert result.exit_code == 2
-        if not extra:  # option errors are reported by click, not as JSON
-            assert json.loads(result.stderr)["error"]["type"] == "validation"
+        assert json.loads(result.stderr)["error"]["type"] == kind
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--spec-n", "0"], "--spec-n"),
+        (["--spec-n", "ten"], "--spec-n"),
+        (["--bogus"], "--bogus"),
+    ], ids=["zero-stages", "word-stages", "unknown-option"])
+    def test_bad_compile_option(self, runner, tmp_path, extra, message):
+        write_json(tmp_path / "u.json", unitary_to_json(np.eye(2, dtype=complex)))
+        result = runner.invoke(main, [
+            "compile", "--input", str(tmp_path / "u.json"),
+            "--output", str(tmp_path / "net.json"), *extra,
+        ])
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "usage"
+        assert message in error["message"]
+        assert not (tmp_path / "net.json").exists()
+
+    def test_help_still_prints_usage(self, runner):
+        for args in (["--help"], ["compile", "--help"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0
+            assert result.output.startswith("Usage:")
+
+    def test_residual_guard_is_an_internal_error(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(compiler, "reconstruct_and_verify", lambda netlist, U: 1.0)
+        H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+        write_json(tmp_path / "u.json", unitary_to_json(H))
+        result = runner.invoke(main, [
+            "compile", "--input", str(tmp_path / "u.json"),
+            "--output", str(tmp_path / "net.json"),
+            "--report", str(tmp_path / "rep.json"),
+        ])
+        assert result.exit_code == 1
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "internal"
+        assert "residual 1.000e+00" in error["message"]
+        assert not (tmp_path / "net.json").exists()
+        assert not (tmp_path / "rep.json").exists()
 
 
 class TestVerify:
@@ -246,6 +291,29 @@ class TestReadout:
         assert out["cost"]["arms"] == 1024
         assert out["exponential_warning"] is True
 
+    def test_negative_mode_is_a_usage_error(self, runner, tmp_path):
+        write_json(tmp_path / "s.json", basis_state(0, 0, 1).to_json_dict())
+        result = runner.invoke(main, [
+            "readout", "--input", str(tmp_path / "s.json"),
+            "--strategy", "demux", "--mode", "-1",
+        ])
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "usage"
+        assert "--mode" in error["message"]
+
+    @pytest.mark.parametrize("strategy", ["sorter", "repeat", "demux"])
+    def test_empty_mode_is_named(self, runner, tmp_path, strategy):
+        write_json(tmp_path / "s.json", basis_state(0, 0, 1).to_json_dict())
+        result = runner.invoke(main, [
+            "readout", "--input", str(tmp_path / "s.json"),
+            "--strategy", strategy, "--mode", "1",
+        ])
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "validation"
+        assert "--mode 1" in error["message"]
+
     def test_demux_leakage_error(self, runner, tmp_path):
         write_json(tmp_path / "s.json", {
             "n": 2, "amplitudes": [{"mode": 0, "l": -1, "re": 1.0, "im": 0.0}],
@@ -282,3 +350,88 @@ class TestDeterminism:
             ]).exit_code == 0
             outputs.append(tuple(p.read_bytes() for p in (net, rep, out, rd)))
         assert outputs[0] == outputs[1]
+
+
+json_values = st.one_of(
+    st.sampled_from([None, True, -1, 0, 1, 2**64, 10**400, 1e308, math.nan, math.inf, "x"]),
+    st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(-3, 20), st.floats(),
+                  st.text(max_size=4)),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    ),
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    children = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in children:
+        yield from _paths(child, (*prefix, key))
+
+
+@st.composite
+def mutated_json(draw, doc):
+    """``doc`` with a few values replaced or deleted, as JSON text, or that
+    text truncated or replaced by arbitrary bytes."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(json_values)
+            continue
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(json_values)
+    text = json.dumps(doc).encode()
+    damage = draw(st.integers(0, 9))
+    if damage == 7:
+        return text[:draw(st.integers(0, len(text)))]
+    if damage == 8:
+        return draw(st.binary(max_size=8))
+    return b"[" * 100_000 if damage == 9 else text
+
+
+def _seed_documents():
+    U = haar_random_unitary(2, np.random.default_rng(5))
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        write_json(Path("u.json"), unitary_to_json(U))
+        runner.invoke(main, ["compile", "--input", "u.json", "--output", "net.json",
+                             "--spec-n", "3"], catch_exceptions=False)
+        netlist = json.loads(Path("net.json").read_text())
+    state = from_amplitudes(0, [0.6, 0.8j], 1).to_json_dict()
+    return unitary_to_json(U), netlist, state
+
+
+UNITARY, NETLIST, STATE = _seed_documents()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a second line on stderr
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(unitary=mutated_json(UNITARY), netlist=mutated_json(NETLIST), state=mutated_json(STATE))
+def test_fuzzed_inputs_fail_cleanly(tmp_path, unitary, netlist, state):
+    """Any input file: exit 0, 2 or 3, never a traceback, and on failure
+    exactly one JSON error object on stderr."""
+    for name, data in (("u.json", unitary), ("net.json", netlist), ("s.json", state)):
+        (tmp_path / name).write_bytes(data)
+    out = str(tmp_path / "out.json")
+    for args in (
+        ["compile", "--input", "u.json", "--output", out, "--report", out],
+        ["simulate", "--netlist", "net.json", "--input", "s.json", "--output", out],
+        ["verify", "--netlist", "net.json", "--input", "u.json", "--output", out],
+    ):
+        args = [str(tmp_path / arg) if arg.endswith("json") and arg != out else arg
+                for arg in args]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 2, 3), (args[0], result.exc_info)
+        if result.exit_code:
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1, result.stderr
+            error = json.loads(lines[0])
+            assert list(error) == ["error"] and sorted(error["error"]) == ["message", "type"]

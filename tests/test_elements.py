@@ -243,6 +243,8 @@ class TestNetlist:
     lambda: BeamSplitter(mode_a=0, mode_b=1, theta=-math.inf),
     lambda: ExtractGate(m=0, src=0, dst=1, stages=True),
     lambda: ReintegrateGate(m=0, src=0, dst=1, stages=0),
+    lambda: ExtractGate(m=0, src=0, dst=1, stages=2**53 + 1),
+    lambda: Netlist(n=0, mode_count=1),
 ])
 def test_constructors_reject_bad_parameters(make):
     with pytest.raises(ValidationError):

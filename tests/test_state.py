@@ -57,6 +57,10 @@ class TestFromAmplitudes:
         with pytest.raises(ValidationError):
             from_amplitudes(0, [1.0, 0.1], 1)
 
+    def test_rejects_overflowing_amplitude(self):
+        with pytest.raises(ValidationError):
+            from_amplitudes(0, [1e308, 0.0], 1)
+
     def test_rejects_nan_amplitude(self):
         with pytest.raises(ValidationError):
             from_amplitudes(0, [float("nan"), 0.0], 1)
