@@ -7,7 +7,8 @@ check on the program's own result failed, such as the ideal-mode residual
 guard; no output is written); 2 bad input, whether a bad option (error type
 ``usage``) or a bad file (``validation``); 3 I/O failure (``io``).  Every
 failure prints one JSON object ``{"error": {"type": ..., "message": ...}}``
-on stderr.
+on stderr.  Each command imports only the modules it runs, so ``--help``
+and ``simulate`` without ``--monte-carlo`` start without numpy.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ import sys
 import tempfile
 
 import click
-import numpy as np
 
-from . import compiler, extraction, readout as readout_mod
 from .elements import IDEAL, Netlist, run_netlist
 from .errors import InternalError, ValidationError
 from .state import PhotonState, basis_state, survival_probability
@@ -137,6 +136,7 @@ def main() -> None:
 @_guarded
 def cmd_compile(input_path, output_path, report_path, spec_stages) -> None:
     """Lower a unitary (JSON matrix) to an optical netlist plus report."""
+    from . import compiler
     U = compiler.unitary_from_json(_read_json(input_path))
     compiler.qubit_count_for(U.shape[0])
     netlist, report = compiler.compile_unitary(U, spec_stages)
@@ -162,6 +162,8 @@ def cmd_simulate(netlist_path, input_path, output_path, seed, mc_runs) -> None:
         "survival": survival_probability(final),
     }
     if mc_runs > 0:
+        import numpy as np
+        from . import extraction
         rng = np.random.default_rng(seed)
         rate = extraction.monte_carlo_survival(state, netlist, mc_runs, rng)
         payload["monte_carlo"] = {
@@ -181,6 +183,7 @@ def cmd_simulate(netlist_path, input_path, output_path, seed, mc_runs) -> None:
 @_guarded
 def cmd_verify(netlist_path, input_path, output_path) -> None:
     """Compare a netlist's basis response against a target unitary."""
+    from . import compiler
     netlist = Netlist.from_json_dict(_read_json(netlist_path))
     U = compiler.unitary_from_json(_read_json(input_path))
     residual = compiler.reconstruct_and_verify(netlist, U)
@@ -196,6 +199,7 @@ def cmd_verify(netlist_path, input_path, output_path) -> None:
 @_guarded
 def cmd_zeno_sweep(m, n_list, output_path) -> None:
     """Survival of a non-extracted component versus Zeno stage count (CSV)."""
+    from . import extraction
     try:
         stages_list = [int(tok) for tok in n_list.split(",") if tok.strip()]
     except ValueError as exc:
@@ -237,6 +241,8 @@ def cmd_zeno_sweep(m, n_list, output_path) -> None:
 @_guarded
 def cmd_readout(input_path, strategy, mode, seed, output_path) -> None:
     """Plan or sample a readout of the final OAM state."""
+    import numpy as np
+    from . import readout as readout_mod
     state = PhotonState.from_json_dict(_read_json(input_path))
     if mode not in state.modes():
         raise ValidationError(f"--mode {mode} holds no amplitude in {input_path}")

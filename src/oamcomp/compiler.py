@@ -28,7 +28,9 @@ from .elements import (
     ReintegrateGate,
     Stages,
 )
-from .state import PhotonState, basis_state, survival_probability
+from .state import (
+    NORM_EPS, PhotonState, _json_int, _json_real, basis_state, survival_probability,
+)
 from . import elements as _elements
 
 UNITARITY_TOL = 1e-9
@@ -66,10 +68,10 @@ def qubit_count_for(d: int) -> int:
 
 def unitary_from_json(data: dict) -> np.ndarray:
     try:
-        d = int(data["d"])
+        d = _json_int(data["d"])
         rows = data["rows"]
         matrix = np.array(
-            [[complex(float(re), float(im)) for re, im in row] for row in rows],
+            [[complex(_json_real(re), _json_real(im)) for re, im in row] for row in rows],
             dtype=complex,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -203,9 +205,8 @@ def decompose_two_level(
                 [[a.conjugate() / r, b.conjugate() / r], [b / r, -a / r]],
                 dtype=complex,
             )
-            full = np.eye(d, dtype=complex)
-            full[np.ix_([col, row], [col, row])] = g2
-            working = full @ working
+            pair = [col, row]  # the only rows the rotation touches
+            working[pair] = g2 @ working[pair]
             eliminations.append((col, row, g2))
 
     factors: list[TwoLevelFactor] = []
@@ -293,6 +294,16 @@ def _netlist_is_lossless(netlist: Netlist) -> bool:
     return True
 
 
+def _column_norms(amps) -> np.ndarray:
+    """Squared norm of every column of a column map; the batched counterpart
+    of :func:`oamcomp.elements.squared_norms`, failing on a NaN as it does."""
+    rows = np.array(list(amps.values()))
+    norm2 = (rows.real ** 2 + rows.imag ** 2).sum(axis=0)
+    if not (norm2 <= 1.0 + NORM_EPS).all():
+        raise ValidationError(f"squared norm {np.max(norm2)} exceeds 1 + eps")
+    return norm2
+
+
 def basis_response(netlist: Netlist) -> np.ndarray:
     """The ``d x d`` map the netlist applies to the computational basis of mode 0.
 
@@ -303,7 +314,8 @@ def basis_response(netlist: Netlist) -> np.ndarray:
     """
     d = 1 << netlist.n
     basis = np.eye(d, dtype=complex)
-    out = _elements.propagate({(0, l): basis[l] for l in range(d)}, netlist.elements)
+    out = _elements.propagate({(0, l): basis[l] for l in range(d)}, netlist.elements,
+                              _column_norms)
     absent = np.zeros(d, dtype=complex)
     effective = np.array([out.get((0, l), absent) for l in range(d)])
     if _netlist_is_lossless(netlist):

@@ -19,12 +19,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
-from typing import Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .errors import ValidationError
-from .state import NORM_EPS, ModeOAM, PhotonState
+from .state import NORM_EPS, ModeOAM, PhotonState, _json_int, _json_real
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Marker for the lossless, infinite-stage limit of the extraction gate.
 IDEAL = "ideal"
@@ -158,8 +159,8 @@ class Netlist:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Netlist":
         try:
-            n = int(data["n"])
-            modes = int(data["modes"])
+            n = _json_int(data["n"])
+            modes = _json_int(data["modes"])
             elements = [_element_from_json(entry) for entry in data["elements"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ValidationError):
@@ -200,11 +201,9 @@ def _element_from_json(entry: dict) -> Element:
 
 
 def _field_from_json(kind: str, value) -> float | Stages:
-    if isinstance(value, bool):
-        raise ValidationError(f"expected a number, got {value!r}")
     if kind == "float":
-        return float(value)
-    return IDEAL if kind == "Stages" and value == IDEAL else int(value)
+        return _json_real(value)
+    return IDEAL if kind == "Stages" and value == IDEAL else _json_int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +211,10 @@ def _field_from_json(kind: str, value) -> float | Stages:
 # complex amplitude, or a numpy array of ``k`` amplitudes when ``k`` inputs go
 # through a netlist together: every element is linear and acts on each input
 # alike, so one pass computes all of them.  The functions are pure, map in,
-# new map out; they may keep exact zeros, which ``PhotonState`` drops.
+# new map out; they may keep exact zeros, which ``PhotonState`` drops.  Only
+# the guards look at the values' type, and only a column map reaches numpy.
 
-Amplitudes = Mapping[ModeOAM, Union[complex, np.ndarray]]
+Amplitudes = Mapping[ModeOAM, Union[complex, "np.ndarray"]]
 
 
 def _phase_shift(amps: Amplitudes, el: PhaseShifter) -> dict:
@@ -256,8 +256,8 @@ OCCUPANCY_TOL = 1e-9
 
 
 def _check_vacant(amps: Amplitudes, slot: ModeOAM, role: str) -> None:
-    amp = amps.get(slot)
-    if amp is not None and not np.all(abs(amp) <= OCCUPANCY_TOL):
+    vacant = abs(amps.get(slot, 0)) <= OCCUPANCY_TOL  # a numpy array for columns
+    if not (vacant if isinstance(vacant, bool) else vacant.all()):
         raise ValidationError(f"{role} (mode {slot[0]}, OAM {slot[1]}) already occupied")
 
 
@@ -335,30 +335,25 @@ def step(amps: Amplitudes, el: Element) -> dict:
     return semantics(amps, el)
 
 
-def squared_norms(amps: Amplitudes) -> np.ndarray | float:
-    """Squared norm of each input held in ``amps`` (one number for scalars).
+def squared_norms(amps: Amplitudes) -> float:
+    """Squared norm of the one input that ``amps`` holds as complex scalars.
 
-    Raises when one exceeds ``1 + NORM_EPS`` or is not a number: no element
+    Raises when it exceeds ``1 + NORM_EPS`` or is not a number: no element
     adds weight, so that is a fault, caught at the element that made it.
     """
-    values = list(amps.values())
-    if values and isinstance(values[0], np.ndarray):
-        rows = np.array(values)
-        norm2 = (rows.real ** 2 + rows.imag ** 2).sum(axis=0)
-        ok = (norm2 <= 1.0 + NORM_EPS).all()
-    else:  # one input, as complex scalars: plain Python is quicker than numpy
-        norm2 = sum(x * x for x in map(abs, values))
-        ok = norm2 <= 1.0 + NORM_EPS
-    if not ok:
-        raise ValidationError(f"squared norm {np.max(norm2)} exceeds 1 + eps")
+    norm2 = sum(x * x for x in map(abs, amps.values()))
+    if not norm2 <= 1.0 + NORM_EPS:
+        raise ValidationError(f"squared norm {norm2} exceeds 1 + eps")
     return norm2
 
 
-def propagate(amps: Amplitudes, elements) -> dict:
-    """Apply ``elements`` in order, checking every input's norm after each."""
+def propagate(amps: Amplitudes, elements, norm_guard=squared_norms) -> dict:
+    """Apply ``elements`` in order, checking the norm after each with
+    ``norm_guard``: :func:`squared_norms` for one input, the column-wise check
+    of :func:`oamcomp.compiler.basis_response` for a column map."""
     for el in elements:
         amps = step(amps, el)
-        squared_norms(amps)
+        norm_guard(amps)
     return dict(amps)
 
 

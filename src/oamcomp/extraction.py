@@ -16,8 +16,10 @@ the oracle that tests hold the closed form to.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,35 +107,58 @@ def expand_netlist(netlist: Netlist) -> Netlist:
     return replace(netlist, elements=tuple(elements))
 
 
+class _FilterRun(NamedTuple):
+    """``count`` consecutive filters of the expanded netlist, at indices
+    ``first + 2 j``.  The survival after the ``j``-th is the closed form
+    ``floor + leak * cos ** (2 (j + 1 - count))`` of a Zeno chain; a lone
+    filter is a run of one with no leak."""
+
+    first: int
+    count: int
+    floor: float
+    leak: float = 0.0
+    cos: float = 1.0
+
+    def survival(self, j: int) -> float:
+        return self.floor + self.leak * self.cos ** (2 * (j + 1 - self.count))
+
+
 @dataclass(frozen=True)
 class LossProfile:
     """Where a photon can be absorbed along a netlist, from one exact pass.
 
     ``initial`` is the input's squared norm and ``final`` the output state.
-    ``filters`` holds the index of every filter in :func:`expand_netlist`'s
-    netlist and ``survival`` the squared norm just after each.
+    ``runs`` covers every filter of :func:`expand_netlist`'s netlist in
+    order, one run per finite gate or lone filter, so the profile does not
+    grow with the stage count.
     """
 
     initial: float
     final: PhotonState
-    filters: np.ndarray
-    survival: np.ndarray
+    runs: tuple[_FilterRun, ...]
 
-    def absorption(self) -> np.ndarray:
-        """Probability that each filter absorbs the photon, ``|psi_{k-1}|^2 - |psi_k|^2``."""
-        return -np.diff(self.survival, prepend=self.initial)
+    def absorption(self) -> dict[int, float]:
+        """Probability that each filter absorbs the photon, ``|psi_{k-1}|^2 -
+        |psi_k|^2``, by the filter's index (one entry per filter of a chain)."""
+        after = {r.first + 2 * j: r.survival(j) for r in self.runs for j in range(r.count)}
+        return dict(zip(after, -np.diff(list(after.values()), prepend=self.initial)))
 
     def absorbed_at(self, u: float) -> int | None:
         """Index of the first filter after which the survival is at most ``u``
-        (``None`` if there is none): where a run drawing ``u`` is absorbed."""
-        hit = np.flatnonzero(self.survival <= u)
-        return int(self.filters[hit[0]]) if hit.size else None
+        (``None`` if there is none): where a run drawing ``u`` is absorbed.
+        Survival falls along a run, so its last filter tells whether the run
+        holds that index, and a bisection finds it."""
+        for r in self.runs:
+            if r.survival(r.count - 1) <= u:
+                j = bisect.bisect_left(range(r.count), True, key=lambda j: r.survival(j) <= u)
+                return r.first + 2 * j
+        return None
 
     def success_probability(self) -> float:
         """Probability that one run passes every filter."""
         if not self.initial:
-            return float(not self.survival.size)
-        return float(self.survival.min(initial=self.initial) / self.initial)
+            return float(not self.runs)
+        return min([self.initial, *(r.survival(r.count - 1) for r in self.runs)]) / self.initial
 
 
 def loss_profile(state: PhotonState, netlist: Netlist) -> LossProfile:
@@ -147,8 +172,7 @@ def loss_profile(state: PhotonState, netlist: Netlist) -> LossProfile:
     the survival after each of the gate's filters.
     """
     check_state_fits(state, netlist)
-    initial = survival_probability(state)
-    filters, survival = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    runs: list[_FilterRun] = []
     index, amps = 0, state.amplitudes
     for el in netlist.elements:
         macro = isinstance(el, (ExtractGate, ReintegrateGate))
@@ -159,17 +183,14 @@ def loss_profile(state: PhotonState, netlist: Netlist) -> LossProfile:
         if macro:
             leak = sum(abs(amp) ** 2 for (mode, l), amp in amps.items()
                        if mode == el.src and l != el.m)
-            to_go = np.arange(1 - el.stages, 1)  # k - N for the gate's filters k = 1..N
-            filters.append(index + 2 * el.stages + 2 * to_go)
-            survival.append(norm2 - leak + leak * math.cos(el.theta) ** (2 * to_go))
+            runs.append(_FilterRun(index + 2, el.stages, norm2 - leak, leak, math.cos(el.theta)))
             index += 2 * el.stages + 2
             continue
         if isinstance(el, Filter):
-            filters.append(np.array([index]))
-            survival.append(np.array([norm2]))
+            runs.append(_FilterRun(index, 1, norm2))
         index += 1
     final = PhotonState(n=state.n, amplitudes=amps)
-    return LossProfile(initial, final, np.concatenate(filters), np.concatenate(survival))
+    return LossProfile(survival_probability(state), final, tuple(runs))
 
 
 @dataclass(frozen=True)

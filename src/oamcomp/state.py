@@ -22,6 +22,20 @@ NORM_EPS = 1e-12
 ModeOAM = tuple[int, int]
 
 
+def _json_int(value) -> int:
+    """A JSON integer field: a bool or a float such as ``1.9`` is refused."""
+    if type(value) is not int:
+        raise ValidationError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_real(value) -> float:
+    """A JSON real field: any JSON number, but not a bool or a string."""
+    if not isinstance(value, (float, int)) or isinstance(value, bool):
+        raise ValidationError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PhotonState:
     """Immutable sparse amplitude map for exactly one photon.
@@ -76,11 +90,11 @@ class PhotonState:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PhotonState":
         try:
-            n = int(data["n"])
+            n = _json_int(data["n"])
             amps: dict[ModeOAM, complex] = {}
             for entry in data["amplitudes"]:
-                key = (int(entry["mode"]), int(entry["l"]))
-                amp = complex(float(entry["re"]), float(entry["im"]))
+                key = (_json_int(entry["mode"]), _json_int(entry["l"]))
+                amp = complex(_json_real(entry["re"]), _json_real(entry["im"]))
                 if not cmath.isfinite(amp):
                     raise ValueError(f"non-finite amplitude at {key}")
                 amps[key] = amps.get(key, 0j) + amp

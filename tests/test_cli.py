@@ -153,20 +153,34 @@ class TestRejectsBadInput:
         assert not (tmp_path / "net.json").exists()
         assert not (tmp_path / "rep.json").exists()
 
-    @pytest.mark.parametrize("elements, amplitude, extra, kind", [
-        ([{"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": True}], 1.0, [],
+    @pytest.mark.parametrize("netlist, state, extra, kind", [
+        ({"elements": [{"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": True}]},
+         {}, [], "validation"),
+        ({"elements": [{"type": "ps", "mode": 0, "phi": float("nan")}]}, {}, [],
          "validation"),
-        ([{"type": "ps", "mode": 0, "phi": float("nan")}], 1.0, [], "validation"),
-        ([{"type": "bs", "mode_a": 0, "mode_b": 1, "theta": float("inf")}], 1.0, [],
-         "validation"),
-        ([], float("nan"), [], "validation"),
-        ([], 1.0, ["--monte-carlo", "-5"], "usage"),
-    ], ids=["bool-stages", "nan-phase", "inf-angle", "nan-amplitude", "negative-runs"])
-    def test_bad_simulate_input(self, runner, tmp_path, elements, amplitude, extra, kind):
-        write_json(tmp_path / "s.json", {
-            "n": 1, "amplitudes": [{"mode": 0, "l": 1, "re": amplitude, "im": 0.0}],
-        })
-        write_json(tmp_path / "net.json", {"n": 1, "modes": 2, "elements": elements})
+        ({"elements": [{"type": "bs", "mode_a": 0, "mode_b": 1, "theta": float("inf")}]},
+         {}, [], "validation"),
+        ({}, {"re": float("nan")}, [], "validation"),
+        ({}, {}, ["--monte-carlo", "-5"], "usage"),
+        # Integer fields take JSON integers only: a float is refused, not truncated.
+        ({"n": 1.5}, {}, [], "validation"),
+        ({"modes": 2.9}, {}, [], "validation"),
+        ({"elements": [{"type": "filter", "mode": 0, "m": 1.9}]}, {}, [], "validation"),
+        ({"elements": [{"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": 3.7}]},
+         {}, [], "validation"),
+        ({}, {"n": 1.9}, [], "validation"),
+        ({}, {"mode": True}, [], "validation"),
+        ({}, {"l": 1.7}, [], "validation"),
+        ({}, {"re": True}, [], "validation"),
+        ({}, {"im": "0"}, [], "validation"),
+    ], ids=["bool-stages", "nan-phase", "inf-angle", "nan-amplitude", "negative-runs",
+            "float-width", "float-modes", "float-filter-m", "float-stages",
+            "float-state-width", "bool-mode", "float-l", "bool-re", "string-im"])
+    def test_bad_simulate_input(self, runner, tmp_path, netlist, state, extra, kind):
+        entry = {"mode": 0, "l": 1, "re": 1.0, "im": 0.0, **state}
+        width = entry.pop("n", 1)
+        write_json(tmp_path / "s.json", {"n": width, "amplitudes": [entry]})
+        write_json(tmp_path / "net.json", {"n": 1, "modes": 2, "elements": [], **netlist})
         result = runner.invoke(main, [
             "simulate", "--netlist", str(tmp_path / "net.json"),
             "--input", str(tmp_path / "s.json"),
@@ -175,6 +189,24 @@ class TestRejectsBadInput:
         assert result.exit_code == 2
         assert json.loads(result.stderr)["error"]["type"] == kind
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("data", [
+        {"d": 2.0, "rows": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+        {"d": 2, "rows": [[[True, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+        {"d": 2, "rows": [[["1.0", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    ], ids=["float-d", "bool-entry", "string-entry"])
+    def test_bad_unitary_numbers(self, runner, tmp_path, data):
+        """The identity, written with a number of the wrong kind, is refused
+        rather than read as the identity."""
+        write_json(tmp_path / "u.json", data)
+        write_json(tmp_path / "net.json", {"n": 1, "modes": 3, "elements": []})
+        for args in (["compile", "--input", str(tmp_path / "u.json")],
+                     ["verify", "--netlist", str(tmp_path / "net.json"),
+                      "--input", str(tmp_path / "u.json")]):
+            result = runner.invoke(main, [*args, "--output", str(tmp_path / "out.json")])
+            assert result.exit_code == 2
+            assert json.loads(result.stderr)["error"]["type"] == "validation"
+            assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("extra, message", [
         (["--spec-n", "0"], "--spec-n"),
@@ -353,7 +385,8 @@ class TestDeterminism:
 
 
 json_values = st.one_of(
-    st.sampled_from([None, True, -1, 0, 1, 2**64, 10**400, 1e308, math.nan, math.inf, "x"]),
+    st.sampled_from([None, True, -1, 0, 1, 2**53, 2**64, 10**400, 1e308, math.nan, math.inf,
+                     "x"]),
     st.recursive(
         st.one_of(st.none(), st.booleans(), st.integers(-3, 20), st.floats(),
                   st.text(max_size=4)),
@@ -423,7 +456,8 @@ def test_fuzzed_inputs_fail_cleanly(tmp_path, unitary, netlist, state):
     out = str(tmp_path / "out.json")
     for args in (
         ["compile", "--input", "u.json", "--output", out, "--report", out],
-        ["simulate", "--netlist", "net.json", "--input", "s.json", "--output", out],
+        ["simulate", "--netlist", "net.json", "--input", "s.json", "--output", out,
+         "--monte-carlo", "3"],
         ["verify", "--netlist", "net.json", "--input", "u.json", "--output", out],
     ):
         args = [str(tmp_path / arg) if arg.endswith("json") and arg != out else arg

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oamcomp.compiler import (
     TwoLevelFactor,
@@ -56,6 +57,45 @@ class TestDecompose:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             decompose_two_level(np.ones((3, 3), dtype=complex))
+
+
+def full_matrix_decompose(U):
+    """The elimination with every Givens rotation applied as a full ``d x d``
+    product, O(d^5): the oracle of the two-row rotation.  Factors as
+    ``(m, n_idx, u2)`` in application order."""
+    d = U.shape[0]
+    working, eliminations = U.copy(), []
+    for col in range(d - 1):
+        for row in range(col + 1, d):
+            b = working[row, col]
+            if abs(b) <= 1e-14:
+                continue
+            a = working[col, col]
+            r = math.hypot(abs(a), abs(b))
+            g2 = np.array([[a.conjugate() / r, b.conjugate() / r], [b / r, -a / r]])
+            full = np.eye(d, dtype=complex)
+            full[np.ix_([col, row], [col, row])] = g2
+            working = full @ working
+            eliminations.append((col, row, g2))
+    factors = []
+    for level in range(d):
+        phase = working[level, level] / abs(working[level, level])
+        if abs(phase - 1.0) > 1e-13:
+            factors.append((level, (level + 1) % d, np.diag([phase, 1.0])))
+    factors += [(col, row, g2.conj().T) for col, row, g2 in reversed(eliminations)]
+    return factors
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
+def test_two_row_rotation_matches_full_matrix_oracle(d, seed):
+    U = haar_random_unitary(d, np.random.default_rng(seed))
+    factors = decompose_two_level(U)
+    oracle = full_matrix_decompose(U)
+    assert [(f.m, f.n_idx) for f in factors] == [(m, n) for m, n, _ in oracle]
+    for f, (_, _, u2) in zip(factors, oracle):
+        assert np.max(np.abs(f.u2 - u2)) <= 1e-12
+    assert np.linalg.norm(product_of_factors(factors, d) - U) <= 1e-12
 
 
 class TestEmbedFactor:

@@ -323,6 +323,12 @@ class TestMonteCarlo:
         assert (result.success, result.absorbed_at) == (False, 3)
         assert monte_carlo_survival(PhotonState(n=1), net, 10, np.random.default_rng(0)) == 0
 
+    def test_netlist_without_filters_always_passes(self):
+        net = Netlist(n=1, mode_count=1, elements=(Mirror(0), Mirror(0)))
+        s = basis_state(0, 1, 1)
+        assert monte_carlo_survival(s, net, 10, np.random.default_rng(0)) == 1
+        assert monte_carlo_run(s, net, np.random.default_rng(0)).success
+
 
 def filter_oracle(state, netlist):
     """Index of every Filter of ``expand_netlist(netlist)``, with the squared
@@ -400,8 +406,9 @@ def test_loss_profile_matches_expanded_filters(rng):
     s = PhotonState(n=2, amplitudes={key: a / norm for key, a in amps.items()})
     indices, before, after = filter_oracle(s, net)
     profile = loss_profile(s, net)
-    assert profile.filters.tolist() == indices
-    assert np.max(np.abs(profile.absorption() - (before - after))) <= 1e-12
+    absorption = profile.absorption()
+    assert list(absorption) == indices
+    assert np.max(np.abs(np.array(list(absorption.values())) - (before - after))) <= 1e-12
     for u in rng.uniform(0, profile.initial, size=200):
         first = next((i for i, norm2 in zip(indices, after) if norm2 <= u), None)
         assert profile.absorbed_at(u) == first
