@@ -8,13 +8,17 @@ guard; no output is written); 2 bad input, whether a bad option (error type
 ``usage``) or a bad file (``validation``); 3 I/O failure (``io``).  Every
 failure prints one JSON object ``{"error": {"type": ..., "message": ...}}``
 on stderr.  Each command imports only the modules it runs, so ``--help``
-and ``simulate`` without ``--monte-carlo`` start without numpy.
+and ``simulate`` without ``--monte-carlo`` start without numpy.  The
+process entry point :func:`run` freezes the heap before teardown;
+:func:`main`, the click group, leaves the garbage collector alone.
 """
 
 from __future__ import annotations
 
+import atexit
 import csv
 import functools
+import gc
 import io
 import json
 import os
@@ -270,5 +274,13 @@ def cmd_readout(input_path, strategy, mode, seed, output_path) -> None:
     _write_json(output_path, payload)
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Entry point of the ``oamc`` process: run one command, then freeze the
+    heap at exit, so that the collections of interpreter teardown skip the
+    objects the command left instead of walking them all."""
+    atexit.register(gc.freeze)
     main()
+
+
+if __name__ == "__main__":
+    run()

@@ -262,7 +262,10 @@ def _check_vacant(amps: Amplitudes, slot: ModeOAM, role: str) -> None:
 
 
 def _move(amps: Amplitudes, source: ModeOAM, target: ModeOAM) -> dict:
+    # The move replaces the target's residue (at most OCCUPANCY_TOL) whether
+    # the source is absent or, as in a column of a batched map, present at 0.
     out = dict(amps)
+    out.pop(target, None)
     if source in out:
         out[target] = out.pop(source)
     return out

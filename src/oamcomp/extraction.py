@@ -95,11 +95,16 @@ def extraction_survival(spec: ExtractionSpec, input_coeffs) -> float:
 # Monte Carlo absorption sampling.
 
 
+def _finite_gate(el: Element) -> bool:
+    return isinstance(el, (ExtractGate, ReintegrateGate)) and el.stages != IDEAL
+
+
 def expand_netlist(netlist: Netlist) -> Netlist:
-    """Replace every finite-stage macro gate by its primitive chain."""
+    """Replace every finite-stage macro gate by its primitive chain.  An
+    ideal gate is lossless and stays one element."""
     elements: list[Element] = []
     for el in netlist.elements:
-        if isinstance(el, (ExtractGate, ReintegrateGate)):
+        if _finite_gate(el):
             sign = 1 if isinstance(el, ExtractGate) else -1
             elements.extend(_chain_elements(el, sign, filter_first=False))
         else:
@@ -169,18 +174,16 @@ def loss_profile(state: PhotonState, netlist: Netlist) -> LossProfile:
     filter), hologram.  Inside it only the ``l != m`` components of ``src``
     lose weight, by ``cos^2 theta`` per filter after the first, and they hold
     all of their remaining weight at the gate's output; so the output fixes
-    the survival after each of the gate's filters.
+    the survival after each of the gate's filters.  An ideal gate is one
+    lossless element of the expansion.
     """
     check_state_fits(state, netlist)
     runs: list[_FilterRun] = []
     index, amps = 0, state.amplitudes
     for el in netlist.elements:
-        macro = isinstance(el, (ExtractGate, ReintegrateGate))
-        if macro and el.stages == IDEAL:
-            raise ValidationError("the ideal gate has no finite Zeno chain")
         amps = step(amps, el)
         norm2 = squared_norms(amps)
-        if macro:
+        if _finite_gate(el):
             leak = sum(abs(amp) ** 2 for (mode, l), amp in amps.items()
                        if mode == el.src and l != el.m)
             runs.append(_FilterRun(index + 2, el.stages, norm2 - leak, leak, math.cos(el.theta)))

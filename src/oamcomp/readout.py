@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import LeakageError, ValidationError
-from .state import PhotonState
+from .state import NORM_EPS, PhotonState
 
 #: Sorter arm count above which plans are flagged as exponentially large.
 DEFAULT_ARM_BUDGET = 512
@@ -50,8 +50,8 @@ class PathQubitState:
         for bits in amps:
             if len(bits) != self.n or set(bits) - {"0", "1"}:
                 raise ValidationError(f"bad bit string key {bits!r} for n={self.n}")
-        norm2 = sum(abs(a) ** 2 for a in amps.values())
-        if norm2 > 1.0 + 1e-12:
+        norm2 = sum(x * x for x in map(abs, amps.values()))
+        if not norm2 <= 1.0 + NORM_EPS:
             raise ValidationError(f"squared norm {norm2} exceeds 1 + eps")
         object.__setattr__(self, "amplitudes", MappingProxyType(amps))
 

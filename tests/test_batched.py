@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oamcomp import elements
 from oamcomp.compiler import (
@@ -127,6 +127,15 @@ def _amplifying_phase_shift(amps, el):
 
 @settings(max_examples=300, deadline=None)
 @given(netlist=netlists(), faulty=st.booleans())
+# An ideal move whose source is empty for input 0 while its target holds the
+# rounding residue (6e-17) of the N=1 rotation: the per-column run, where the
+# source is absent, and the batched one, where it is a zero entry, must both
+# replace that residue, so both find input 0 fully absorbed.
+@example(netlist=Netlist(n=1, mode_count=3, elements=(
+    ExtractGate(m=0, src=0, dst=1, stages=1),
+    ExtractGate(m=1, src=0, dst=2, stages=IDEAL),
+    ReintegrateGate(m=0, src=0, dst=2, stages=IDEAL),
+)), faulty=False)
 def test_batched_response_matches_per_column_runs(netlist, faulty):
     if not faulty:
         assert_same_response(netlist)

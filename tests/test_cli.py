@@ -1,7 +1,11 @@
 import copy
 import functools
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oamcomp
 from oamcomp import compiler
 from oamcomp.cli import main
 from oamcomp.compiler import haar_random_unitary, unitary_to_json
@@ -135,6 +140,23 @@ class TestSimulate:
         assert mc["runs"] == 500
         assert abs(mc["success_rate"] - 27 / 64) < 0.1
 
+    def test_monte_carlo_on_ideal_netlist(self, runner, tmp_path):
+        U = haar_random_unitary(4, np.random.default_rng(2))
+        write_json(tmp_path / "u.json", unitary_to_json(U))
+        write_json(tmp_path / "s.json", basis_state(0, 1, 2).to_json_dict())
+        assert invoke(runner, [
+            "compile", "--input", str(tmp_path / "u.json"),
+            "--output", str(tmp_path / "net.json"),
+        ]).exit_code == 0
+        result = invoke(runner, [
+            "simulate", "--netlist", str(tmp_path / "net.json"),
+            "--input", str(tmp_path / "s.json"),
+            "--output", str(tmp_path / "out.json"), "--monte-carlo", "5",
+        ])
+        assert result.exit_code == 0
+        mc = json.loads((tmp_path / "out.json").read_text())["monte_carlo"]
+        assert mc["successes"] == mc["runs"] == 5
+
 
 class TestRejectsBadInput:
     """Bad input exits 2 and writes nothing."""
@@ -246,6 +268,49 @@ class TestRejectsBadInput:
         assert "residual 1.000e+00" in error["message"]
         assert not (tmp_path / "net.json").exists()
         assert not (tmp_path / "rep.json").exists()
+
+
+class TestProcessLifecycle:
+    """``python -m oamcomp.cli`` runs one command through ``run``: exit codes
+    and JSON errors as from ``main``, and the heap frozen before teardown.
+    ``main`` itself leaves the collector as it found it."""
+
+    #: Runs the CLI as ``__main__`` with an exit hook registered first, so
+    #: that it runs last and sees the collector as teardown will.
+    PROBE = ("import atexit, gc, runpy, sys; "
+             "atexit.register(lambda: print('freeze_count', gc.get_freeze_count(), "
+             "file=sys.stderr)); "
+             "runpy.run_module('oamcomp.cli', run_name='__main__', alter_sys=True)")
+
+    @pytest.mark.parametrize("case, code", [
+        ("ok", 0), ("validation", 2), ("usage", 2), ("io", 3),
+    ])
+    def test_exit_codes_and_frozen_heap(self, tmp_path, case, code):
+        write_json(tmp_path / "s.json", basis_state(0, 1, 1).to_json_dict())
+        write_json(tmp_path / "net.json", {"n": 1, "modes": 2, "elements": []})
+        (tmp_path / "bad.json").write_text("{")
+        netlist = {"validation": "bad.json", "io": "missing.json"}.get(case, "net.json")
+        args = ["simulate", "--netlist", str(tmp_path / netlist),
+                "--input", str(tmp_path / "s.json"), "--output", str(tmp_path / "out.json")]
+        if case == "usage":
+            args += ["--monte-carlo", "-5"]
+        env = dict(os.environ, PYTHONPATH=str(Path(oamcomp.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        *errors, probe = proc.stderr.splitlines()
+        assert proc.returncode == code
+        assert int(probe.removeprefix("freeze_count ")) > 0
+        if code:
+            [line] = errors
+            assert json.loads(line)["error"]["type"] == case
+        else:
+            assert errors == []
+            assert (tmp_path / "out.json").exists()
+
+    def test_main_leaves_the_collector_alone(self, runner):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert invoke(runner, ["zeno-sweep", "--n-list", "3"]).exit_code == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 class TestVerify:

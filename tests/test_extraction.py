@@ -323,6 +323,12 @@ class TestMonteCarlo:
         assert (result.success, result.absorbed_at) == (False, 3)
         assert monte_carlo_survival(PhotonState(n=1), net, 10, np.random.default_rng(0)) == 0
 
+    def test_ideal_gates_never_absorb(self):
+        net, _ = compile_unitary(haar_random_unitary(4, np.random.default_rng(1)), "ideal")
+        result = monte_carlo_run(basis_state(0, 0, 2), net, np.random.default_rng(0))
+        assert (result.success, result.absorbed_at) == (True, None)
+        assert expand_netlist(net) == net
+
     def test_netlist_without_filters_always_passes(self):
         net = Netlist(n=1, mode_count=1, elements=(Mirror(0), Mirror(0)))
         s = basis_state(0, 1, 1)
@@ -383,35 +389,38 @@ def test_closed_form_gate_matches_primitive_chain(kind, stages, m, modes, amps, 
 
 
 def test_loss_profile_matches_expanded_filters(rng):
-    compiled, _ = compile_unitary(haar_random_unitary(4, rng), spec_stages=25)
-    net = Netlist(
-        n=2, mode_count=3,
-        elements=(
-            ExtractGate(m=1, src=0, dst=1, stages=40),
-            ExtractGate(m=3, src=0, dst=2, stages=1),
-            BeamSplitter(mode_a=1, mode_b=2, theta=0.3),
-            Filter(mode=2, m=0),
-            ReintegrateGate(m=3, src=0, dst=2, stages=7),
-            ReintegrateGate(m=1, src=0, dst=1, stages=40),
-            Hologram(mode=0, k=1),
-            Filter(mode=0, m=2),
-            Hologram(mode=0, k=-1),
-            *compiled.elements,
-        ),
-    )
-    # Aux-mode content off OAM 0 leaks into the chains as well.
-    amps = {(0, l): complex(*rng.normal(size=2)) for l in range(4)}
-    amps.update({(1, 2): 0.4j, (2, -1): 0.3, (1, -2): 0.2})
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    s = PhotonState(n=2, amplitudes={key: a / norm for key, a in amps.items()})
-    indices, before, after = filter_oracle(s, net)
-    profile = loss_profile(s, net)
-    absorption = profile.absorption()
-    assert list(absorption) == indices
-    assert np.max(np.abs(np.array(list(absorption.values())) - (before - after))) <= 1e-12
-    for u in rng.uniform(0, profile.initial, size=200):
-        first = next((i for i, norm2 in zip(indices, after) if norm2 <= u), None)
-        assert profile.absorbed_at(u) == first
+    # The second netlist mixes ideal gates, lossless single elements of the
+    # expansion, with finite ones.
+    for compiled_stages, inner_stages in ((25, (1, 7)), ("ideal", ("ideal", 7))):
+        compiled, _ = compile_unitary(haar_random_unitary(4, rng), compiled_stages)
+        net = Netlist(
+            n=2, mode_count=3,
+            elements=(
+                ExtractGate(m=1, src=0, dst=1, stages=40),
+                ExtractGate(m=3, src=0, dst=2, stages=inner_stages[0]),
+                BeamSplitter(mode_a=1, mode_b=2, theta=0.3),
+                Filter(mode=2, m=0),
+                ReintegrateGate(m=3, src=0, dst=2, stages=inner_stages[1]),
+                ReintegrateGate(m=1, src=0, dst=1, stages=40),
+                Hologram(mode=0, k=1),
+                Filter(mode=0, m=2),
+                Hologram(mode=0, k=-1),
+                *compiled.elements,
+            ),
+        )
+        # Aux-mode content off OAM 0 leaks into the chains as well.
+        amps = {(0, l): complex(*rng.normal(size=2)) for l in range(4)}
+        amps.update({(1, 2): 0.4j, (2, -1): 0.3, (1, -2): 0.2})
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+        s = PhotonState(n=2, amplitudes={key: a / norm for key, a in amps.items()})
+        indices, before, after = filter_oracle(s, net)
+        profile = loss_profile(s, net)
+        absorption = profile.absorption()
+        assert list(absorption) == indices
+        assert np.max(np.abs(np.array(list(absorption.values())) - (before - after))) <= 1e-12
+        for u in rng.uniform(0, profile.initial, size=200):
+            first = next((i for i, norm2 in zip(indices, after) if norm2 <= u), None)
+            assert profile.absorbed_at(u) == first
 
 
 def test_analytic_netlist_survival_matches_simulation(rng):

@@ -178,3 +178,10 @@ def test_born_distribution_normalized(rng):
 def test_path_qubit_state_validates_keys():
     with pytest.raises(ValidationError):
         PathQubitState(n=2, amplitudes={"012": 1.0})
+
+
+@pytest.mark.parametrize("amp", [float("nan"), float("inf"), 1e200])
+def test_path_qubit_state_norm_guard_fails_closed(amp):
+    # A NaN norm must trip the guard, and squaring 1e200 must not overflow.
+    with pytest.raises(ValidationError):
+        PathQubitState(n=1, amplitudes={"0": amp})
