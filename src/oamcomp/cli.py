@@ -160,22 +160,23 @@ def cmd_simulate(netlist_path, input_path, output_path, seed, mc_runs) -> None:
     """Evolve a state file through a netlist file."""
     netlist = Netlist.from_json_dict(_read_json(netlist_path))
     state = PhotonState.from_json_dict(_read_json(input_path))
-    final = run_netlist(state, netlist)
-    payload = {
-        "state": final.to_json_dict(),
-        "survival": survival_probability(final),
-    }
+    payload = {}
     if mc_runs > 0:
+        # One pass gives both the output state and the loss profile to sample.
         import numpy as np
         from . import extraction
-        rng = np.random.default_rng(seed)
-        rate = extraction.monte_carlo_survival(state, netlist, mc_runs, rng)
+        profile = extraction.loss_profile(state, netlist)
+        final = profile.final
+        rate = extraction.monte_carlo_survival(profile, mc_runs, np.random.default_rng(seed))
         payload["monte_carlo"] = {
             "runs": mc_runs,
             "successes": round(rate * mc_runs),
             "success_rate": rate,
             "seed": seed,
         }
+    else:
+        final = run_netlist(state, netlist)
+    payload.update(state=final.to_json_dict(), survival=survival_probability(final))
     _write_json(output_path, payload)
 
 

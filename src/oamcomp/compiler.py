@@ -22,14 +22,14 @@ from .elements import (
     BeamSplitter,
     Element,
     ExtractGate,
-    Filter,
     Netlist,
     PhaseShifter,
     ReintegrateGate,
     Stages,
+    is_lossy,
 )
 from .state import (
-    NORM_EPS, PhotonState, _json_int, _json_real, basis_state, survival_probability,
+    NORM_EPS, RESIDUE_TOL, _json_int, _json_real, basis_state, survival_probability,
 )
 from . import elements as _elements
 
@@ -285,18 +285,9 @@ class CompileReport:
         }
 
 
-def _netlist_is_lossless(netlist: Netlist) -> bool:
-    for el in netlist.elements:
-        if isinstance(el, Filter):
-            return False
-        if isinstance(el, (ExtractGate, ReintegrateGate)) and el.stages != IDEAL:
-            return False
-    return True
-
-
 def _column_norms(amps) -> np.ndarray:
     """Squared norm of every column of a column map; the batched counterpart
-    of :func:`oamcomp.elements.squared_norms`, failing on a NaN as it does."""
+    of :func:`oamcomp.state.checked_norm2`, failing on a NaN as it does."""
     rows = np.array(list(amps.values()))
     norm2 = (rows.real ** 2 + rows.imag ** 2).sum(axis=0)
     if not (norm2 <= 1.0 + NORM_EPS).all():
@@ -318,10 +309,10 @@ def basis_response(netlist: Netlist) -> np.ndarray:
                               _column_norms)
     absent = np.zeros(d, dtype=complex)
     effective = np.array([out.get((0, l), absent) for l in range(d)])
-    if _netlist_is_lossless(netlist):
+    if not any(map(is_lossy, netlist.elements)):
         offenders = sorted(
             (mode, l) for (mode, l), row in out.items()
-            if (mode != 0 or not 0 <= l < d) and np.any(np.abs(row) > 1e-9)
+            if (mode != 0 or not 0 <= l < d) and not (np.abs(row) <= RESIDUE_TOL).all()
         )
         if offenders:
             raise LeakageError(offenders)
@@ -348,15 +339,12 @@ def reconstruct_and_verify(netlist: Netlist, U: np.ndarray) -> float:
 
 
 def compile_unitary(
-    U: np.ndarray,
-    spec_stages: Stages = IDEAL,
-    input_state: PhotonState | None = None,
+    U: np.ndarray, spec_stages: Stages = IDEAL
 ) -> tuple[Netlist, CompileReport]:
     """Full pipeline: decompose, lower each factor, verify, report.
 
     ``analytic_survival`` in the report is 1.0 for IDEAL mode; for finite
-    stage counts it is evaluated for ``input_state`` (default: basis state
-    ``|0>`` in mode 0).
+    stage counts it is the survival of the basis state ``|0>`` in mode 0.
     """
     U = check_unitary(U)
     d = U.shape[0]
@@ -374,9 +362,7 @@ def compile_unitary(
             )
         survival = 1.0
     else:
-        if input_state is None:
-            input_state = basis_state(0, 0, n)
-        survival = survival_probability(_elements.run_netlist(input_state, netlist))
+        survival = survival_probability(_elements.run_netlist(basis_state(0, 0, n), netlist))
     report = CompileReport(
         factor_count=len(factors),
         element_count=len(netlist),

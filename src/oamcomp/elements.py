@@ -22,7 +22,9 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Mapping, Union
 
 from .errors import ValidationError
-from .state import NORM_EPS, ModeOAM, PhotonState, _json_int, _json_real
+from .state import (
+    RESIDUE_TOL, ModeOAM, PhotonState, _json_int, _json_real, checked_norm2,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,6 +125,12 @@ class ReintegrateGate(ExtractionSpec):
 Element = Union[
     PhaseShifter, Hologram, BeamSplitter, Filter, Mirror, ExtractGate, ReintegrateGate
 ]
+
+
+def is_lossy(el: Element) -> bool:
+    """Whether ``el`` can absorb the photon: a filter, or a macro gate at a
+    finite stage count, whose chain holds ``N`` filters."""
+    return isinstance(el, Filter) or isinstance(el, ExtractionSpec) and el.stages != IDEAL
 
 
 @dataclass(frozen=True)
@@ -250,19 +258,14 @@ def _mirror(amps: Amplitudes, el: Mirror) -> dict:
     return {((m, -l) if m == el.mode else (m, l)): amp for (m, l), amp in amps.items()}
 
 
-#: Occupancy guard: amplitudes below this are floating-point residue from a
-#: previous Zeno chain, not a second photon component.
-OCCUPANCY_TOL = 1e-9
-
-
 def _check_vacant(amps: Amplitudes, slot: ModeOAM, role: str) -> None:
-    vacant = abs(amps.get(slot, 0)) <= OCCUPANCY_TOL  # a numpy array for columns
+    vacant = abs(amps.get(slot, 0)) <= RESIDUE_TOL  # a numpy array for columns
     if not (vacant if isinstance(vacant, bool) else vacant.all()):
         raise ValidationError(f"{role} (mode {slot[0]}, OAM {slot[1]}) already occupied")
 
 
 def _move(amps: Amplitudes, source: ModeOAM, target: ModeOAM) -> dict:
-    # The move replaces the target's residue (at most OCCUPANCY_TOL) whether
+    # The move replaces the target's residue (at most RESIDUE_TOL) whether
     # the source is absent or, as in a column of a batched map, present at 0.
     out = dict(amps)
     out.pop(target, None)
@@ -338,25 +341,22 @@ def step(amps: Amplitudes, el: Element) -> dict:
     return semantics(amps, el)
 
 
-def squared_norms(amps: Amplitudes) -> float:
-    """Squared norm of the one input that ``amps`` holds as complex scalars.
-
-    Raises when it exceeds ``1 + NORM_EPS`` or is not a number: no element
-    adds weight, so that is a fault, caught at the element that made it.
-    """
-    norm2 = sum(x * x for x in map(abs, amps.values()))
-    if not norm2 <= 1.0 + NORM_EPS:
-        raise ValidationError(f"squared norm {norm2} exceeds 1 + eps")
-    return norm2
-
-
-def propagate(amps: Amplitudes, elements, norm_guard=squared_norms) -> dict:
-    """Apply ``elements`` in order, checking the norm after each with
-    ``norm_guard``: :func:`squared_norms` for one input, the column-wise check
-    of :func:`oamcomp.compiler.basis_response` for a column map."""
+def iter_steps(amps: Amplitudes, elements, norm_guard=checked_norm2):
+    """Apply ``elements`` in order, yielding ``(element, map, norm2)`` after
+    each, where ``norm2`` is what ``norm_guard`` returns for the new map:
+    :func:`~oamcomp.state.checked_norm2` for one input, the column-wise check
+    of :func:`oamcomp.compiler.basis_response` for a column map.  The guard
+    raises on a fault, at the element that made it.  This is the one
+    stepping loop; :func:`propagate` and the loss profile read it."""
     for el in elements:
         amps = step(amps, el)
-        norm_guard(amps)
+        yield el, amps, norm_guard(amps)
+
+
+def propagate(amps: Amplitudes, elements, norm_guard=checked_norm2) -> dict:
+    """The map after :func:`iter_steps` has applied every element."""
+    for _, amps, _ in iter_steps(amps, elements, norm_guard):
+        pass
     return dict(amps)
 
 

@@ -25,10 +25,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .elements import (  # noqa: F401  (the gate semantics are re-exported)
-    IDEAL, OCCUPANCY_TOL, BeamSplitter, Element, ExtractGate, ExtractionSpec, Filter,
-    Hologram, Netlist, ReintegrateGate, Stages, apply_element, apply_macro,
-    check_state_fits, ideal_extract, ideal_reintegrate, squared_norms, step, zeno_extract,
-    zeno_reintegrate,
+    IDEAL, BeamSplitter, Element, ExtractGate, ExtractionSpec, Filter, Hologram, Netlist,
+    ReintegrateGate, Stages, apply_element, apply_macro, check_state_fits, ideal_extract,
+    ideal_reintegrate, is_lossy, iter_steps, zeno_extract, zeno_reintegrate,
 )
 from .state import PhotonState, normalized, survival_probability
 
@@ -95,16 +94,12 @@ def extraction_survival(spec: ExtractionSpec, input_coeffs) -> float:
 # Monte Carlo absorption sampling.
 
 
-def _finite_gate(el: Element) -> bool:
-    return isinstance(el, (ExtractGate, ReintegrateGate)) and el.stages != IDEAL
-
-
 def expand_netlist(netlist: Netlist) -> Netlist:
     """Replace every finite-stage macro gate by its primitive chain.  An
     ideal gate is lossless and stays one element."""
     elements: list[Element] = []
     for el in netlist.elements:
-        if _finite_gate(el):
+        if is_lossy(el) and not isinstance(el, Filter):
             sign = 1 if isinstance(el, ExtractGate) else -1
             elements.extend(_chain_elements(el, sign, filter_first=False))
         else:
@@ -167,8 +162,9 @@ class LossProfile:
 
 
 def loss_profile(state: PhotonState, netlist: Netlist) -> LossProfile:
-    """Run ``state`` through ``netlist`` once, recording the survival after
-    every filter of the netlist's expansion.
+    """Read the survival after every filter of the netlist's expansion off
+    one pass of :func:`~oamcomp.elements.iter_steps`, the stepping loop of
+    :func:`run_netlist`, whose output state is ``final``.
 
     A finite-stage gate expands to hologram, ``N`` times (beamsplitter,
     filter), hologram.  Inside it only the ``l != m`` components of ``src``
@@ -180,17 +176,14 @@ def loss_profile(state: PhotonState, netlist: Netlist) -> LossProfile:
     check_state_fits(state, netlist)
     runs: list[_FilterRun] = []
     index, amps = 0, state.amplitudes
-    for el in netlist.elements:
-        amps = step(amps, el)
-        norm2 = squared_norms(amps)
-        if _finite_gate(el):
+    for el, amps, norm2 in iter_steps(amps, netlist.elements):
+        if isinstance(el, Filter):
+            runs.append(_FilterRun(index, 1, norm2))
+        elif is_lossy(el):
             leak = sum(abs(amp) ** 2 for (mode, l), amp in amps.items()
                        if mode == el.src and l != el.m)
             runs.append(_FilterRun(index + 2, el.stages, norm2 - leak, leak, math.cos(el.theta)))
-            index += 2 * el.stages + 2
-            continue
-        if isinstance(el, Filter):
-            runs.append(_FilterRun(index, 1, norm2))
+            index += 2 * el.stages + 1
         index += 1
     final = PhotonState(n=state.n, amplitudes=amps)
     return LossProfile(survival_probability(state), final, tuple(runs))
@@ -222,11 +215,9 @@ def monte_carlo_run(
     return MonteCarloResult(success=True, state=final, absorbed_at=None)
 
 
-def monte_carlo_survival(
-    state: PhotonState, netlist: Netlist, runs: int, rng: np.random.Generator
-) -> float:
-    """Empirical survival frequency over ``runs`` sampled physical runs."""
+def monte_carlo_survival(profile: LossProfile, runs: int, rng: np.random.Generator) -> float:
+    """Empirical survival frequency over ``runs`` physical runs sampled from
+    ``profile``: the number of successes is one binomial draw."""
     if runs < 1:
         raise ValidationError("need at least one Monte Carlo run")
-    p = loss_profile(state, netlist).success_probability()
-    return int(rng.binomial(runs, p)) / runs
+    return int(rng.binomial(runs, profile.success_probability())) / runs

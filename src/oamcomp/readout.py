@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import LeakageError, ValidationError
-from .state import NORM_EPS, PhotonState
+from .state import RESIDUE_TOL, PhotonState, checked_norm2
 
 #: Sorter arm count above which plans are flagged as exponentially large.
 DEFAULT_ARM_BUDGET = 512
@@ -50,9 +50,7 @@ class PathQubitState:
         for bits in amps:
             if len(bits) != self.n or set(bits) - {"0", "1"}:
                 raise ValidationError(f"bad bit string key {bits!r} for n={self.n}")
-        norm2 = sum(x * x for x in map(abs, amps.values()))
-        if not norm2 <= 1.0 + NORM_EPS:
-            raise ValidationError(f"squared norm {norm2} exceeds 1 + eps")
+        checked_norm2(amps)
         object.__setattr__(self, "amplitudes", MappingProxyType(amps))
 
 
@@ -67,14 +65,10 @@ def _mode_weights(state: PhotonState, mode: int) -> dict[int, float]:
 def sample_full_measurement(
     state: PhotonState, mode: int, rng: np.random.Generator
 ) -> int:
-    """Sample an OAM index from the Born distribution, post-selected on survival."""
-    weights = _mode_weights(state, mode)
-    total = sum(weights.values())
-    if total <= 0.0:
-        raise ValidationError("state has no surviving amplitude in that mode")
-    indices = sorted(weights)
-    probs = np.array([weights[l] / total for l in indices])
-    return int(indices[rng.choice(len(indices), p=probs)])
+    """Sample an OAM index from :func:`born_distribution`."""
+    probs = born_distribution(state, mode)
+    indices = list(probs)
+    return int(indices[rng.choice(len(indices), p=list(probs.values()))])
 
 
 def measure_bit(
@@ -126,17 +120,18 @@ def repeated_run_readout(
 
 
 def demux(state: PhotonState, mode: int) -> tuple[PathQubitState, ReadoutCost]:
-    """Relabel OAM amplitudes as path-qubit bit strings (ideal demultiplexer)."""
-    offenders = [
-        key
-        for key in state.amplitudes
-        if key[0] != mode or not 0 <= key[1] < state.dim
-    ]
+    """Relabel OAM amplitudes as path-qubit bit strings (ideal demultiplexer).
+
+    Amplitudes outside ``mode``'s computational range are leakage unless they
+    are rounding residue (at most ``RESIDUE_TOL``), which is dropped."""
+    amps, offenders = {}, []
+    for (m, l), amp in state.amplitudes.items():
+        if m == mode and 0 <= l < state.dim:
+            amps[format(l, f"0{state.n}b")] = amp
+        elif not abs(amp) <= RESIDUE_TOL:
+            offenders.append((m, l))
     if offenders:
         raise LeakageError(sorted(offenders))
-    amps = {
-        format(l, f"0{state.n}b"): amp for (_, l), amp in state.amplitudes.items()
-    }
     cost = ReadoutCost(cnot_count=2 * state.n - 1, runs=1)
     return PathQubitState(n=state.n, amplitudes=amps), cost
 

@@ -19,7 +19,24 @@ from .errors import ValidationError
 #: Tolerance for squared-norm checks (double precision headroom).
 NORM_EPS = 1e-12
 
+#: Amplitudes of magnitude at most this are rounding residue of a Zeno
+#: chain, not photon weight: a slot holding only residue is vacant, and
+#: residue outside the computational range is not leakage.  Every check is
+#: written ``not (abs(x) <= RESIDUE_TOL)``, so a NaN counts as weight.
+RESIDUE_TOL = 1e-9
+
 ModeOAM = tuple[int, int]
+
+
+def checked_norm2(amps: Mapping) -> float:
+    """Squared norm of a map of complex amplitudes.  Raises when it exceeds
+    ``1 + NORM_EPS`` or is not a number: one photon's weight is at most 1,
+    and no element adds any."""
+    # ``x * x`` rather than ``x ** 2``: it overflows to inf, not an exception.
+    norm2 = sum(x * x for x in map(abs, amps.values()))
+    if not norm2 <= 1.0 + NORM_EPS:
+        raise ValidationError(f"squared norm {norm2} exceeds 1 + eps")
+    return norm2
 
 
 def _json_int(value) -> int:
@@ -55,10 +72,7 @@ class PhotonState:
         for mode, l in amps:
             if mode < 0:
                 raise ValidationError(f"negative spatial mode index {mode}")
-        # ``x * x`` rather than ``x ** 2``: it overflows to inf, not an exception.
-        norm2 = sum(x * x for x in map(abs, amps.values()))
-        if not norm2 <= 1.0 + NORM_EPS:
-            raise ValidationError(f"squared norm {norm2} exceeds 1 + eps")
+        checked_norm2(amps)
         object.__setattr__(self, "amplitudes", MappingProxyType(amps))
 
     @property

@@ -27,7 +27,8 @@ from oamcomp.elements import (
     run_netlist,
 )
 from oamcomp.errors import LeakageError, ValidationError
-from oamcomp.state import basis_state
+from oamcomp.extraction import loss_profile
+from oamcomp.state import PhotonState, basis_state
 
 
 def per_column_response(netlist: Netlist) -> np.ndarray:
@@ -142,6 +143,24 @@ def test_batched_response_matches_per_column_runs(netlist, faulty):
         return
     with mock.patch.dict(elements._SEMANTICS, {PhaseShifter: _amplifying_phase_shift}):
         assert_same_response(netlist)
+
+
+@settings(max_examples=200, deadline=None)
+@given(netlist=netlists(), faulty=st.booleans(), data=st.data())
+def test_loss_profile_final_is_the_run_netlist_output(netlist, faulty, data):
+    """The profile reads the same stepping loop as ``run_netlist``: the same
+    output state exactly, or the same error class."""
+    keys = st.tuples(st.integers(0, netlist.mode_count - 1), st.integers(-2, 1 << netlist.n))
+    amps = data.draw(st.dictionaries(keys, st.complex_numbers(max_magnitude=1), max_size=6))
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    state = PhotonState(n=netlist.n, amplitudes={k: a / max(norm, 1.0) for k, a in amps.items()})
+    semantics = {PhaseShifter: _amplifying_phase_shift} if faulty else {}
+    with mock.patch.dict(elements._SEMANTICS, semantics):
+        final, final_error = outcome(lambda net: run_netlist(state, net), netlist)
+        profile, profile_error = outcome(lambda net: loss_profile(state, net), netlist)
+    assert type(profile_error) is type(final_error)
+    if final_error is None:
+        assert dict(profile.final.amplitudes) == dict(final.amplitudes)
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])

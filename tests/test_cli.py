@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oamcomp
-from oamcomp import compiler
+from oamcomp import compiler, elements
 from oamcomp.cli import main
 from oamcomp.compiler import haar_random_unitary, unitary_to_json
 from oamcomp.state import basis_state, from_amplitudes
@@ -156,6 +156,45 @@ class TestSimulate:
         assert result.exit_code == 0
         mc = json.loads((tmp_path / "out.json").read_text())["monte_carlo"]
         assert mc["successes"] == mc["runs"] == 5
+
+    def finite_stage_files(self, runner, tmp_path):
+        """A d=4, N=20 netlist and a dense input state, written to tmp_path."""
+        U = haar_random_unitary(4, np.random.default_rng(6))
+        write_json(tmp_path / "u.json", unitary_to_json(U))
+        state = from_amplitudes(0, [0.5, 0.5j, -0.5, 0.5], 2)
+        write_json(tmp_path / "s.json", state.to_json_dict())
+        assert invoke(runner, [
+            "compile", "--input", str(tmp_path / "u.json"),
+            "--output", str(tmp_path / "net.json"), "--spec-n", "20",
+        ]).exit_code == 0
+        return ["--netlist", str(tmp_path / "net.json"), "--input", str(tmp_path / "s.json")]
+
+    def test_monte_carlo_applies_each_element_once(self, runner, tmp_path, monkeypatch):
+        """The output state and the sampled loss profile come from one pass:
+        every element semantics call (``step`` dispatches through the table)
+        is counted."""
+        files = self.finite_stage_files(runner, tmp_path)
+        calls = []
+        for cls, semantics in list(elements._SEMANTICS.items()):
+            def counted(amps, el, semantics=semantics):
+                calls.append(el)
+                return semantics(amps, el)
+            monkeypatch.setitem(elements._SEMANTICS, cls, counted)
+        result = invoke(runner, ["simulate", *files, "--output", str(tmp_path / "out.json"),
+                                 "--monte-carlo", "5"])
+        assert result.exit_code == 0
+        netlist = json.loads((tmp_path / "net.json").read_text())
+        assert len(calls) == len(netlist["elements"]) > 0
+
+    def test_monte_carlo_writes_the_simulated_state(self, runner, tmp_path):
+        files = self.finite_stage_files(runner, tmp_path)
+        plain, sampled = tmp_path / "plain.json", tmp_path / "sampled.json"
+        assert invoke(runner, ["simulate", *files, "--output", str(plain)]).exit_code == 0
+        assert invoke(runner, ["simulate", *files, "--output", str(sampled),
+                               "--monte-carlo", "20"]).exit_code == 0
+        out = json.loads(sampled.read_text())
+        assert out.pop("monte_carlo")["runs"] == 20
+        assert json.dumps(out, indent=2, sort_keys=True) + "\n" == plain.read_text()
 
 
 class TestRejectsBadInput:
@@ -410,6 +449,30 @@ class TestReadout:
         error = json.loads(result.stderr)["error"]
         assert error["type"] == "validation"
         assert "--mode 1" in error["message"]
+
+    def test_demux_of_a_finite_stage_state(self, runner, tmp_path):
+        # Simulating |0> leaves 1e-16 of rounding residue in the aux modes.
+        U = haar_random_unitary(4, np.random.default_rng(901))
+        write_json(tmp_path / "u.json", unitary_to_json(U))
+        write_json(tmp_path / "s.json", basis_state(0, 0, 2).to_json_dict())
+        assert invoke(runner, [
+            "compile", "--input", str(tmp_path / "u.json"),
+            "--output", str(tmp_path / "net.json"), "--spec-n", "100",
+        ]).exit_code == 0
+        assert invoke(runner, [
+            "simulate", "--netlist", str(tmp_path / "net.json"),
+            "--input", str(tmp_path / "s.json"), "--output", str(tmp_path / "out.json"),
+        ]).exit_code == 0
+        state = json.loads((tmp_path / "out.json").read_text())["state"]
+        assert {entry["mode"] for entry in state["amplitudes"]} == {0, 1, 2}
+        write_json(tmp_path / "final.json", state)
+        result = runner.invoke(main, [
+            "readout", "--input", str(tmp_path / "final.json"), "--strategy", "demux",
+            "--output", str(tmp_path / "r.json"),
+        ])
+        assert result.exit_code == 0, result.stderr
+        out = json.loads((tmp_path / "r.json").read_text())
+        assert sorted(out["amplitudes"]) == ["00", "01", "10", "11"]
 
     def test_demux_leakage_error(self, runner, tmp_path):
         write_json(tmp_path / "s.json", {

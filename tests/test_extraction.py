@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from oamcomp.compiler import compile_unitary, haar_random_unitary
 from oamcomp.elements import (
-    OCCUPANCY_TOL,
     BeamSplitter,
     ExtractGate,
     Filter,
@@ -36,6 +35,7 @@ from oamcomp.extraction import (
     zeno_reintegrate,
 )
 from oamcomp.state import (
+    RESIDUE_TOL,
     PhotonState,
     basis_state,
     from_amplitudes,
@@ -273,7 +273,7 @@ class TestMonteCarlo:
         )
         s = basis_state(0, 1, 1)
         rng = np.random.default_rng(7)
-        rate = monte_carlo_survival(s, net, runs=4000, rng=rng)
+        rate = monte_carlo_survival(loss_profile(s, net), runs=4000, rng=rng)
         # true survival 27/64 = 0.421875; 4 sigma binomial bound
         sigma = math.sqrt(0.421875 * (1 - 0.421875) / 4000)
         assert abs(rate - 0.421875) < 4 * sigma
@@ -321,7 +321,8 @@ class TestMonteCarlo:
         result = monte_carlo_run(PhotonState(n=1), net, np.random.default_rng(0))
         # mirror, then the chain: hologram, beamsplitter, filter
         assert (result.success, result.absorbed_at) == (False, 3)
-        assert monte_carlo_survival(PhotonState(n=1), net, 10, np.random.default_rng(0)) == 0
+        profile = loss_profile(PhotonState(n=1), net)
+        assert monte_carlo_survival(profile, 10, np.random.default_rng(0)) == 0
 
     def test_ideal_gates_never_absorb(self):
         net, _ = compile_unitary(haar_random_unitary(4, np.random.default_rng(1)), "ideal")
@@ -332,7 +333,7 @@ class TestMonteCarlo:
     def test_netlist_without_filters_always_passes(self):
         net = Netlist(n=1, mode_count=1, elements=(Mirror(0), Mirror(0)))
         s = basis_state(0, 1, 1)
-        assert monte_carlo_survival(s, net, 10, np.random.default_rng(0)) == 1
+        assert monte_carlo_survival(loss_profile(s, net), 10, np.random.default_rng(0)) == 1
         assert monte_carlo_run(s, net, np.random.default_rng(0)).success
 
 
@@ -364,7 +365,7 @@ amplitude_maps = st.dictionaries(
     m=st.integers(-3, 5),
     modes=st.permutations([0, 1, 2]),
     amps=amplitude_maps,
-    residue=st.floats(0, OCCUPANCY_TOL),
+    residue=st.floats(0, RESIDUE_TOL),
 )
 def test_closed_form_gate_matches_primitive_chain(kind, stages, m, modes, amps, residue):
     src, dst = modes[0], modes[1]

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oamcomp.compiler import compile_unitary, haar_random_unitary
+from oamcomp.elements import run_netlist
 from oamcomp.errors import LeakageError, ValidationError
 from oamcomp.readout import (
     PathQubitState,
@@ -14,7 +16,9 @@ from oamcomp.readout import (
     sample_full_measurement,
     sorter_cost,
 )
-from oamcomp.state import PhotonState, basis_state, from_amplitudes, states_close
+from oamcomp.state import (
+    RESIDUE_TOL, PhotonState, basis_state, from_amplitudes, states_close,
+)
 
 from conftest import random_state
 
@@ -138,6 +142,22 @@ class TestDemux:
     def test_rejects_wrong_mode(self):
         with pytest.raises(LeakageError):
             demux(basis_state(1, 0, 2), 0)
+
+    def test_drops_rounding_residue_of_a_finite_stage_run(self):
+        # The aux modes of this output hold 1.6e-16 and 6e-17 of rounding
+        # residue from the Zeno chains: not leakage.
+        net, _ = compile_unitary(haar_random_unitary(4, np.random.default_rng(901)), 100)
+        out = run_netlist(basis_state(0, 0, 2), net)
+        assert out.modes() == {0, 1, 2}
+        path, _ = demux(out, 0)
+        assert dict(path.amplitudes) == {format(l, "02b"): out.amplitude(0, l) for l in range(4)}
+
+    def test_rejects_weight_above_the_residue_tolerance(self):
+        amps = {(0, 0): 0.5, (1, 0): 2 * RESIDUE_TOL, (0, 2): RESIDUE_TOL}
+        s = PhotonState(n=1, amplitudes=amps)
+        with pytest.raises(LeakageError) as err:
+            demux(s, 0)
+        assert err.value.offenders == [(1, 0)]
 
     def test_remux_inverse(self, rng):
         s = random_state(rng, 3)
