@@ -3,32 +3,20 @@
 from importlib import import_module as _import_module
 
 from .errors import LeakageError, ValidationError
-from .state import (
-    PhotonState,
-    basis_state,
-    from_amplitudes,
-    normalized,
-    overlap,
-    survival_probability,
-)
-from .elements import (
-    IDEAL,
-    BeamSplitter,
-    ExtractGate,
-    Filter,
-    Hologram,
-    Mirror,
-    Netlist,
-    PhaseShifter,
-    ReintegrateGate,
-    check_reflection_parity,
-    run_netlist,
-)
 
-#: Names re-exported from the submodules that need numpy, loaded on first
-#: access (PEP 562), so that ``import oamcomp`` and the commands that do not
-#: use them stay free of numpy.
+#: Names re-exported from the submodules, loaded on first access (PEP 562),
+#: so that ``import oamcomp`` loads only ``errors``, and each command of the
+#: CLI only the modules it runs: ``--help`` none, ``simulate`` no numpy.
 _EXPORTS = {
+    "state": (
+        "PhotonState", "basis_state", "from_amplitudes", "normalized", "overlap",
+        "survival_probability",
+    ),
+    "elements": (
+        "IDEAL", "BeamSplitter", "ExtractGate", "Filter", "Hologram", "Mirror",
+        "Netlist", "PhaseShifter", "ReintegrateGate", "check_reflection_parity",
+        "run_netlist",
+    ),
     "extraction": (
         "ExtractionSpec", "component_survival", "extraction_survival",
         "ideal_extract", "ideal_reintegrate", "lower_extract_to_netlist",

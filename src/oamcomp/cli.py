@@ -7,36 +7,35 @@ check on the program's own result failed, such as the ideal-mode residual
 guard; no output is written); 2 bad input, whether a bad option (error type
 ``usage``) or a bad file (``validation``); 3 I/O failure (``io``).  Every
 failure prints one JSON object ``{"error": {"type": ..., "message": ...}}``
-on stderr.  Each command imports only the modules it runs, so ``--help``
-and ``simulate`` without ``--monte-carlo`` start without numpy.  The
-process entry point :func:`run` freezes the heap before teardown;
-:func:`main`, the click group, leaves the garbage collector alone.
+on stderr.  Options are parsed by ``argparse``, and each command imports
+only the modules it runs: ``--help`` loads no ``oamcomp`` module but
+``errors``, and ``simulate`` without ``--monte-carlo`` no numpy.  The process
+entry point :func:`run` freezes the heap before teardown; :func:`main`, the
+in-process entry, leaves the garbage collector alone.
 """
 
 from __future__ import annotations
 
+import argparse
 import atexit
-import csv
-import functools
 import gc
-import io
 import json
 import os
 import sys
 import tempfile
 
-import click
-
-from .elements import IDEAL, Netlist, run_netlist
 from .errors import InternalError, ValidationError
-from .state import PhotonState, basis_state, survival_probability
 
 EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to stdout, or atomically to the file ``path``."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".oamc-")
     try:
@@ -54,10 +53,7 @@ def _write_json(path: str | None, payload: dict) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ValidationError(f"refusing to write a non-finite value: {exc}") from exc
-    if path is None:
-        click.echo(text, nl=False)
-    else:
-        _atomic_write(path, text)
+    _write(path, text)
 
 
 def _read_json(path: str) -> dict:
@@ -69,144 +65,107 @@ def _read_json(path: str) -> dict:
 
 
 def _fail(kind: str, message: str, code: int) -> None:
-    click.echo(json.dumps({"error": {"type": kind, "message": message}}), err=True)
+    print(json.dumps({"error": {"type": kind, "message": message}}), file=sys.stderr)
     sys.exit(code)
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ValidationError as exc:
-            _fail("validation", str(exc), EXIT_VALIDATION)
-        except OSError as exc:
-            _fail("io", str(exc), EXIT_IO)
-        except InternalError as exc:
-            _fail("internal", str(exc), EXIT_INTERNAL)
+class _Parser(argparse.ArgumentParser):
+    """``argparse`` as ``oamc`` uses it, for the program and each command:
+    whole option names only (``--mon`` is unknown, not ``--monte-carlo``),
+    ``--help`` as the one help option, a help text that opens with
+    ``Usage:``, and every parse error a JSON ``usage`` error with exit 2."""
 
-    return wrapper
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
 
+    def format_help(self) -> str:
+        return "Usage:" + super().format_help().removeprefix("usage:")
 
-class JsonUsageGroup(click.Group):
-    """A command group that reports click's usage errors (a bad option value,
-    an unknown option or command) as JSON with exit code 2, like every other
-    failure.  ``oamc`` without arguments still prints the help."""
-
-    def make_context(self, info_name, args, parent=None, **extra):
-        bare = not args
-        try:
-            return super().make_context(info_name, args, parent, **extra)
-        except click.UsageError as exc:
-            if bare:
-                raise
-            _fail("usage", exc.format_message(), exc.exit_code)
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            _fail("usage", exc.format_message(), exc.exit_code)
+    def error(self, message: str) -> None:
+        _fail("usage", message, EXIT_VALIDATION)
 
 
-class StagesParam(click.ParamType):
-    name = "int|ideal"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, int) or value == IDEAL:
-            return value
-        try:
-            stages = int(value)
-        except ValueError:
-            self.fail(f"{value!r} is neither an integer nor 'ideal'", param, ctx)
-        if stages < 1:
-            self.fail("stage count must be >= 1", param, ctx)
-        return stages
+def _integer(text: str, low: int = 0, high: int | None = None) -> int:
+    """``text`` as an integer in ``[low, high]``; the type of a count option."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, not {value}")
+    if high is not None and value > high:
+        raise argparse.ArgumentTypeError(f"must be <= {high}, not {value}")
+    return value
 
 
-STAGES = StagesParam()
+def _stages(text: str) -> int | str:
+    """``--spec-n``: ``ideal`` or a stage count >= 1."""
+    from .elements import IDEAL
+    return IDEAL if text == IDEAL else _integer(text, low=1)
 
 
-@click.group(cls=JsonUsageGroup)
-def main() -> None:
-    """Compiler and simulator for OAM-encoded single-photon computing."""
+def _runs(text: str) -> int:
+    """``--monte-carlo``: at most ``MAX_STAGES`` (2**53) runs, well inside the
+    C long that ``Generator.binomial`` draws the successes as."""
+    from .elements import MAX_STAGES
+    return _integer(text, high=MAX_STAGES)
 
 
-@main.command("compile")
-@click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--output", "output_path", required=True, type=click.Path())
-@click.option("--report", "report_path", type=click.Path(), default=None)
-@click.option("--spec-n", "spec_stages", type=STAGES, default=IDEAL, show_default=True)
-@_guarded
-def cmd_compile(input_path, output_path, report_path, spec_stages) -> None:
+def cmd_compile(args) -> None:
     """Lower a unitary (JSON matrix) to an optical netlist plus report."""
     from . import compiler
-    U = compiler.unitary_from_json(_read_json(input_path))
+    U = compiler.unitary_from_json(_read_json(args.input))
     compiler.qubit_count_for(U.shape[0])
-    netlist, report = compiler.compile_unitary(U, spec_stages)
-    _write_json(output_path, netlist.to_json_dict())
-    _write_json(report_path, report.to_json_dict())
+    netlist, report = compiler.compile_unitary(U, args.spec_n)
+    _write_json(args.output, netlist.to_json_dict())
+    _write_json(args.report, report.to_json_dict())
 
 
-@main.command("simulate")
-@click.option("--netlist", "netlist_path", required=True, type=click.Path())
-@click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--output", "output_path", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--monte-carlo", "mc_runs", type=click.IntRange(min=0), default=0,
-              help="Also sample this many absorption-event runs.")
-@_guarded
-def cmd_simulate(netlist_path, input_path, output_path, seed, mc_runs) -> None:
+def cmd_simulate(args) -> None:
     """Evolve a state file through a netlist file."""
-    netlist = Netlist.from_json_dict(_read_json(netlist_path))
-    state = PhotonState.from_json_dict(_read_json(input_path))
-    payload = {}
-    if mc_runs > 0:
+    from .elements import Netlist, run_netlist
+    from .state import PhotonState, survival_probability
+    netlist = Netlist.from_json_dict(_read_json(args.netlist))
+    state = PhotonState.from_json_dict(_read_json(args.input))
+    runs, payload = args.monte_carlo, {}
+    if runs > 0:
         # One pass gives both the output state and the loss profile to sample.
         import numpy as np
         from . import extraction
         profile = extraction.loss_profile(state, netlist)
         final = profile.final
-        rate = extraction.monte_carlo_survival(profile, mc_runs, np.random.default_rng(seed))
+        rate = extraction.monte_carlo_survival(profile, runs, np.random.default_rng(args.seed))
         payload["monte_carlo"] = {
-            "runs": mc_runs,
-            "successes": round(rate * mc_runs),
+            "runs": runs,
+            "successes": round(rate * runs),
             "success_rate": rate,
-            "seed": seed,
+            "seed": args.seed,
         }
     else:
         final = run_netlist(state, netlist)
     payload.update(state=final.to_json_dict(), survival=survival_probability(final))
-    _write_json(output_path, payload)
+    _write_json(args.output, payload)
 
 
-@main.command("verify")
-@click.option("--netlist", "netlist_path", required=True, type=click.Path())
-@click.option("--input", "input_path", required=True, type=click.Path(),
-              help="Target unitary the netlist should implement.")
-@click.option("--output", "output_path", type=click.Path(), default=None)
-@_guarded
-def cmd_verify(netlist_path, input_path, output_path) -> None:
+def cmd_verify(args) -> None:
     """Compare a netlist's basis response against a target unitary."""
     from . import compiler
-    netlist = Netlist.from_json_dict(_read_json(netlist_path))
-    U = compiler.unitary_from_json(_read_json(input_path))
+    from .elements import Netlist
+    netlist = Netlist.from_json_dict(_read_json(args.netlist))
+    U = compiler.unitary_from_json(_read_json(args.input))
     residual = compiler.reconstruct_and_verify(netlist, U)
-    _write_json(output_path, {"verification_residual": residual})
+    _write_json(args.output, {"verification_residual": residual})
 
 
-@main.command("zeno-sweep")
-@click.option("--m", "m", type=int, default=0, show_default=True,
-              help="OAM index the gate extracts.")
-@click.option("--n-list", "n_list", default="1,3,10,100,1000", show_default=True,
-              help="Comma-separated stage counts.")
-@click.option("--output", "output_path", type=click.Path(), default=None)
-@_guarded
-def cmd_zeno_sweep(m, n_list, output_path) -> None:
+def cmd_zeno_sweep(args) -> None:
     """Survival of a non-extracted component versus Zeno stage count (CSV)."""
+    import csv
+    import io
     from . import extraction
+    from .state import basis_state, survival_probability
     try:
-        stages_list = [int(tok) for tok in n_list.split(",") if tok.strip()]
+        stages_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"bad --n-list: {exc}") from exc
     if any(s < 1 for s in stages_list):
@@ -217,9 +176,9 @@ def cmd_zeno_sweep(m, n_list, output_path) -> None:
         ["N", "analytic_survival", "simulated_survival", "bound_1_minus_pi2_over_4N"]
     )
     for stages in stages_list:
-        spec = extraction.ExtractionSpec(m=m, src=0, dst=1, stages=stages)
+        spec = extraction.ExtractionSpec(m=args.m, src=0, dst=1, stages=stages)
         # Probe with a single component the gate does not extract.
-        probe = basis_state(0, m + 1, n=1)
+        probe = basis_state(0, args.m + 1, n=1)
         simulated = survival_probability(extraction.zeno_extract(probe, spec))
         writer.writerow(
             [
@@ -229,42 +188,31 @@ def cmd_zeno_sweep(m, n_list, output_path) -> None:
                 repr(extraction.survival_lower_bound(stages)),
             ]
         )
-    if output_path is None:
-        click.echo(buffer.getvalue(), nl=False)
-    else:
-        _atomic_write(output_path, buffer.getvalue())
+    _write(args.output, buffer.getvalue())
 
 
-@main.command("readout")
-@click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--strategy", type=click.Choice(["sorter", "repeat", "demux"]),
-              required=True)
-@click.option("--mode", type=click.IntRange(min=0), default=0, show_default=True,
-              help="Spatial mode to read out.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", "output_path", type=click.Path(), default=None)
-@_guarded
-def cmd_readout(input_path, strategy, mode, seed, output_path) -> None:
+def cmd_readout(args) -> None:
     """Plan or sample a readout of the final OAM state."""
     import numpy as np
     from . import readout as readout_mod
-    state = PhotonState.from_json_dict(_read_json(input_path))
-    if mode not in state.modes():
-        raise ValidationError(f"--mode {mode} holds no amplitude in {input_path}")
-    rng = np.random.default_rng(seed)
-    payload: dict = {"strategy": strategy, "n": state.n, "seed": seed}
-    if strategy == "sorter":
+    from .state import PhotonState
+    state = PhotonState.from_json_dict(_read_json(args.input))
+    if args.mode not in state.modes():
+        raise ValidationError(f"--mode {args.mode} holds no amplitude in {args.input}")
+    rng = np.random.default_rng(args.seed)
+    payload: dict = {"strategy": args.strategy, "n": state.n, "seed": args.seed}
+    if args.strategy == "sorter":
         cost, warn = readout_mod.sorter_cost(state.n)
         payload["cost"] = cost.to_json_dict()
         payload["exponential_warning"] = warn
-        payload["sampled_l"] = readout_mod.sample_full_measurement(state, mode, rng)
-    elif strategy == "repeat":
+        payload["sampled_l"] = readout_mod.sample_full_measurement(state, args.mode, rng)
+    elif args.strategy == "repeat":
         bits, cost = readout_mod.repeated_run_readout(lambda: state, state.n, rng,
-                                                      mode=mode)
+                                                      mode=args.mode)
         payload["cost"] = cost.to_json_dict()
         payload["bits"] = bits
     else:
-        path_state, cost = readout_mod.demux(state, mode)
+        path_state, cost = readout_mod.demux(state, args.mode)
         payload["cost"] = cost.to_json_dict()
         payload["amplitudes"] = {
             bits: [amp.real, amp.imag]
@@ -272,7 +220,70 @@ def cmd_readout(input_path, strategy, mode, seed, output_path) -> None:
         }
         if len(path_state.amplitudes) == 1:
             payload["bits"] = next(iter(path_state.amplitudes))
-    _write_json(output_path, payload)
+    _write_json(args.output, payload)
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="oamc", description=(
+        "Compiler and simulator for OAM-encoded single-photon computing."))
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, fn):
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__)
+        sub.set_defaults(run=fn)
+        return sub.add_argument
+
+    seed = dict(type=_integer, default=0, help="Random seed >= 0 (default: %(default)s).")
+    option = command("compile", cmd_compile)
+    option("--input", required=True)
+    option("--output", required=True)
+    option("--report")
+    option("--spec-n", type=_stages, default="ideal", metavar="INT|ideal",
+           help="Zeno stages per extraction gate (default: %(default)s).")
+    option = command("simulate", cmd_simulate)
+    option("--netlist", required=True)
+    option("--input", required=True)
+    option("--output")
+    option("--seed", **seed)
+    option("--monte-carlo", type=_runs, default=0, metavar="RUNS",
+           help="Also sample this many absorption-event runs.")
+    option = command("verify", cmd_verify)
+    option("--netlist", required=True)
+    option("--input", required=True, help="Target unitary the netlist should implement.")
+    option("--output")
+    option = command("zeno-sweep", cmd_zeno_sweep)
+    option("--m", type=int, default=0,
+           help="OAM index the gate extracts (default: %(default)s).")
+    option("--n-list", default="1,3,10,100,1000",
+           help="Comma-separated stage counts (default: %(default)s).")
+    option("--output")
+    option = command("readout", cmd_readout)
+    option("--input", required=True)
+    option("--strategy", choices=["sorter", "repeat", "demux"], required=True)
+    option("--mode", type=_integer, default=0,
+           help="Spatial mode to read out (default: %(default)s).")
+    option("--seed", **seed)
+    option("--output")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run one ``oamc`` command, given its arguments (``sys.argv[1:]`` by
+    default).  Without arguments, print the help on stderr and exit 2."""
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv:
+        parser.print_help(sys.stderr)
+        sys.exit(EXIT_VALIDATION)
+    args = parser.parse_args(argv)
+    try:
+        args.run(args)
+    except ValidationError as exc:
+        _fail("validation", str(exc), EXIT_VALIDATION)
+    except OSError as exc:
+        _fail("io", str(exc), EXIT_IO)
+    except InternalError as exc:
+        _fail("internal", str(exc), EXIT_INTERNAL)
 
 
 def run() -> None:

@@ -1,6 +1,12 @@
+import contextlib
+import io
+import sys
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
+from oamcomp.cli import main
 from oamcomp.state import PhotonState, from_amplitudes
 
 
@@ -15,3 +21,34 @@ def random_state(rng, n: int, mode: int = 0) -> PhotonState:
     coeffs = rng.normal(size=d) + 1j * rng.normal(size=d)
     coeffs /= np.linalg.norm(coeffs)
     return from_amplitudes(mode, coeffs, n)
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    exc_info: tuple | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def invoke_cli(args, catch_exceptions: bool = True) -> CliResult:
+    """Run ``oamc args`` in this process through ``cli.main``, with stdout and
+    stderr captured.  The exit code is that of ``SystemExit``, 0 when ``main``
+    returns, and 1 for any other exception, which is kept in ``exc_info`` (or
+    re-raised, if ``catch_exceptions`` is false)."""
+    out, err = io.StringIO(), io.StringIO()
+    exc_info = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+            code = 0
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+        except Exception:
+            if not catch_exceptions:
+                raise
+            code, exc_info = 1, sys.exc_info()
+    return CliResult(code, out.getvalue(), err.getvalue(), exc_info)

@@ -8,9 +8,6 @@ import math
 import numpy as np
 import pytest
 
-from click.testing import CliRunner
-
-from oamcomp.cli import main as cli_main
 from oamcomp.compiler import (
     compile_unitary,
     haar_random_unitary,
@@ -37,7 +34,7 @@ from oamcomp.state import (
     survival_probability,
 )
 
-from conftest import random_state
+from conftest import invoke_cli, random_state
 
 
 def report(criterion, ok, detail=""):
@@ -185,7 +182,6 @@ def test_criterion_8_born_rule_sampling():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    runner = CliRunner()
     rng = np.random.default_rng(12)
     (tmp_path / "u.json").write_text(
         json.dumps(unitary_to_json(haar_random_unitary(4, rng)))
@@ -211,7 +207,7 @@ def test_criterion_9_cli_determinism(tmp_path):
              "--seed", "4", "--output", str(paths["rd"])],
         ]
         for cmd in commands:
-            result = runner.invoke(cli_main, cmd, catch_exceptions=False)
+            result = invoke_cli(cmd, catch_exceptions=False)
             assert result.exit_code == 0, result.output
         blobs.append(tuple(p.read_bytes() for p in paths.values()))
     report(9, blobs[0] == blobs[1])

@@ -6,37 +6,33 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oamcomp
 from oamcomp import compiler, elements
-from oamcomp.cli import main
 from oamcomp.compiler import haar_random_unitary, unitary_to_json
 from oamcomp.state import basis_state, from_amplitudes
 
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from conftest import invoke_cli
 
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
 
 
-def invoke(runner, args):
-    return runner.invoke(main, args, catch_exceptions=False)
+def invoke(args):
+    return invoke_cli(args, catch_exceptions=False)
 
 
 class TestCompile:
-    def test_identity(self, runner, tmp_path):
+    def test_identity(self, tmp_path):
         write_json(tmp_path / "u.json", unitary_to_json(np.eye(4, dtype=complex)))
-        result = invoke(runner, [
+        result = invoke([
             "compile", "--input", str(tmp_path / "u.json"),
             "--output", str(tmp_path / "net.json"),
             "--report", str(tmp_path / "rep.json"),
@@ -47,10 +43,10 @@ class TestCompile:
         assert net["elements"] == []
         assert rep["verification_residual"] == 0.0
 
-    def test_hadamard(self, runner, tmp_path):
+    def test_hadamard(self, tmp_path):
         H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
         write_json(tmp_path / "u.json", unitary_to_json(H))
-        result = invoke(runner, [
+        result = invoke([
             "compile", "--input", str(tmp_path / "u.json"),
             "--output", str(tmp_path / "net.json"),
             "--report", str(tmp_path / "rep.json"),
@@ -62,17 +58,17 @@ class TestCompile:
         extracts = [el for el in net["elements"] if el["type"] == "extract"]
         assert len(extracts) == 2
 
-    def test_rejects_bad_dimension(self, runner, tmp_path):
+    def test_rejects_bad_dimension(self, tmp_path):
         rows = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(7)] for i in range(7)]
         write_json(tmp_path / "u.json", {"d": 7, "rows": rows})
-        result = runner.invoke(main, [
+        result = invoke_cli([
             "compile", "--input", str(tmp_path / "u.json"),
             "--output", str(tmp_path / "net.json"),
         ])
         assert result.exit_code == 2
 
-    def test_missing_file_is_io_error(self, runner, tmp_path):
-        result = runner.invoke(main, [
+    def test_missing_file_is_io_error(self, tmp_path):
+        result = invoke_cli([
             "compile", "--input", str(tmp_path / "nope.json"),
             "--output", str(tmp_path / "net.json"),
         ])
@@ -80,11 +76,11 @@ class TestCompile:
 
 
 class TestSimulate:
-    def test_empty_netlist_echoes_input(self, runner, tmp_path):
+    def test_empty_netlist_echoes_input(self, tmp_path):
         state = basis_state(0, 1, 1)
         write_json(tmp_path / "s.json", state.to_json_dict())
         write_json(tmp_path / "net.json", {"n": 1, "modes": 1, "elements": []})
-        result = invoke(runner, [
+        result = invoke([
             "simulate", "--netlist", str(tmp_path / "net.json"),
             "--input", str(tmp_path / "s.json"),
             "--output", str(tmp_path / "out.json"),
@@ -94,14 +90,14 @@ class TestSimulate:
         assert out["survival"] == 1.0
         assert out["state"]["amplitudes"] == state.to_json_dict()["amplitudes"]
 
-    def test_extraction_survival_uniform_input(self, runner, tmp_path):
+    def test_extraction_survival_uniform_input(self, tmp_path):
         state = from_amplitudes(0, [0.5] * 4, 2)
         write_json(tmp_path / "s.json", state.to_json_dict())
         write_json(tmp_path / "net.json", {
             "n": 2, "modes": 2,
             "elements": [{"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": 100}],
         })
-        result = invoke(runner, [
+        result = invoke([
             "simulate", "--netlist", str(tmp_path / "net.json"),
             "--input", str(tmp_path / "s.json"),
             "--output", str(tmp_path / "out.json"),
@@ -110,25 +106,25 @@ class TestSimulate:
         out = json.loads((tmp_path / "out.json").read_text())
         assert out["survival"] == pytest.approx(0.9817201856079236, abs=1e-12)
 
-    def test_mode_out_of_range(self, runner, tmp_path):
+    def test_mode_out_of_range(self, tmp_path):
         write_json(tmp_path / "s.json", basis_state(0, 0, 1).to_json_dict())
         write_json(tmp_path / "net.json", {
             "n": 1, "modes": 2,
             "elements": [{"type": "ps", "mode": 9, "phi": 0.0}],
         })
-        result = runner.invoke(main, [
+        result = invoke_cli([
             "simulate", "--netlist", str(tmp_path / "net.json"),
             "--input", str(tmp_path / "s.json"),
         ])
         assert result.exit_code == 2
 
-    def test_monte_carlo_block(self, runner, tmp_path):
+    def test_monte_carlo_block(self, tmp_path):
         write_json(tmp_path / "s.json", basis_state(0, 1, 1).to_json_dict())
         write_json(tmp_path / "net.json", {
             "n": 1, "modes": 2,
             "elements": [{"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": 3}],
         })
-        result = invoke(runner, [
+        result = invoke([
             "simulate", "--netlist", str(tmp_path / "net.json"),
             "--input", str(tmp_path / "s.json"),
             "--output", str(tmp_path / "out.json"),
@@ -140,15 +136,15 @@ class TestSimulate:
         assert mc["runs"] == 500
         assert abs(mc["success_rate"] - 27 / 64) < 0.1
 
-    def test_monte_carlo_on_ideal_netlist(self, runner, tmp_path):
+    def test_monte_carlo_on_ideal_netlist(self, tmp_path):
         U = haar_random_unitary(4, np.random.default_rng(2))
         write_json(tmp_path / "u.json", unitary_to_json(U))
         write_json(tmp_path / "s.json", basis_state(0, 1, 2).to_json_dict())
-        assert invoke(runner, [
+        assert invoke([
             "compile", "--input", str(tmp_path / "u.json"),
             "--output", str(tmp_path / "net.json"),
         ]).exit_code == 0
-        result = invoke(runner, [
+        result = invoke([
             "simulate", "--netlist", str(tmp_path / "net.json"),
             "--input", str(tmp_path / "s.json"),
             "--output", str(tmp_path / "out.json"), "--monte-carlo", "5",
@@ -157,40 +153,59 @@ class TestSimulate:
         mc = json.loads((tmp_path / "out.json").read_text())["monte_carlo"]
         assert mc["successes"] == mc["runs"] == 5
 
-    def finite_stage_files(self, runner, tmp_path):
+    @pytest.mark.parametrize("strategy", [None, "repeat", "sorter"])
+    def test_seed_above_2_64(self, tmp_path, strategy):
+        """Any seed >= 0 is taken, as ``default_rng`` takes it, and so is the
+        largest run count."""
+        write_json(tmp_path / "s.json", basis_state(0, 1, 1).to_json_dict())
+        write_json(tmp_path / "net.json", {
+            "n": 1, "modes": 2,
+            "elements": [{"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": 3}],
+        })
+        seed = ["--seed", str(2**70), "--output", str(tmp_path / "out.json")]
+        if strategy is None:
+            args = ["simulate", "--netlist", str(tmp_path / "net.json"),
+                    "--monte-carlo", str(elements.MAX_STAGES)]
+        else:
+            args = ["readout", "--strategy", strategy]
+        assert invoke([*args, "--input", str(tmp_path / "s.json"), *seed]).exit_code == 0
+        out = json.loads((tmp_path / "out.json").read_text())
+        assert out.get("monte_carlo", out)["seed"] == 2**70
+
+    def finite_stage_files(self, tmp_path):
         """A d=4, N=20 netlist and a dense input state, written to tmp_path."""
         U = haar_random_unitary(4, np.random.default_rng(6))
         write_json(tmp_path / "u.json", unitary_to_json(U))
         state = from_amplitudes(0, [0.5, 0.5j, -0.5, 0.5], 2)
         write_json(tmp_path / "s.json", state.to_json_dict())
-        assert invoke(runner, [
+        assert invoke([
             "compile", "--input", str(tmp_path / "u.json"),
             "--output", str(tmp_path / "net.json"), "--spec-n", "20",
         ]).exit_code == 0
         return ["--netlist", str(tmp_path / "net.json"), "--input", str(tmp_path / "s.json")]
 
-    def test_monte_carlo_applies_each_element_once(self, runner, tmp_path, monkeypatch):
+    def test_monte_carlo_applies_each_element_once(self, tmp_path, monkeypatch):
         """The output state and the sampled loss profile come from one pass:
         every element semantics call (``step`` dispatches through the table)
         is counted."""
-        files = self.finite_stage_files(runner, tmp_path)
+        files = self.finite_stage_files(tmp_path)
         calls = []
         for cls, semantics in list(elements._SEMANTICS.items()):
             def counted(amps, el, semantics=semantics):
                 calls.append(el)
                 return semantics(amps, el)
             monkeypatch.setitem(elements._SEMANTICS, cls, counted)
-        result = invoke(runner, ["simulate", *files, "--output", str(tmp_path / "out.json"),
+        result = invoke(["simulate", *files, "--output", str(tmp_path / "out.json"),
                                  "--monte-carlo", "5"])
         assert result.exit_code == 0
         netlist = json.loads((tmp_path / "net.json").read_text())
         assert len(calls) == len(netlist["elements"]) > 0
 
-    def test_monte_carlo_writes_the_simulated_state(self, runner, tmp_path):
-        files = self.finite_stage_files(runner, tmp_path)
+    def test_monte_carlo_writes_the_simulated_state(self, tmp_path):
+        files = self.finite_stage_files(tmp_path)
         plain, sampled = tmp_path / "plain.json", tmp_path / "sampled.json"
-        assert invoke(runner, ["simulate", *files, "--output", str(plain)]).exit_code == 0
-        assert invoke(runner, ["simulate", *files, "--output", str(sampled),
+        assert invoke(["simulate", *files, "--output", str(plain)]).exit_code == 0
+        assert invoke(["simulate", *files, "--output", str(sampled),
                                "--monte-carlo", "20"]).exit_code == 0
         out = json.loads(sampled.read_text())
         assert out.pop("monte_carlo")["runs"] == 20
@@ -200,11 +215,11 @@ class TestSimulate:
 class TestRejectsBadInput:
     """Bad input exits 2 and writes nothing."""
 
-    def test_nan_unitary_entry(self, runner, tmp_path):
+    def test_nan_unitary_entry(self, tmp_path):
         data = unitary_to_json(haar_random_unitary(4, np.random.default_rng(0)))
         data["rows"][1][2][0] = float("nan")
         write_json(tmp_path / "u.json", data)
-        result = runner.invoke(main, [
+        result = invoke_cli([
             "compile", "--input", str(tmp_path / "u.json"),
             "--output", str(tmp_path / "net.json"),
             "--report", str(tmp_path / "rep.json"),
@@ -234,15 +249,19 @@ class TestRejectsBadInput:
         ({}, {"l": 1.7}, [], "validation"),
         ({}, {"re": True}, [], "validation"),
         ({}, {"im": "0"}, [], "validation"),
+        ({}, {}, ["--seed", "-1", "--monte-carlo", "3"], "usage"),
+        ({}, {}, ["--monte-carlo", "99999999999999999999"], "usage"),
+        ({}, {}, ["--monte-carlo", str(elements.MAX_STAGES + 1)], "usage"),
     ], ids=["bool-stages", "nan-phase", "inf-angle", "nan-amplitude", "negative-runs",
             "float-width", "float-modes", "float-filter-m", "float-stages",
-            "float-state-width", "bool-mode", "float-l", "bool-re", "string-im"])
-    def test_bad_simulate_input(self, runner, tmp_path, netlist, state, extra, kind):
+            "float-state-width", "bool-mode", "float-l", "bool-re", "string-im",
+            "negative-seed", "huge-runs", "runs-above-max-stages"])
+    def test_bad_simulate_input(self, tmp_path, netlist, state, extra, kind):
         entry = {"mode": 0, "l": 1, "re": 1.0, "im": 0.0, **state}
         width = entry.pop("n", 1)
         write_json(tmp_path / "s.json", {"n": width, "amplitudes": [entry]})
         write_json(tmp_path / "net.json", {"n": 1, "modes": 2, "elements": [], **netlist})
-        result = runner.invoke(main, [
+        result = invoke_cli([
             "simulate", "--netlist", str(tmp_path / "net.json"),
             "--input", str(tmp_path / "s.json"),
             "--output", str(tmp_path / "out.json"), *extra,
@@ -256,7 +275,7 @@ class TestRejectsBadInput:
         {"d": 2, "rows": [[[True, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
         {"d": 2, "rows": [[["1.0", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
     ], ids=["float-d", "bool-entry", "string-entry"])
-    def test_bad_unitary_numbers(self, runner, tmp_path, data):
+    def test_bad_unitary_numbers(self, tmp_path, data):
         """The identity, written with a number of the wrong kind, is refused
         rather than read as the identity."""
         write_json(tmp_path / "u.json", data)
@@ -264,7 +283,7 @@ class TestRejectsBadInput:
         for args in (["compile", "--input", str(tmp_path / "u.json")],
                      ["verify", "--netlist", str(tmp_path / "net.json"),
                       "--input", str(tmp_path / "u.json")]):
-            result = runner.invoke(main, [*args, "--output", str(tmp_path / "out.json")])
+            result = invoke_cli([*args, "--output", str(tmp_path / "out.json")])
             assert result.exit_code == 2
             assert json.loads(result.stderr)["error"]["type"] == "validation"
             assert not (tmp_path / "out.json").exists()
@@ -274,9 +293,9 @@ class TestRejectsBadInput:
         (["--spec-n", "ten"], "--spec-n"),
         (["--bogus"], "--bogus"),
     ], ids=["zero-stages", "word-stages", "unknown-option"])
-    def test_bad_compile_option(self, runner, tmp_path, extra, message):
+    def test_bad_compile_option(self, tmp_path, extra, message):
         write_json(tmp_path / "u.json", unitary_to_json(np.eye(2, dtype=complex)))
-        result = runner.invoke(main, [
+        result = invoke_cli([
             "compile", "--input", str(tmp_path / "u.json"),
             "--output", str(tmp_path / "net.json"), *extra,
         ])
@@ -286,17 +305,34 @@ class TestRejectsBadInput:
         assert message in error["message"]
         assert not (tmp_path / "net.json").exists()
 
-    def test_help_still_prints_usage(self, runner):
+    @pytest.mark.parametrize("args, message", [
+        (["bogus"], "bogus"),
+        (["simulate", "--netlist", "net.json", "--input", "s.json", "--mon", "3"], "--mon"),
+    ], ids=["unknown-command", "abbreviated-option"])
+    def test_unknown_command_or_option(self, args, message):
+        result = invoke_cli(args)
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "usage"
+        assert message in error["message"]
+
+    def test_no_arguments_prints_help(self):
+        result = invoke_cli([])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("Usage:")
+        assert "zeno-sweep" in result.stderr
+
+    def test_help_still_prints_usage(self):
         for args in (["--help"], ["compile", "--help"]):
-            result = runner.invoke(main, args)
+            result = invoke_cli(args)
             assert result.exit_code == 0
             assert result.output.startswith("Usage:")
 
-    def test_residual_guard_is_an_internal_error(self, runner, tmp_path, monkeypatch):
+    def test_residual_guard_is_an_internal_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(compiler, "reconstruct_and_verify", lambda netlist, U: 1.0)
         H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
         write_json(tmp_path / "u.json", unitary_to_json(H))
-        result = runner.invoke(main, [
+        result = invoke_cli([
             "compile", "--input", str(tmp_path / "u.json"),
             "--output", str(tmp_path / "net.json"),
             "--report", str(tmp_path / "rep.json"),
@@ -346,22 +382,22 @@ class TestProcessLifecycle:
             assert errors == []
             assert (tmp_path / "out.json").exists()
 
-    def test_main_leaves_the_collector_alone(self, runner):
+    def test_main_leaves_the_collector_alone(self):
         before = gc.isenabled(), gc.get_freeze_count()
-        assert invoke(runner, ["zeno-sweep", "--n-list", "3"]).exit_code == 0
+        assert invoke(["zeno-sweep", "--n-list", "3"]).exit_code == 0
         assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 class TestVerify:
-    def test_pipeline_closes(self, runner, tmp_path):
+    def test_pipeline_closes(self, tmp_path):
         U = haar_random_unitary(4, np.random.default_rng(8))
         write_json(tmp_path / "u.json", unitary_to_json(U))
-        assert invoke(runner, [
+        assert invoke([
             "compile", "--input", str(tmp_path / "u.json"),
             "--output", str(tmp_path / "net.json"),
             "--report", str(tmp_path / "rep.json"),
         ]).exit_code == 0
-        result = invoke(runner, [
+        result = invoke([
             "verify", "--netlist", str(tmp_path / "net.json"),
             "--input", str(tmp_path / "u.json"),
             "--output", str(tmp_path / "v.json"),
@@ -372,8 +408,8 @@ class TestVerify:
 
 
 class TestZenoSweep:
-    def test_rows_and_values(self, runner, tmp_path):
-        result = invoke(runner, [
+    def test_rows_and_values(self, tmp_path):
+        result = invoke([
             "zeno-sweep", "--m", "0", "--n-list", "1,3,100",
             "--output", str(tmp_path / "sweep.csv"),
         ])
@@ -387,15 +423,15 @@ class TestZenoSweep:
         for row in rows.values():
             assert float(row[1]) == pytest.approx(float(row[2]), abs=1e-12)
 
-    def test_rejects_bad_stage(self, runner):
-        result = runner.invoke(main, ["zeno-sweep", "--n-list", "0"])
+    def test_rejects_bad_stage(self):
+        result = invoke_cli(["zeno-sweep", "--n-list", "0"])
         assert result.exit_code == 2
 
 
 class TestReadout:
-    def test_repeat_strategy(self, runner, tmp_path):
+    def test_repeat_strategy(self, tmp_path):
         write_json(tmp_path / "s.json", basis_state(0, 6, 3).to_json_dict())
-        result = invoke(runner, [
+        result = invoke([
             "readout", "--input", str(tmp_path / "s.json"),
             "--strategy", "repeat",
             "--output", str(tmp_path / "r.json"),
@@ -405,9 +441,9 @@ class TestReadout:
         assert out["bits"] == "110"
         assert out["cost"]["runs"] == 3
 
-    def test_demux_strategy(self, runner, tmp_path):
+    def test_demux_strategy(self, tmp_path):
         write_json(tmp_path / "s.json", basis_state(0, 5, 3).to_json_dict())
-        result = invoke(runner, [
+        result = invoke([
             "readout", "--input", str(tmp_path / "s.json"),
             "--strategy", "demux",
             "--output", str(tmp_path / "r.json"),
@@ -416,9 +452,9 @@ class TestReadout:
         assert out["bits"] == "101"
         assert out["cost"]["cnot_count"] == 5
 
-    def test_sorter_plan_warns(self, runner, tmp_path):
+    def test_sorter_plan_warns(self, tmp_path):
         write_json(tmp_path / "s.json", basis_state(0, 0, 10).to_json_dict())
-        result = invoke(runner, [
+        result = invoke([
             "readout", "--input", str(tmp_path / "s.json"),
             "--strategy", "sorter",
             "--output", str(tmp_path / "r.json"),
@@ -427,9 +463,9 @@ class TestReadout:
         assert out["cost"]["arms"] == 1024
         assert out["exponential_warning"] is True
 
-    def test_negative_mode_is_a_usage_error(self, runner, tmp_path):
+    def test_negative_mode_is_a_usage_error(self, tmp_path):
         write_json(tmp_path / "s.json", basis_state(0, 0, 1).to_json_dict())
-        result = runner.invoke(main, [
+        result = invoke_cli([
             "readout", "--input", str(tmp_path / "s.json"),
             "--strategy", "demux", "--mode", "-1",
         ])
@@ -439,9 +475,9 @@ class TestReadout:
         assert "--mode" in error["message"]
 
     @pytest.mark.parametrize("strategy", ["sorter", "repeat", "demux"])
-    def test_empty_mode_is_named(self, runner, tmp_path, strategy):
+    def test_empty_mode_is_named(self, tmp_path, strategy):
         write_json(tmp_path / "s.json", basis_state(0, 0, 1).to_json_dict())
-        result = runner.invoke(main, [
+        result = invoke_cli([
             "readout", "--input", str(tmp_path / "s.json"),
             "--strategy", strategy, "--mode", "1",
         ])
@@ -450,23 +486,23 @@ class TestReadout:
         assert error["type"] == "validation"
         assert "--mode 1" in error["message"]
 
-    def test_demux_of_a_finite_stage_state(self, runner, tmp_path):
+    def test_demux_of_a_finite_stage_state(self, tmp_path):
         # Simulating |0> leaves 1e-16 of rounding residue in the aux modes.
         U = haar_random_unitary(4, np.random.default_rng(901))
         write_json(tmp_path / "u.json", unitary_to_json(U))
         write_json(tmp_path / "s.json", basis_state(0, 0, 2).to_json_dict())
-        assert invoke(runner, [
+        assert invoke([
             "compile", "--input", str(tmp_path / "u.json"),
             "--output", str(tmp_path / "net.json"), "--spec-n", "100",
         ]).exit_code == 0
-        assert invoke(runner, [
+        assert invoke([
             "simulate", "--netlist", str(tmp_path / "net.json"),
             "--input", str(tmp_path / "s.json"), "--output", str(tmp_path / "out.json"),
         ]).exit_code == 0
         state = json.loads((tmp_path / "out.json").read_text())["state"]
         assert {entry["mode"] for entry in state["amplitudes"]} == {0, 1, 2}
         write_json(tmp_path / "final.json", state)
-        result = runner.invoke(main, [
+        result = invoke_cli([
             "readout", "--input", str(tmp_path / "final.json"), "--strategy", "demux",
             "--output", str(tmp_path / "r.json"),
         ])
@@ -474,18 +510,18 @@ class TestReadout:
         out = json.loads((tmp_path / "r.json").read_text())
         assert sorted(out["amplitudes"]) == ["00", "01", "10", "11"]
 
-    def test_demux_leakage_error(self, runner, tmp_path):
+    def test_demux_leakage_error(self, tmp_path):
         write_json(tmp_path / "s.json", {
             "n": 2, "amplitudes": [{"mode": 0, "l": -1, "re": 1.0, "im": 0.0}],
         })
-        result = runner.invoke(main, [
+        result = invoke_cli([
             "readout", "--input", str(tmp_path / "s.json"), "--strategy", "demux",
         ])
         assert result.exit_code == 2
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self, runner, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path):
         U = haar_random_unitary(4, np.random.default_rng(3))
         write_json(tmp_path / "u.json", unitary_to_json(U))
         write_json(tmp_path / "s.json", from_amplitudes(0, [0.5] * 4, 2).to_json_dict())
@@ -495,16 +531,16 @@ class TestDeterminism:
             rep = tmp_path / f"rep_{tag}.json"
             out = tmp_path / f"out_{tag}.json"
             rd = tmp_path / f"rd_{tag}.json"
-            assert invoke(runner, [
+            assert invoke([
                 "compile", "--input", str(tmp_path / "u.json"),
                 "--output", str(net), "--report", str(rep), "--spec-n", "200",
             ]).exit_code == 0
-            assert invoke(runner, [
+            assert invoke([
                 "simulate", "--netlist", str(net),
                 "--input", str(tmp_path / "s.json"),
                 "--output", str(out), "--seed", "42", "--monte-carlo", "50",
             ]).exit_code == 0
-            assert invoke(runner, [
+            assert invoke([
                 "readout", "--input", str(tmp_path / "s.json"),
                 "--strategy", "repeat", "--seed", "7", "--output", str(rd),
             ]).exit_code == 0
@@ -557,14 +593,36 @@ def mutated_json(draw, doc):
     return b"[" * 100_000 if damage == 9 else text
 
 
+#: Option values a user might mistype: negative, huge, non-numeric or boolean-like.
+option_values = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["99999999999999999999", str(2**53), str(2**53 + 1), "1e3", "1.5",
+                     "0x10", "nan", "", " ", "-", "true", "False", "yes", "None",
+                     "ideal"]),
+    st.text(max_size=6),
+)
+
+#: Each option under test, as the arguments that set it to ``{}``.
+OPTION_COMMANDS = {
+    "--seed": ["simulate", "--netlist", "net.json", "--input", "s.json",
+               "--monte-carlo", "3", "--seed", "{}"],
+    "readout --seed": ["readout", "--input", "s.json", "--strategy", "repeat", "--seed", "{}"],
+    "--monte-carlo": ["simulate", "--netlist", "net.json", "--input", "s.json",
+                      "--monte-carlo", "{}"],
+    "--mode": ["readout", "--input", "s.json", "--strategy", "sorter", "--mode", "{}"],
+    "--spec-n": ["compile", "--input", "u.json", "--spec-n", "{}"],
+    "--m": ["zeno-sweep", "--n-list", "1,3", "--m", "{}"],
+}
+
+
 def _seed_documents():
     U = haar_random_unitary(2, np.random.default_rng(5))
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        write_json(Path("u.json"), unitary_to_json(U))
-        runner.invoke(main, ["compile", "--input", "u.json", "--output", "net.json",
-                             "--spec-n", "3"], catch_exceptions=False)
-        netlist = json.loads(Path("net.json").read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        unitary, net = Path(tmp, "u.json"), Path(tmp, "net.json")
+        write_json(unitary, unitary_to_json(U))
+        invoke_cli(["compile", "--input", str(unitary), "--output", str(net),
+                    "--spec-n", "3"], catch_exceptions=False)
+        netlist = json.loads(net.read_text())
     state = from_amplitudes(0, [0.6, 0.8j], 1).to_json_dict()
     return unitary_to_json(U), netlist, state
 
@@ -590,10 +648,33 @@ def test_fuzzed_inputs_fail_cleanly(tmp_path, unitary, netlist, state):
     ):
         args = [str(tmp_path / arg) if arg.endswith("json") and arg != out else arg
                 for arg in args]
-        result = CliRunner().invoke(main, args)
+        result = invoke_cli(args)
         assert result.exit_code in (0, 2, 3), (args[0], result.exc_info)
         if result.exit_code:
             lines = result.stderr.splitlines()
             assert len(lines) == 1, result.stderr
             error = json.loads(lines[0])
             assert list(error) == ["error"] and sorted(error["error"]) == ["message", "type"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a second line on stderr
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(option=st.sampled_from(sorted(OPTION_COMMANDS)), value=option_values)
+@example(option="--seed", value="-1")
+@example(option="readout --seed", value="-1")
+@example(option="--monte-carlo", value="99999999999999999999")
+def test_fuzzed_option_values_fail_cleanly(tmp_path, option, value):
+    """Any value of a numeric option: exit 0, 2 or 3, never a traceback, and
+    on failure exactly one JSON error object on stderr."""
+    for name, doc in (("u.json", UNITARY), ("net.json", NETLIST), ("s.json", STATE)):
+        write_json(tmp_path / name, doc)
+    args = [str(tmp_path / arg) if arg.endswith(".json") else value if arg == "{}" else arg
+            for arg in OPTION_COMMANDS[option]]
+    result = invoke_cli([*args, "--output", str(tmp_path / "out.json")])
+    assert result.exit_code in (0, 2, 3), (args, result.exc_info)
+    if result.exit_code:
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        error = json.loads(lines[0])
+        assert list(error) == ["error"] and sorted(error["error"]) == ["message", "type"]

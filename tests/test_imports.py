@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oamcomp
@@ -48,21 +49,50 @@ def imported_modules(*args):
     return proc.returncode, names
 
 
+def simulate_args(tmp_path, *extra):
+    """``simulate`` on a one-gate, finite-stage netlist written to tmp_path."""
+    (tmp_path / "s.json").write_text(json.dumps(basis_state(0, 1, 1).to_json_dict()))
+    (tmp_path / "net.json").write_text(json.dumps({
+        "n": 1, "modes": 2,
+        "elements": [{"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": 3}],
+    }))
+    return ["simulate", "--netlist", str(tmp_path / "net.json"),
+            "--input", str(tmp_path / "s.json"), "--output", str(tmp_path / "out.json"),
+            *extra]
+
+
 @pytest.mark.parametrize("simulate", [False, True], ids=["help", "simulate"])
 def test_light_commands_import_no_numpy(tmp_path, simulate):
-    args = ["--help"]
-    if simulate:
-        (tmp_path / "s.json").write_text(json.dumps(basis_state(0, 1, 1).to_json_dict()))
-        (tmp_path / "net.json").write_text(json.dumps({
-            "n": 1, "modes": 2,
-            "elements": [{"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": 3}],
-        }))
-        args = ["simulate", "--netlist", str(tmp_path / "net.json"),
-                "--input", str(tmp_path / "s.json"), "--output", str(tmp_path / "out.json")]
+    args = simulate_args(tmp_path) if simulate else ["--help"]
     code, names = imported_modules(*args)
     assert code == 0
-    assert "oamcomp.elements" in names  # the log was read
+    assert "oamcomp" in names  # the log was read
     assert not HEAVY & names
+
+
+def test_help_imports_no_simulator():
+    code, names = imported_modules("--help")
+    assert code == 0
+    assert "oamcomp.errors" in names  # the log was read
+    assert not {"oamcomp.elements", "oamcomp.state"} & names
+
+
+@pytest.mark.parametrize("command", ["help", "simulate", "monte-carlo", "compile", "verify"])
+def test_no_command_imports_click(tmp_path, command):
+    unitary, netlist = tmp_path / "u.json", tmp_path / "id.json"
+    unitary.write_text(json.dumps(compiler.unitary_to_json(np.eye(2, dtype=complex))))
+    netlist.write_text(json.dumps({"n": 1, "modes": 3, "elements": []}))
+    args = {
+        "help": ["--help"],
+        "simulate": simulate_args(tmp_path),
+        "monte-carlo": simulate_args(tmp_path, "--monte-carlo", "3"),
+        "compile": ["compile", "--input", str(unitary), "--output", str(tmp_path / "c.json")],
+        "verify": ["verify", "--netlist", str(netlist), "--input", str(unitary)],
+    }[command]
+    code, names = imported_modules(*args)
+    assert code == 0
+    assert "oamcomp" in names  # the log was read
+    assert not {name for name in names if name.partition(".")[0] == "click"}
 
 
 @pytest.mark.parametrize("module", list(EXPORTS), ids=lambda m: m.__name__)
