@@ -19,9 +19,7 @@ _EXPORTS = {
     ),
     "extraction": (
         "ExtractionSpec", "component_survival", "extraction_survival",
-        "ideal_extract", "ideal_reintegrate", "lower_extract_to_netlist",
-        "lower_reintegrate_to_netlist", "survival_lower_bound", "zeno_extract",
-        "zeno_reintegrate",
+        "survival_lower_bound",
     ),
     "compiler": (
         "CompileReport", "TwoLevelFactor", "U2Params", "compile_unitary",

@@ -274,8 +274,7 @@ def _move(amps: Amplitudes, source: ModeOAM, target: ModeOAM) -> dict:
     return out
 
 
-def _zeno_chain(amps: Amplitudes, spec: ExtractionSpec, theta: float,
-                filter_first: bool) -> dict:
+def _zeno_chain(amps: Amplitudes, spec: ExtractionSpec, theta: float) -> dict:
     """Exact output of the ``N``-stage chain with beamsplitter angle ``theta``.
 
     The chain is hologram ``-m`` on ``src``, ``N`` times a beamsplitter on
@@ -284,9 +283,7 @@ def _zeno_chain(amps: Amplitudes, spec: ExtractionSpec, theta: float,
     At ``j = 0`` the filter passes everything, so the stages compose to the
     rotation by ``N theta``.  At ``j != 0`` the first filter absorbs the
     ``dst`` part and each later stage scales the ``src`` part by
-    ``cos theta``.  With ``filter_first`` each filter precedes its
-    beamsplitter, ``R (P R)^{N-1} P``: ``a`` is absorbed at once and the last
-    rotation leaves ``b sin theta cos^{N-1} theta`` in ``dst``.
+    ``cos theta``.
     """
     src, dst, m, stages = spec.src, spec.dst, spec.m, spec.stages
     c, s = math.cos(theta), math.sin(theta)
@@ -297,34 +294,22 @@ def _zeno_chain(amps: Amplitudes, spec: ExtractionSpec, theta: float,
         a, b = amps.get((dst, j), 0), amps.get((src, j + m), 0)
         if j == 0:
             out[(dst, j)], out[(src, j + m)] = a * c_n + b * s_n, -a * s_n + b * c_n
-        elif filter_first:
-            out[(dst, j)], out[(src, j + m)] = b * s * decay, b * c * decay
         else:
             out[(src, j + m)] = (-a * s + b * c) * decay
     return out
 
 
-def _extract(amps: Amplitudes, spec: ExtractionSpec, ideal: bool) -> dict:
-    """Move ``(src, m)`` to ``(dst, 0)``: ideally, or through the finite chain."""
-    _check_vacant(amps, (spec.dst, 0), "destination")
-    if ideal:
-        return _move(amps, (spec.src, spec.m), (spec.dst, 0))
-    return _zeno_chain(amps, spec, spec.theta, filter_first=False)
-
-
-def _reintegrate(amps: Amplitudes, spec: ExtractionSpec, ideal: bool,
-                 filter_first: bool = False) -> dict:
-    """Inverse of :func:`_extract`: ``(dst, 0)`` back to ``(src, m)``."""
-    _check_vacant(amps, (spec.src, spec.m), "reintegration target")
-    if ideal:
-        return _move(amps, (spec.dst, 0), (spec.src, spec.m))
-    return _zeno_chain(amps, spec, -spec.theta, filter_first)
-
-
 def _macro(amps: Amplitudes, gate: ExtractGate | ReintegrateGate) -> dict:
-    """The ideal move, or at a finite stage count the exact Zeno chain."""
-    move = _extract if isinstance(gate, ExtractGate) else _reintegrate
-    return move(amps, gate, gate.stages == IDEAL)
+    """Extract moves ``(src, m)`` to ``(dst, 0)`` and reintegrate moves it
+    back: ideally, or at a finite stage count through the exact Zeno chain,
+    at angle ``+pi/2N`` to extract and ``-pi/2N`` to reintegrate."""
+    source, target, sign, role = (gate.src, gate.m), (gate.dst, 0), 1, "destination"
+    if isinstance(gate, ReintegrateGate):
+        source, target, sign, role = target, source, -1, "reintegration target"
+    _check_vacant(amps, target, role)
+    if gate.stages == IDEAL:
+        return _move(amps, source, target)
+    return _zeno_chain(amps, gate, sign * gate.theta)
 
 
 _SEMANTICS = {
@@ -364,12 +349,10 @@ def propagate(amps: Amplitudes, elements, norm_guard=checked_norm2) -> dict:
 # The same semantics on one validated state: state in, new state out.
 
 
-def _on_state(state: PhotonState, semantics, *args) -> PhotonState:
-    return PhotonState(n=state.n, amplitudes=semantics(state.amplitudes, *args))
-
-
 def apply_element(state: PhotonState, el: Element) -> PhotonState:
-    return _on_state(state, step, el)
+    """The state after element ``el``; a macro gate is applied as its class
+    and ``stages`` say."""
+    return PhotonState(n=state.n, amplitudes=step(state.amplitudes, el))
 
 
 def apply_phase_shifter(state: PhotonState, mode: int, phi: float) -> PhotonState:
@@ -401,29 +384,7 @@ def apply_mirror(state: PhotonState, mode: int) -> PhotonState:
 
 def apply_macro(state: PhotonState, gate: ExtractGate | ReintegrateGate) -> PhotonState:
     """The ideal move, or at a finite stage count the exact Zeno chain."""
-    return _on_state(state, _macro, gate)
-
-
-def ideal_extract(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
-    """Move the amplitude at ``(src, m)`` to ``(dst, 0)``; all else untouched."""
-    return _on_state(state, _extract, spec, True)
-
-
-def ideal_reintegrate(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
-    """Inverse of :func:`ideal_extract`: ``(dst, 0)`` back to ``(src, m)``."""
-    return _on_state(state, _reintegrate, spec, True)
-
-
-def zeno_extract(state: PhotonState, spec: ExtractionSpec) -> PhotonState:
-    """The finite-``N`` chain; ``l != m`` components are attenuated."""
-    return _on_state(state, _extract, spec, False)
-
-
-def zeno_reintegrate(
-    state: PhotonState, spec: ExtractionSpec, filter_first: bool = False
-) -> PhotonState:
-    """The inverse chain, at angle ``-pi/2N``; see ``lower_reintegrate_to_netlist``."""
-    return _on_state(state, _reintegrate, spec, False, filter_first)
+    return apply_element(state, gate)
 
 
 def check_state_fits(state: PhotonState, netlist: Netlist) -> None:

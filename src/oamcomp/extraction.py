@@ -8,10 +8,11 @@ beamsplitter is a rotation, so the chain composes to a quarter turn), while
 every other component is repeatedly clipped by the filters and survives with
 probability ``cos(pi / (2 N)) ** (2 N)``, which tends to 1 as ``N`` grows.
 
-The gate's semantics, ideal and in the chain's exact closed form, live with
-the other elements' in :mod:`oamcomp.elements` and are re-exported here.  The
-chain of primitives built below is the physical elaboration of the gate and
-the oracle that tests hold the closed form to.
+The gate is the netlist element ``ExtractGate`` or ``ReintegrateGate`` of
+:mod:`oamcomp.elements`, whose semantics, ideal and in the chain's exact
+closed form, live with the other elements'.  The chain of primitives that
+:func:`expand_netlist` builds is the physical elaboration of the gate and the
+oracle that tests hold the closed form to.
 """
 
 from __future__ import annotations
@@ -24,46 +25,23 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .elements import (  # noqa: F401  (the gate semantics are re-exported)
+from .elements import (  # noqa: F401  (oambench/layers.py reads apply_macro here)
     IDEAL, BeamSplitter, Element, ExtractGate, ExtractionSpec, Filter, Hologram, Netlist,
-    ReintegrateGate, Stages, apply_element, apply_macro, check_state_fits, ideal_extract,
-    ideal_reintegrate, is_lossy, iter_steps, zeno_extract, zeno_reintegrate,
+    ReintegrateGate, Stages, apply_macro, check_state_fits, is_lossy, iter_steps,
 )
 from .state import PhotonState, normalized, survival_probability
 
 
-def _chain_elements(spec: ExtractionSpec, sign: int, filter_first: bool) -> list[Element]:
-    """The chain at angle ``sign * pi/2N``: +1 extracts, -1 reintegrates."""
-    if spec.stages == IDEAL:
-        raise ValidationError("the ideal gate has no finite Zeno chain")
+def _chain_elements(gate: ExtractGate | ReintegrateGate) -> list[Element]:
+    """The gate's finite chain, at angle ``pi/2N`` to extract and ``-pi/2N``
+    to reintegrate."""
+    theta = gate.theta if isinstance(gate, ExtractGate) else -gate.theta
     # Beamsplitter argument order (dst first) fixes the sign so that the
     # extracted amplitude arrives at (dst, 0) with factor +1.
-    stage = [BeamSplitter(mode_a=spec.dst, mode_b=spec.src, theta=sign * spec.theta),
-             Filter(mode=spec.dst, m=0)]
-    if filter_first:
-        stage.reverse()
-    return [Hologram(mode=spec.src, k=-spec.m), *stage * spec.stages,
-            Hologram(mode=spec.src, k=spec.m)]
-
-
-def lower_extract_to_netlist(spec: ExtractionSpec, width: int = 1) -> Netlist:
-    """Zeno-chain elaboration of the gate into the five primitives."""
-    elements = _chain_elements(spec, 1, filter_first=False)
-    return Netlist(n=width, mode_count=max(spec.src, spec.dst) + 1, elements=elements)
-
-
-def lower_reintegrate_to_netlist(
-    spec: ExtractionSpec, width: int = 1, filter_first: bool = False
-) -> Netlist:
-    """Inverse chain, at angle ``-pi/2N``.
-
-    ``filter_first=True`` gives the strict element-wise reversal of the
-    extract chain; the default places each filter after its beamsplitter so
-    the final leaked amplitudes are absorbed and the aux mode ends empty.
-    Both orderings act identically on the extracted component.
-    """
-    elements = _chain_elements(spec, -1, filter_first)
-    return Netlist(n=width, mode_count=max(spec.src, spec.dst) + 1, elements=elements)
+    stage = [BeamSplitter(mode_a=gate.dst, mode_b=gate.src, theta=theta),
+             Filter(mode=gate.dst, m=0)]
+    return [Hologram(mode=gate.src, k=-gate.m), *stage * gate.stages,
+            Hologram(mode=gate.src, k=gate.m)]
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +78,7 @@ def expand_netlist(netlist: Netlist) -> Netlist:
     elements: list[Element] = []
     for el in netlist.elements:
         if is_lossy(el) and not isinstance(el, Filter):
-            sign = 1 if isinstance(el, ExtractGate) else -1
-            elements.extend(_chain_elements(el, sign, filter_first=False))
+            elements.extend(_chain_elements(el))
         else:
             elements.append(el)
     return replace(netlist, elements=tuple(elements))

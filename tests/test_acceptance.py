@@ -15,17 +15,15 @@ from oamcomp.compiler import (
     decompose_two_level,
     unitary_to_json,
 )
-from oamcomp.elements import Netlist, apply_beamsplitter, run_netlist
-from oamcomp.extraction import (
-    ExtractionSpec,
-    component_survival,
-    expand_netlist,
-    ideal_extract,
-    ideal_reintegrate,
-    survival_lower_bound,
-    zeno_extract,
-    zeno_reintegrate,
+from oamcomp.elements import (
+    ExtractGate,
+    Netlist,
+    ReintegrateGate,
+    apply_beamsplitter,
+    apply_element,
+    run_netlist,
 )
+from oamcomp.extraction import component_survival, expand_netlist, survival_lower_bound
 from oamcomp.readout import demux, measure_bit, repeated_run_readout, sorter_cost
 from oamcomp.state import (
     basis_state,
@@ -51,8 +49,8 @@ def test_criterion_1_zeno_survival_law():
     worst = 0.0
     bound_ok = True
     for stages in (1, 3, 10, 100, 1000):
-        spec = ExtractionSpec(m=0, src=0, dst=1, stages=stages)
-        simulated = survival_probability(zeno_extract(basis_state(0, 1, 1), spec))
+        gate = ExtractGate(m=0, src=0, dst=1, stages=stages)
+        simulated = survival_probability(apply_element(basis_state(0, 1, 1), gate))
         worst = max(worst, abs(simulated - component_survival(stages)))
         if stages >= 10 and simulated < survival_lower_bound(stages):
             bound_ok = False
@@ -74,13 +72,13 @@ def test_criterion_2_rotation_composition():
 
 def test_criterion_3_extraction_semantics():
     rng = np.random.default_rng(2024)
-    ideal_spec = ExtractionSpec(m=2, src=0, dst=1)
-    zeno_spec = ExtractionSpec(m=2, src=0, dst=1, stages=1000)
+    ideal_gate = ExtractGate(m=2, src=0, dst=1)
+    zeno_gate = ExtractGate(m=2, src=0, dst=1, stages=1000)
     worst_ideal = 0.0
     worst_zeno = 0.0
     for _ in range(100):
         psi = random_state(rng, 2)
-        ideal_out = ideal_extract(psi, ideal_spec)
+        ideal_out = apply_element(psi, ideal_gate)
         # E_m semantics, assembled by definition.
         expected = {
             (0, l): psi.amplitude(0, l) for l in range(4) if l != 2
@@ -90,7 +88,7 @@ def test_criterion_3_extraction_semantics():
             worst_ideal,
             max(abs(ideal_out.amplitude(*k) - v) for k, v in expected.items()),
         )
-        zeno_out = normalized(zeno_extract(psi, zeno_spec))
+        zeno_out = normalized(apply_element(psi, zeno_gate))
         worst_zeno = max(worst_zeno, vector_distance(zeno_out, normalized(ideal_out)))
     report(3, worst_ideal <= 1e-12 and worst_zeno < 5e-3,
            f"ideal err {worst_ideal:.2e}, zeno N=1000 err {worst_zeno:.2e}")
@@ -98,17 +96,16 @@ def test_criterion_3_extraction_semantics():
 
 def test_criterion_4_reversibility():
     rng = np.random.default_rng(77)
-    ideal_spec = ExtractionSpec(m=1, src=0, dst=1)
-    zeno_spec = ExtractionSpec(m=1, src=0, dst=1, stages=1000)
+    ideal = (ExtractGate(m=1, src=0, dst=1), ReintegrateGate(m=1, src=0, dst=1))
+    zeno = (ExtractGate(m=1, src=0, dst=1, stages=1000),
+            ReintegrateGate(m=1, src=0, dst=1, stages=1000))
     worst_ideal = 0.0
     worst_zeno = 0.0
     for _ in range(20):
         psi = random_state(rng, 2)
-        round_ideal = ideal_reintegrate(ideal_extract(psi, ideal_spec), ideal_spec)
+        round_ideal = apply_element(apply_element(psi, ideal[0]), ideal[1])
         worst_ideal = max(worst_ideal, vector_distance(round_ideal, psi))
-        round_zeno = normalized(
-            zeno_reintegrate(zeno_extract(psi, zeno_spec), zeno_spec)
-        )
+        round_zeno = normalized(apply_element(apply_element(psi, zeno[0]), zeno[1]))
         worst_zeno = max(worst_zeno, vector_distance(round_zeno, psi))
     report(4, worst_ideal <= 1e-12 and worst_zeno <= 1e-2,
            f"ideal {worst_ideal:.2e}, zeno N=1000 {worst_zeno:.2e}")

@@ -59,13 +59,16 @@ class TestCompile:
         assert len(extracts) == 2
 
     def test_rejects_bad_dimension(self, tmp_path):
-        rows = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(7)] for i in range(7)]
-        write_json(tmp_path / "u.json", {"d": 7, "rows": rows})
-        result = invoke_cli([
-            "compile", "--input", str(tmp_path / "u.json"),
-            "--output", str(tmp_path / "net.json"),
-        ])
-        assert result.exit_code == 2
+        for d in (3, 7):
+            write_json(tmp_path / "u.json", unitary_to_json(np.eye(d, dtype=complex)))
+            result = invoke_cli([
+                "compile", "--input", str(tmp_path / "u.json"),
+                "--output", str(tmp_path / "net.json"),
+            ])
+            assert result.exit_code == 2
+            error = json.loads(result.stderr)["error"]
+            assert error["type"] == "validation"
+            assert "power of two" in error["message"]
 
     def test_missing_file_is_io_error(self, tmp_path):
         result = invoke_cli([
@@ -291,8 +294,9 @@ class TestRejectsBadInput:
     @pytest.mark.parametrize("extra, message", [
         (["--spec-n", "0"], "--spec-n"),
         (["--spec-n", "ten"], "--spec-n"),
+        (["--spec-n", "9007199254740993"], "--spec-n"),
         (["--bogus"], "--bogus"),
-    ], ids=["zero-stages", "word-stages", "unknown-option"])
+    ], ids=["zero-stages", "word-stages", "too-many-stages", "unknown-option"])
     def test_bad_compile_option(self, tmp_path, extra, message):
         write_json(tmp_path / "u.json", unitary_to_json(np.eye(2, dtype=complex)))
         result = invoke_cli([
@@ -424,8 +428,12 @@ class TestZenoSweep:
             assert float(row[1]) == pytest.approx(float(row[2]), abs=1e-12)
 
     def test_rejects_bad_stage(self):
-        result = invoke_cli(["zeno-sweep", "--n-list", "0"])
-        assert result.exit_code == 2
+        for n_list in ("0", "1,abc", "9007199254740993"):
+            result = invoke_cli(["zeno-sweep", "--n-list", n_list])
+            assert result.exit_code == 2
+            error = json.loads(result.stderr)["error"]
+            assert error["type"] == "usage"
+            assert "--n-list" in error["message"]
 
 
 class TestReadout:
@@ -612,6 +620,7 @@ OPTION_COMMANDS = {
     "--mode": ["readout", "--input", "s.json", "--strategy", "sorter", "--mode", "{}"],
     "--spec-n": ["compile", "--input", "u.json", "--spec-n", "{}"],
     "--m": ["zeno-sweep", "--n-list", "1,3", "--m", "{}"],
+    "--n-list": ["zeno-sweep", "--n-list", "{}"],
 }
 
 

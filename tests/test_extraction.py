@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,16 +22,10 @@ from oamcomp.extraction import (
     component_survival,
     expand_netlist,
     extraction_survival,
-    ideal_extract,
-    ideal_reintegrate,
-    lower_extract_to_netlist,
-    lower_reintegrate_to_netlist,
     loss_profile,
     monte_carlo_run,
     monte_carlo_survival,
     survival_lower_bound,
-    zeno_extract,
-    zeno_reintegrate,
 )
 from oamcomp.state import (
     RESIDUE_TOL,
@@ -47,26 +40,31 @@ from oamcomp.state import (
 from conftest import random_state
 
 
+def chain(gate, n=1, mode_count=2):
+    """The gate's primitive chain: ``expand_netlist`` of a one-gate netlist."""
+    return expand_netlist(Netlist(n=n, mode_count=mode_count, elements=(gate,)))
+
+
 class TestIdealExtract:
     def test_moves_target_component(self):
-        out = ideal_extract(basis_state(0, 3, 2), ExtractionSpec(m=3, src=0, dst=1))
+        out = apply_element(basis_state(0, 3, 2), ExtractGate(m=3, src=0, dst=1))
         assert dict(out.amplitudes) == {(1, 0): 1 + 0j}
 
     def test_other_components_untouched(self):
         s = basis_state(0, 1, 2)
-        out = ideal_extract(s, ExtractionSpec(m=3, src=0, dst=1))
+        out = apply_element(s, ExtractGate(m=3, src=0, dst=1))
         assert states_close(out, s, tol=0)
 
     def test_splits_superposition(self):
         s = from_amplitudes(0, [0.6, 0.8j], 1)
-        out = ideal_extract(s, ExtractionSpec(m=1, src=0, dst=1))
+        out = apply_element(s, ExtractGate(m=1, src=0, dst=1))
         assert out.amplitude(0, 0) == 0.6
         assert out.amplitude(1, 0) == 0.8j
 
     def test_rejects_occupied_destination(self):
         s = PhotonState(n=1, amplitudes={(0, 0): 0.5, (1, 0): 0.5})
-        with pytest.raises(ValidationError):
-            ideal_extract(s, ExtractionSpec(m=0, src=0, dst=1))
+        with pytest.raises(ValidationError, match="destination"):
+            apply_element(s, ExtractGate(m=0, src=0, dst=1))
 
     def test_rejects_src_equal_dst(self):
         with pytest.raises(ValidationError):
@@ -75,31 +73,29 @@ class TestIdealExtract:
 
 class TestIdealReintegrate:
     def test_roundtrip_is_identity(self, rng):
-        spec = ExtractionSpec(m=2, src=0, dst=1)
         s = random_state(rng, 2)
-        back = ideal_reintegrate(ideal_extract(s, spec), spec)
+        extracted = apply_element(s, ExtractGate(m=2, src=0, dst=1))
+        back = apply_element(extracted, ReintegrateGate(m=2, src=0, dst=1))
         assert states_close(back, s, tol=1e-12)
 
     def test_single_term_inverse(self):
-        out = ideal_reintegrate(
-            basis_state(1, 0, 3), ExtractionSpec(m=5, src=0, dst=1)
-        )
+        out = apply_element(basis_state(1, 0, 3), ReintegrateGate(m=5, src=0, dst=1))
         assert dict(out.amplitudes) == {(0, 5): 1 + 0j}
 
     def test_empty_destination_noop(self):
         s = basis_state(0, 1, 2)
-        out = ideal_reintegrate(s, ExtractionSpec(m=3, src=0, dst=1))
+        out = apply_element(s, ReintegrateGate(m=3, src=0, dst=1))
         assert states_close(out, s, tol=0)
 
     def test_rejects_occupied_target(self):
         s = PhotonState(n=1, amplitudes={(0, 1): 0.5, (1, 0): 0.5})
-        with pytest.raises(ValidationError):
-            ideal_reintegrate(s, ExtractionSpec(m=1, src=0, dst=1))
+        with pytest.raises(ValidationError, match="reintegration target"):
+            apply_element(s, ReintegrateGate(m=1, src=0, dst=1))
 
 
 class TestLowering:
     def test_single_stage_shape(self):
-        net = lower_extract_to_netlist(ExtractionSpec(m=0, src=0, dst=1, stages=1))
+        net = chain(ExtractGate(m=0, src=0, dst=1, stages=1))
         assert [type(el) for el in net.elements] == [
             Hologram, BeamSplitter, Filter, Hologram
         ]
@@ -108,7 +104,7 @@ class TestLowering:
         assert out.amplitude(1, 0) == pytest.approx(1, abs=1e-12)
 
     def test_stage_count_and_angle(self):
-        net = lower_extract_to_netlist(ExtractionSpec(m=2, src=0, dst=1, stages=3))
+        net = chain(ExtractGate(m=2, src=0, dst=1, stages=3))
         splitters = [el for el in net.elements if isinstance(el, BeamSplitter)]
         filters = [el for el in net.elements if isinstance(el, Filter)]
         assert len(splitters) == 3 and len(filters) == 3
@@ -116,46 +112,38 @@ class TestLowering:
             assert bs.theta == pytest.approx(math.pi / 6)
 
     def test_simulated_survival_n100(self):
-        net = lower_extract_to_netlist(
-            ExtractionSpec(m=0, src=0, dst=1, stages=100), width=1
-        )
+        net = chain(ExtractGate(m=0, src=0, dst=1, stages=100))
         out = run_netlist(basis_state(0, 1, 1), net)
         # cos^200(pi/200), evaluated directly
         assert survival_probability(out) == pytest.approx(
             0.9756269141438981, abs=1e-12
         )
 
-    def test_cannot_lower_ideal(self):
-        with pytest.raises(ValidationError):
-            lower_extract_to_netlist(ExtractionSpec(m=0, src=0, dst=1))
-
 
 class TestZenoExtract:
     def test_target_component_lossless(self):
         for stages in (1, 4, 57):
-            spec = ExtractionSpec(m=3, src=0, dst=1, stages=stages)
-            out = zeno_extract(basis_state(0, 3, 2), spec)
+            gate = ExtractGate(m=3, src=0, dst=1, stages=stages)
+            out = apply_element(basis_state(0, 3, 2), gate)
             assert out.amplitude(1, 0) == pytest.approx(1, abs=1e-12)
             assert survival_probability(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_bystander_survival_n3(self):
-        spec = ExtractionSpec(m=0, src=0, dst=1, stages=3)
-        out = zeno_extract(basis_state(0, 1, 1), spec)
+        out = apply_element(basis_state(0, 1, 1), ExtractGate(m=0, src=0, dst=1, stages=3))
         assert survival_probability(out) == pytest.approx(27 / 64, abs=1e-12)
 
     def test_matches_lowered_netlist(self, rng):
-        spec = ExtractionSpec(m=1, src=0, dst=1, stages=17)
+        gate = ExtractGate(m=1, src=0, dst=1, stages=17)
         s = random_state(rng, 2)
-        via_gate = zeno_extract(s, spec)
-        via_netlist = run_netlist(s, lower_extract_to_netlist(spec, width=2))
+        via_gate = apply_element(s, gate)
+        via_netlist = run_netlist(s, chain(gate, n=2))
         assert states_close(via_gate, via_netlist, tol=1e-12)
 
     def test_converges_to_ideal(self, rng):
         s = random_state(rng, 2)
-        ideal = ideal_extract(s, ExtractionSpec(m=2, src=0, dst=1))
+        ideal = apply_element(s, ExtractGate(m=2, src=0, dst=1))
         for stages in (10, 100, 1000):
-            spec = ExtractionSpec(m=2, src=0, dst=1, stages=stages)
-            out = normalized(zeno_extract(s, spec))
+            out = normalized(apply_element(s, ExtractGate(m=2, src=0, dst=1, stages=stages)))
             deviation = math.sqrt(
                 sum(
                     abs(out.amplitude(*k) - ideal.amplitude(*k)) ** 2
@@ -167,13 +155,11 @@ class TestZenoExtract:
     def test_convergence_rate_is_one_over_n(self, rng):
         # Log-log slope of the renormalized deviation should be ~ -1.
         s = random_state(rng, 2)
-        ideal = ideal_extract(s, ExtractionSpec(m=1, src=0, dst=1))
+        ideal = apply_element(s, ExtractGate(m=1, src=0, dst=1))
         stages_list = [10, 30, 100, 300, 1000]
         devs = []
         for stages in stages_list:
-            out = normalized(
-                zeno_extract(s, ExtractionSpec(m=1, src=0, dst=1, stages=stages))
-            )
+            out = normalized(apply_element(s, ExtractGate(m=1, src=0, dst=1, stages=stages)))
             devs.append(
                 math.sqrt(
                     sum(
@@ -206,10 +192,10 @@ class TestSurvivalFormula:
 
     def test_matches_simulation(self, rng):
         for stages in (1, 2, 7, 40):
-            spec = ExtractionSpec(m=1, src=0, dst=1, stages=stages)
+            gate = ExtractGate(m=1, src=0, dst=1, stages=stages)
             s = random_state(rng, 2)
-            simulated = survival_probability(zeno_extract(s, spec))
-            analytic = extraction_survival(spec, s.coefficients(0))
+            simulated = survival_probability(apply_element(s, gate))
+            analytic = extraction_survival(gate, s.coefficients(0))
             assert simulated == pytest.approx(analytic, abs=1e-12)
 
     def test_monotone_in_stages(self):
@@ -219,9 +205,10 @@ class TestSurvivalFormula:
 
 class TestZenoReintegrate:
     def test_roundtrip_renormalized(self, rng):
-        spec = ExtractionSpec(m=2, src=0, dst=1, stages=1000)
+        spec = dict(m=2, src=0, dst=1, stages=1000)
         s = random_state(rng, 2)
-        back = normalized(zeno_reintegrate(zeno_extract(s, spec), spec))
+        extracted = apply_element(s, ExtractGate(**spec))
+        back = normalized(apply_element(extracted, ReintegrateGate(**spec)))
         deviation = math.sqrt(
             sum(
                 abs(back.amplitude(*k) - s.amplitude(*k)) ** 2
@@ -231,21 +218,15 @@ class TestZenoReintegrate:
         assert deviation < 1e-2
 
     def test_target_component_exact(self):
-        spec = ExtractionSpec(m=3, src=0, dst=1, stages=25)
-        out = zeno_reintegrate(zeno_extract(basis_state(0, 3, 2), spec), spec)
+        spec = dict(m=3, src=0, dst=1, stages=25)
+        extracted = apply_element(basis_state(0, 3, 2), ExtractGate(**spec))
+        out = apply_element(extracted, ReintegrateGate(**spec))
         assert out.amplitude(0, 3) == pytest.approx(1, abs=1e-12)
 
-    def test_filter_first_ordering_same_on_extracted(self):
-        spec = ExtractionSpec(m=1, src=0, dst=1, stages=9)
-        extracted = basis_state(1, 0, 1)
-        clean = zeno_reintegrate(extracted, spec, filter_first=False)
-        reversed_order = zeno_reintegrate(extracted, spec, filter_first=True)
-        assert states_close(clean, reversed_order, tol=1e-12)
-
     def test_clean_ordering_leaves_aux_empty(self, rng):
-        spec = ExtractionSpec(m=0, src=0, dst=1, stages=20)
+        spec = dict(m=0, src=0, dst=1, stages=20)
         s = random_state(rng, 2)
-        back = zeno_reintegrate(zeno_extract(s, spec), spec)
+        back = apply_element(apply_element(s, ExtractGate(**spec)), ReintegrateGate(**spec))
         junk = [
             (key, amp) for key, amp in back.amplitudes.items()
             if key[0] == 1 and abs(amp) > 1e-12
@@ -255,8 +236,6 @@ class TestZenoReintegrate:
 
 class TestMonteCarlo:
     def test_expand_replaces_macros(self):
-        from oamcomp.elements import ExtractGate
-
         net = Netlist(
             n=1, mode_count=2,
             elements=(ExtractGate(m=0, src=0, dst=1, stages=4),),
@@ -266,11 +245,7 @@ class TestMonteCarlo:
         assert len(expanded) == 2 + 2 * 4
 
     def test_success_rate_tracks_survival(self):
-        spec = ExtractionSpec(m=0, src=0, dst=1, stages=3)
-        net = Netlist(
-            n=1, mode_count=2,
-            elements=tuple(lower_extract_to_netlist(spec).elements),
-        )
+        net = chain(ExtractGate(m=0, src=0, dst=1, stages=3))
         s = basis_state(0, 1, 1)
         rng = np.random.default_rng(7)
         rate = monte_carlo_survival(loss_profile(s, net), runs=4000, rng=rng)
@@ -279,8 +254,7 @@ class TestMonteCarlo:
         assert abs(rate - 0.421875) < 4 * sigma
 
     def test_successful_run_state_is_normalized(self):
-        spec = ExtractionSpec(m=0, src=0, dst=1, stages=50)
-        net = lower_extract_to_netlist(spec, width=1)
+        net = chain(ExtractGate(m=0, src=0, dst=1, stages=50))
         result = monte_carlo_run(
             basis_state(0, 0, 1), net, np.random.default_rng(0)
         )
@@ -288,8 +262,7 @@ class TestMonteCarlo:
         assert survival_probability(result.state) == pytest.approx(1.0, abs=1e-9)
 
     def test_deterministic_given_seed(self):
-        spec = ExtractionSpec(m=0, src=0, dst=1, stages=2)
-        net = lower_extract_to_netlist(spec, width=1)
+        net = chain(ExtractGate(m=0, src=0, dst=1, stages=2))
         s = basis_state(0, 1, 1)
         runs_a = [
             monte_carlo_run(s, net, np.random.default_rng(3)).success
@@ -360,33 +333,25 @@ amplitude_maps = st.dictionaries(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["extract", "reintegrate", "reintegrate_filter_first"]),
+    gate_class=st.sampled_from([ExtractGate, ReintegrateGate]),
     stages=st.integers(1, 2000),
     m=st.integers(-3, 5),
     modes=st.permutations([0, 1, 2]),
     amps=amplitude_maps,
     residue=st.floats(0, RESIDUE_TOL),
 )
-def test_closed_form_gate_matches_primitive_chain(kind, stages, m, modes, amps, residue):
+def test_closed_form_gate_matches_primitive_chain(gate_class, stages, m, modes, amps, residue):
     src, dst = modes[0], modes[1]
-    spec = ExtractionSpec(m=m, src=src, dst=dst, stages=stages)
+    gate = gate_class(m=m, src=src, dst=dst, stages=stages)
     # Anything anywhere, aux modes included, except in the slot the gate
     # requires vacant, which holds at most occupancy-tolerance residue.
-    amps = {**amps, ((dst, 0) if kind == "extract" else (src, m)): residue}
+    amps = {**amps, ((dst, 0) if gate_class is ExtractGate else (src, m)): residue}
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
     if norm > 1:
         amps = {key: a / norm for key, a in amps.items()}
     state = PhotonState(n=2, amplitudes=amps)
-    if kind == "extract":
-        fused = zeno_extract(state, spec)
-        chain = lower_extract_to_netlist(spec)
-    else:
-        filter_first = kind == "reintegrate_filter_first"
-        fused = zeno_reintegrate(state, spec, filter_first=filter_first)
-        chain = lower_reintegrate_to_netlist(spec, filter_first=filter_first)
-    # The lowered chain, widened to take any test state.
-    chain = replace(chain, n=2, mode_count=3)
-    assert states_close(fused, run_netlist(state, chain), tol=1e-12)
+    fused = apply_element(state, gate)
+    assert states_close(fused, run_netlist(state, chain(gate, n=2, mode_count=3)), tol=1e-12)
 
 
 def test_loss_profile_matches_expanded_filters(rng):

@@ -27,9 +27,7 @@ EXPORTS = {
                "Netlist", "PhaseShifter", "ReintegrateGate", "check_reflection_parity",
                "run_netlist"],
     extraction: ["ExtractionSpec", "component_survival", "extraction_survival",
-                 "ideal_extract", "ideal_reintegrate", "lower_extract_to_netlist",
-                 "lower_reintegrate_to_netlist", "survival_lower_bound", "zeno_extract",
-                 "zeno_reintegrate"],
+                 "survival_lower_bound"],
     compiler: ["CompileReport", "TwoLevelFactor", "U2Params", "compile_unitary",
                "decompose_two_level", "embed_factor", "haar_random_unitary",
                "lower_two_level", "reconstruct_and_verify", "u2_to_optics"],
@@ -102,6 +100,17 @@ def test_exports_resolve_to_their_submodule(module):
     for name in EXPORTS[module]:
         assert getattr(oamcomp, name) is getattr(module, name), name
         assert star[name] is getattr(module, name), name
+
+
+@pytest.mark.parametrize("module", [oamcomp, elements, extraction],
+                         ids=lambda m: m.__name__)
+def test_macro_gate_has_no_other_entry_point(module):
+    """A macro gate is applied as its element, ``apply_element(state, gate)``,
+    and expanded by ``expand_netlist``; no function applies or lowers one
+    direction of it."""
+    for name in ("ideal_extract", "ideal_reintegrate", "zeno_extract", "zeno_reintegrate",
+                 "lower_extract_to_netlist", "lower_reintegrate_to_netlist", "_on_state"):
+        assert not hasattr(module, name), name
 
 
 def test_unknown_attribute_raises():
