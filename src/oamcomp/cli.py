@@ -120,11 +120,12 @@ def _runs(text: str) -> int:
 
 def cmd_compile(args) -> None:
     """Lower a unitary (JSON matrix) to an optical netlist plus report."""
+    from dataclasses import asdict
     from . import compiler
     U = compiler.unitary_from_json(_read_json(args.input))
     netlist, report = compiler.compile_unitary(U, args.spec_n)
     _write_json(args.output, netlist.to_json_dict())
-    _write_json(args.report, report.to_json_dict())
+    _write_json(args.report, asdict(report))
 
 
 def cmd_simulate(args) -> None:
@@ -193,6 +194,7 @@ def cmd_zeno_sweep(args) -> None:
 
 def cmd_readout(args) -> None:
     """Plan or sample a readout of the final OAM state."""
+    from dataclasses import asdict
     import numpy as np
     from . import readout as readout_mod
     from .state import PhotonState
@@ -202,24 +204,19 @@ def cmd_readout(args) -> None:
     rng = np.random.default_rng(args.seed)
     payload: dict = {"strategy": args.strategy, "n": state.n, "seed": args.seed}
     if args.strategy == "sorter":
-        cost, warn = readout_mod.sorter_cost(state.n)
-        payload["cost"] = cost.to_json_dict()
-        payload["exponential_warning"] = warn
+        cost, payload["exponential_warning"] = readout_mod.sorter_cost(state.n)
         payload["sampled_l"] = readout_mod.sample_full_measurement(state, args.mode, rng)
     elif args.strategy == "repeat":
-        bits, cost = readout_mod.repeated_run_readout(lambda: state, state.n, rng,
-                                                      mode=args.mode)
-        payload["cost"] = cost.to_json_dict()
-        payload["bits"] = bits
+        payload["bits"], cost = readout_mod.repeated_run_readout(state, rng, mode=args.mode)
     else:
         path_state, cost = readout_mod.demux(state, args.mode)
-        payload["cost"] = cost.to_json_dict()
         payload["amplitudes"] = {
             bits: [amp.real, amp.imag]
             for bits, amp in sorted(path_state.amplitudes.items())
         }
         if len(path_state.amplitudes) == 1:
             payload["bits"] = next(iter(path_state.amplitudes))
+    payload["cost"] = asdict(cost)
     _write_json(args.output, payload)
 
 

@@ -181,16 +181,14 @@ def embed_factor(factor: TwoLevelFactor, d: int) -> np.ndarray:
     return matrix
 
 
-def decompose_two_level(
-    U: np.ndarray, tol: float = UNITARITY_TOL
-) -> list[TwoLevelFactor]:
+def decompose_two_level(U: np.ndarray) -> list[TwoLevelFactor]:
     """Factor ``U`` into two-level unitaries, listed in application order.
 
     The product ``F_k @ ... @ F_1`` of the embedded factors reconstructs
     ``U``; the first list entry is applied first.  Residual diagonal phases
     come out as degenerate ``diag(exp(i phi), 1)`` factors.
     """
-    U = check_unitary(U, tol=tol)
+    U = check_unitary(U)
     d = U.shape[0]
     working = U.copy()
     eliminations: list[tuple[int, int, np.ndarray]] = []
@@ -276,14 +274,6 @@ class CompileReport:
     analytic_survival: float
     verification_residual: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "factor_count": self.factor_count,
-            "element_count": self.element_count,
-            "analytic_survival": self.analytic_survival,
-            "verification_residual": self.verification_residual,
-        }
-
 
 def _column_norms(amps) -> np.ndarray:
     """Squared norm of every column of a column map; the batched counterpart
@@ -343,8 +333,9 @@ def compile_unitary(
 ) -> tuple[Netlist, CompileReport]:
     """Full pipeline: decompose, lower each factor, verify, report.
 
-    ``analytic_survival`` in the report is 1.0 for IDEAL mode; for finite
-    stage counts it is the survival of the basis state ``|0>`` in mode 0.
+    ``analytic_survival`` in the report is the exact survival probability of
+    the basis state ``|0>`` in mode 0, simulated through the netlist (1.0 in
+    IDEAL mode, which absorbs nothing); it is not an estimate.
     """
     U = check_unitary(U)
     d = U.shape[0]

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping, Union
 
 from .errors import ValidationError
 from .state import (
-    RESIDUE_TOL, ModeOAM, PhotonState, _json_int, _json_real, checked_norm2,
+    MAX_QUBITS, RESIDUE_TOL, ModeOAM, PhotonState, _json_int, _json_real, checked_norm2,
 )
 
 if TYPE_CHECKING:
@@ -143,8 +143,8 @@ class Netlist:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
-        if self.n < 1:
-            raise ValidationError(f"qubit count must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_QUBITS:
+            raise ValidationError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
         if self.mode_count < 1:
             raise ValidationError("mode_count must be >= 1")
         for el in self.elements:
@@ -360,11 +360,6 @@ def apply_phase_shifter(state: PhotonState, mode: int, phi: float) -> PhotonStat
     return apply_element(state, PhaseShifter(mode=mode, phi=phi))
 
 
-def apply_hologram(state: PhotonState, mode: int, k: int) -> PhotonState:
-    """Shift every OAM index in ``mode`` by ``k`` (bijective relabeling)."""
-    return apply_element(state, Hologram(mode=mode, k=k))
-
-
 def apply_beamsplitter(
     state: PhotonState, mode_a: int, mode_b: int, theta: float
 ) -> PhotonState:
@@ -375,11 +370,6 @@ def apply_beamsplitter(
 def apply_filter(state: PhotonState, mode: int, m: int) -> PhotonState:
     """Project ``mode`` onto OAM ``m``; everything else in that mode is absorbed."""
     return apply_element(state, Filter(mode=mode, m=m))
-
-
-def apply_mirror(state: PhotonState, mode: int) -> PhotonState:
-    """Reflect OAM in ``mode``: amplitude at ``l`` moves to ``-l``."""
-    return apply_element(state, Mirror(mode=mode))
 
 
 def apply_macro(state: PhotonState, gate: ExtractGate | ReintegrateGate) -> PhotonState:

@@ -11,11 +11,9 @@ class LeakageError(ValidationError):
     Carries the offending ``(mode, l)`` pairs so callers can report them.
     """
 
-    def __init__(self, offenders, message=None):
+    def __init__(self, offenders):
         self.offenders = list(offenders)
-        if message is None:
-            message = f"amplitude outside computational range at {self.offenders}"
-        super().__init__(message)
+        super().__init__(f"amplitude outside computational range at {self.offenders}")
 
 
 class InternalError(RuntimeError):

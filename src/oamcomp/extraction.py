@@ -20,9 +20,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
-
-import numpy as np
+from itertools import pairwise
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ValidationError
 from .elements import (  # noqa: F401  (oambench/layers.py reads apply_macro here)
@@ -30,6 +29,9 @@ from .elements import (  # noqa: F401  (oambench/layers.py reads apply_macro her
     ReintegrateGate, Stages, apply_macro, check_state_fits, is_lossy, iter_steps,
 )
 from .state import PhotonState, normalized, survival_probability
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _chain_elements(gate: ExtractGate | ReintegrateGate) -> list[Element]:
@@ -118,7 +120,8 @@ class LossProfile:
         """Probability that each filter absorbs the photon, ``|psi_{k-1}|^2 -
         |psi_k|^2``, by the filter's index (one entry per filter of a chain)."""
         after = {r.first + 2 * j: r.survival(j) for r in self.runs for j in range(r.count)}
-        return dict(zip(after, -np.diff(list(after.values()), prepend=self.initial)))
+        return {k: prev - cur
+                for k, (prev, cur) in zip(after, pairwise([self.initial, *after.values()]))}
 
     def absorbed_at(self, u: float) -> int | None:
         """Index of the first filter after which the survival is at most ``u``

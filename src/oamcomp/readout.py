@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import LeakageError, ValidationError
 from .state import RESIDUE_TOL, PhotonState, checked_norm2
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Sorter arm count above which plans are flagged as exponentially large.
 DEFAULT_ARM_BUDGET = 512
@@ -28,14 +29,6 @@ class ReadoutCost:
     arms: int = 0
     runs: int = 0
     cnot_count: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "decision_points": self.decision_points,
-            "arms": self.arms,
-            "runs": self.runs,
-            "cnot_count": self.cnot_count,
-        }
 
 
 @dataclass(frozen=True)
@@ -54,14 +47,6 @@ class PathQubitState:
         object.__setattr__(self, "amplitudes", MappingProxyType(amps))
 
 
-def _mode_weights(state: PhotonState, mode: int) -> dict[int, float]:
-    weights = {}
-    for (m, l), amp in state.amplitudes.items():
-        if m == mode:
-            weights[l] = weights.get(l, 0.0) + abs(amp) ** 2
-    return weights
-
-
 def sample_full_measurement(
     state: PhotonState, mode: int, rng: np.random.Generator
 ) -> int:
@@ -77,11 +62,8 @@ def measure_bit(
     """Projectively measure one bit of the OAM index; collapse and renormalize."""
     if not 0 <= bit_k < state.n:
         raise ValidationError(f"bit index {bit_k} out of range for n={state.n}")
-    weights = _mode_weights(state, mode)
-    total = sum(weights.values())
-    if total <= 0.0:
-        raise ValidationError("state has no surviving amplitude in that mode")
-    p_one = sum(w for l, w in weights.items() if (l >> bit_k) & 1) / total
+    probs = born_distribution(state, mode)
+    p_one = sum(p for l, p in probs.items() if (l >> bit_k) & 1)
     bit = 1 if rng.random() < p_one else 0
     keep = {
         key: amp
@@ -96,27 +78,20 @@ def measure_bit(
 
 
 def repeated_run_readout(
-    state_factory: Callable[[], PhotonState],
-    n: int,
-    rng: np.random.Generator,
-    mode: int = 0,
-    msb_first: bool = False,
+    state: PhotonState, rng: np.random.Generator, mode: int = 0
 ) -> tuple[str, ReadoutCost]:
-    """Read one bit per fresh run; n runs assemble the full value.
+    """Read bit ``k`` of ``state`` in run ``k``, for ``k = 0 .. n-1``, each
+    run on a fresh copy of the state; the n runs assemble the full value.
 
     Exact only when the prepared output is (nearly) a single basis state; for
     genuine superpositions the per-run bits are independent samples and the
     assembled string need not describe any single basis state.  The returned
     string is MSB-first (``b_{n-1} ... b_0``).
     """
-    order = range(n - 1, -1, -1) if msb_first else range(n)
-    bits = {}
-    for k in order:
-        bit, _ = measure_bit(state_factory(), mode, k, rng)
-        bits[k] = bit
-    string = "".join(str(bits[k]) for k in range(n - 1, -1, -1))
+    bits = [measure_bit(state, mode, k, rng)[0] for k in range(state.n)]
+    string = "".join(map(str, reversed(bits)))
     # One binary decision point per run.
-    return string, ReadoutCost(decision_points=1, arms=2, runs=n, cnot_count=0)
+    return string, ReadoutCost(decision_points=1, arms=2, runs=state.n, cnot_count=0)
 
 
 def demux(state: PhotonState, mode: int) -> tuple[PathQubitState, ReadoutCost]:
@@ -142,18 +117,19 @@ def remux(path_state: PathQubitState, mode: int = 0) -> PhotonState:
     return PhotonState(n=path_state.n, amplitudes=amps)
 
 
-def sorter_cost(n: int, arm_budget: int = DEFAULT_ARM_BUDGET) -> tuple[ReadoutCost, bool]:
-    """Cost of a full branching sorter; second value flags exponential blowup."""
+def sorter_cost(n: int) -> tuple[ReadoutCost, bool]:
+    """Cost of a full branching sorter; second value flags more than
+    ``DEFAULT_ARM_BUDGET`` arms."""
     if n < 1:
         raise ValidationError("need at least one qubit")
     arms = 1 << n
     cost = ReadoutCost(decision_points=n, arms=arms, runs=1, cnot_count=0)
-    return cost, arms > arm_budget
+    return cost, arms > DEFAULT_ARM_BUDGET
 
 
 def born_distribution(state: PhotonState, mode: int) -> dict[int, float]:
-    """Post-selected outcome probabilities of a full measurement."""
-    weights = _mode_weights(state, mode)
+    """Post-selected outcome probabilities of a full measurement, by OAM index."""
+    weights = {l: abs(amp) ** 2 for (m, l), amp in state.amplitudes.items() if m == mode}
     total = sum(weights.values())
     if total <= 0.0:
         raise ValidationError("state has no surviving amplitude in that mode")

@@ -25,6 +25,11 @@ NORM_EPS = 1e-12
 #: written ``not (abs(x) <= RESIDUE_TOL)``, so a NaN counts as weight.
 RESIDUE_TOL = 1e-9
 
+#: Largest qubit count: every OAM index ``l < 2**n`` and the sorter's
+#: ``2**n`` arms are then integers a double holds exactly, as ``MAX_STAGES``
+#: bounds the stage count.
+MAX_QUBITS = 53
+
 ModeOAM = tuple[int, int]
 
 
@@ -66,8 +71,8 @@ class PhotonState:
     amplitudes: Mapping[ModeOAM, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"qubit count must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_QUBITS:
+            raise ValidationError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
         amps = {k: complex(v) for k, v in self.amplitudes.items() if v != 0}
         for mode, l in amps:
             if mode < 0:
@@ -141,16 +146,7 @@ def overlap(a: PhotonState, b: PhotonState) -> complex:
     """Inner product <a|b> over the shared sparse support."""
     if a.n != b.n:
         raise ValidationError(f"width mismatch: {a.n} vs {b.n}")
-    small, large = (a, b) if len(a.amplitudes) <= len(b.amplitudes) else (b, a)
-    total = 0j
-    for key, amp in small.amplitudes.items():
-        other = large.amplitudes.get(key)
-        if other is not None:
-            if small is a:
-                total += amp.conjugate() * other
-            else:
-                total += other.conjugate() * amp
-    return total
+    return sum((amp.conjugate() * b.amplitude(*key) for key, amp in a.amplitudes.items()), 0j)
 
 
 def states_close(a: PhotonState, b: PhotonState, tol: float = 1e-12) -> bool:

@@ -163,7 +163,7 @@ def test_criterion_7_readout_costs():
         ok &= dcost.cnot_count == 2 * n - 1
     for n in range(1, 11):
         for l in range(1 << n):
-            bits, _ = repeated_run_readout(lambda: basis_state(0, l, n), n, rng)
+            bits, _ = repeated_run_readout(basis_state(0, l, n), rng)
             ok &= bits == format(l, f"0{n}b")
     report(7, ok)
 

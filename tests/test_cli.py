@@ -41,7 +41,8 @@ class TestCompile:
         net = json.loads((tmp_path / "net.json").read_text())
         rep = json.loads((tmp_path / "rep.json").read_text())
         assert net["elements"] == []
-        assert rep["verification_residual"] == 0.0
+        assert rep == {"analytic_survival": 1.0, "element_count": 0, "factor_count": 0,
+                       "verification_residual": 0.0}
 
     def test_hadamard(self, tmp_path):
         H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -446,8 +447,10 @@ class TestReadout:
         ])
         assert result.exit_code == 0
         out = json.loads((tmp_path / "r.json").read_text())
-        assert out["bits"] == "110"
-        assert out["cost"]["runs"] == 3
+        assert out == {
+            "bits": "110", "n": 3, "seed": 0, "strategy": "repeat",
+            "cost": {"arms": 2, "cnot_count": 0, "decision_points": 1, "runs": 3},
+        }
 
     def test_demux_strategy(self, tmp_path):
         write_json(tmp_path / "s.json", basis_state(0, 5, 3).to_json_dict())
@@ -458,7 +461,7 @@ class TestReadout:
         ])
         out = json.loads((tmp_path / "r.json").read_text())
         assert out["bits"] == "101"
-        assert out["cost"]["cnot_count"] == 5
+        assert out["cost"] == {"arms": 0, "cnot_count": 5, "decision_points": 0, "runs": 1}
 
     def test_sorter_plan_warns(self, tmp_path):
         write_json(tmp_path / "s.json", basis_state(0, 0, 10).to_json_dict())
@@ -468,8 +471,23 @@ class TestReadout:
             "--output", str(tmp_path / "r.json"),
         ])
         out = json.loads((tmp_path / "r.json").read_text())
-        assert out["cost"]["arms"] == 1024
+        assert out["cost"] == {"arms": 1024, "cnot_count": 0, "decision_points": 10, "runs": 1}
         assert out["exponential_warning"] is True
+
+    @pytest.mark.parametrize("command", ["sorter", "repeat", "demux", "simulate"])
+    def test_huge_qubit_count_is_refused(self, tmp_path, command):
+        # Unbounded, sorter and demux would build 2**n and repeat loop n times.
+        write_json(tmp_path / "s.json", {
+            "n": 10**12, "amplitudes": [{"mode": 0, "l": 0, "re": 1.0, "im": 0.0}],
+        })
+        write_json(tmp_path / "net.json", {"n": 1, "modes": 1, "elements": []})
+        args = (["simulate", "--netlist", str(tmp_path / "net.json")]
+                if command == "simulate" else ["readout", "--strategy", command])
+        result = invoke_cli([*args, "--input", str(tmp_path / "s.json")])
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "validation"
+        assert "qubit count" in error["message"]
 
     def test_negative_mode_is_a_usage_error(self, tmp_path):
         write_json(tmp_path / "s.json", basis_state(0, 0, 1).to_json_dict())

@@ -14,9 +14,8 @@ from oamcomp.elements import (
     PhaseShifter,
     ReintegrateGate,
     apply_beamsplitter,
+    apply_element,
     apply_filter,
-    apply_hologram,
-    apply_mirror,
     apply_phase_shifter,
     check_reflection_parity,
     run_netlist,
@@ -62,16 +61,17 @@ class TestPhaseShifter:
 class TestHologram:
     def test_zero_shift_is_identity(self, rng):
         s = random_state(rng, 2)
-        assert states_close(apply_hologram(s, 0, 0), s)
+        assert states_close(apply_element(s, Hologram(0, 0)), s)
 
     def test_shift_down(self):
-        out = apply_hologram(basis_state(0, 3, 2), 0, -3)
+        out = apply_element(basis_state(0, 3, 2), Hologram(0, -3))
         assert dict(out.amplitudes) == {(0, 0): 1 + 0j}
 
     @given(k=st.integers(-20, 20), amps=amplitude_maps)
     def test_inverse_shift(self, k, amps):
         s = hyp_state(amps)
-        assert states_close(apply_hologram(apply_hologram(s, 1, k), 1, -k), s, tol=0)
+        shifted = apply_element(s, Hologram(1, k))
+        assert states_close(apply_element(shifted, Hologram(1, -k)), s, tol=0)
 
 
 class TestBeamSplitter:
@@ -137,8 +137,8 @@ class TestFilter:
         # F_m  ==  H_{+m} . F_0 . H_{-m}
         s = random_state(rng, 2)
         direct = apply_filter(s, 0, 2)
-        conjugated = apply_hologram(
-            apply_filter(apply_hologram(s, 0, -2), 0, 0), 0, 2
+        conjugated = apply_element(
+            apply_filter(apply_element(s, Hologram(0, -2)), 0, 0), Hologram(0, 2)
         )
         assert states_close(direct, conjugated, tol=0)
 
@@ -152,15 +152,16 @@ class TestFilter:
 class TestMirror:
     def test_zero_fixed_point(self):
         s = basis_state(0, 0, 1)
-        assert states_close(apply_mirror(s, 0), s, tol=0)
+        assert states_close(apply_element(s, Mirror(0)), s, tol=0)
 
     def test_negates_index(self):
-        assert dict(apply_mirror(basis_state(0, 3, 2), 0).amplitudes) == {(0, -3): 1 + 0j}
+        out = apply_element(basis_state(0, 3, 2), Mirror(0))
+        assert dict(out.amplitudes) == {(0, -3): 1 + 0j}
 
     @given(amps=amplitude_maps)
     def test_involution(self, amps):
         s = hyp_state(amps)
-        assert states_close(apply_mirror(apply_mirror(s, 2), 2), s, tol=0)
+        assert states_close(apply_element(apply_element(s, Mirror(2)), Mirror(2)), s, tol=0)
 
 
 @pytest.mark.parametrize(
@@ -245,6 +246,8 @@ class TestNetlist:
     lambda: ReintegrateGate(m=0, src=0, dst=1, stages=0),
     lambda: ExtractGate(m=0, src=0, dst=1, stages=2**53 + 1),
     lambda: Netlist(n=0, mode_count=1),
+    lambda: Netlist(n=54, mode_count=1),
+    lambda: PhotonState(n=54),
 ])
 def test_constructors_reject_bad_parameters(make):
     with pytest.raises(ValidationError):

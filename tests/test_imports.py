@@ -59,20 +59,31 @@ def simulate_args(tmp_path, *extra):
             *extra]
 
 
-@pytest.mark.parametrize("simulate", [False, True], ids=["help", "simulate"])
-def test_light_commands_import_no_numpy(tmp_path, simulate):
-    args = simulate_args(tmp_path) if simulate else ["--help"]
+@pytest.mark.parametrize("command", ["help", "simulate", "zeno-sweep"])
+def test_light_commands_import_no_numpy(tmp_path, command):
+    args = {"help": ["--help"], "simulate": simulate_args(tmp_path),
+            "zeno-sweep": ["zeno-sweep", "--n-list", "1,3"]}[command]
     code, names = imported_modules(*args)
     assert code == 0
     assert "oamcomp" in names  # the log was read
-    assert not HEAVY & names
+    # The sweep runs the gate's closed form and the survival formulas of
+    # ``extraction``, which needs no numpy.
+    assert not (HEAVY - {"oamcomp.extraction"} if command == "zeno-sweep" else HEAVY) & names
+
+
+def test_extraction_and_readout_import_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, oamcomp.extraction, oamcomp.readout; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout.split() == ["False"], proc.stderr
 
 
 def test_help_imports_no_simulator():
     code, names = imported_modules("--help")
     assert code == 0
     assert "oamcomp.errors" in names  # the log was read
-    assert not {"oamcomp.elements", "oamcomp.state"} & names
+    assert not {"oamcomp.elements", "oamcomp.state", "dataclasses", "inspect"} & names
 
 
 @pytest.mark.parametrize("command", ["help", "simulate", "monte-carlo", "compile", "verify"])

@@ -95,30 +95,31 @@ class TestMeasureBit:
 
 class TestRepeatedRunReadout:
     def test_deterministic_output(self, rng):
-        bits, cost = repeated_run_readout(lambda: basis_state(0, 6, 3), 3, rng)
+        bits, cost = repeated_run_readout(basis_state(0, 6, 3), rng)
         assert bits == "110"
         assert cost.runs == 3 and cost.decision_points == 1
 
     def test_all_basis_values(self, rng):
         for n in (1, 2, 4):
             for l in range(1 << n):
-                bits, _ = repeated_run_readout(lambda: basis_state(0, l, n), n, rng)
+                bits, _ = repeated_run_readout(basis_state(0, l, n), rng)
                 assert bits == format(l, f"0{n}b")
 
     def test_superposition_bits_are_bernoulli(self):
         # Caller-beware: bits across runs are independent samples.
         rng = np.random.default_rng(13)
         s = from_amplitudes(0, [SQ2, 0, 0, SQ2], 2)
-        strings = {
-            repeated_run_readout(lambda: s, 2, rng)[0] for _ in range(200)
-        }
+        strings = {repeated_run_readout(s, rng)[0] for _ in range(200)}
         assert strings == {"00", "01", "10", "11"}
 
-    def test_msb_first_same_result_for_basis(self, rng):
-        bits, _ = repeated_run_readout(
-            lambda: basis_state(0, 6, 3), 3, rng, msb_first=True
-        )
-        assert bits == "110"
+    def test_superposition_bits_at_fixed_seed(self):
+        # Bit k is drawn in run k, k = 0 .. n-1, one uniform draw per run;
+        # another order or count of draws changes these pinned values.
+        rng = np.random.default_rng(3)
+        s = from_amplitudes(0, [0.6, 0, 0.48j, 0.64], 2)
+        strings = [repeated_run_readout(s, rng)[0] for _ in range(8)]
+        assert strings == ["11", "10", "11", "10", "10", "11", "10", "00"]
+        assert rng.random() == 0.28420116374879145
 
 
 class TestDemux:
