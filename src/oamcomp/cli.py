@@ -166,30 +166,19 @@ def cmd_verify(args) -> None:
 
 def cmd_zeno_sweep(args) -> None:
     """Survival of a non-extracted component versus Zeno stage count (CSV)."""
-    import csv
-    import io
     from . import extraction
     from .elements import ExtractGate, apply_element
     from .state import basis_state, survival_probability
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["N", "analytic_survival", "simulated_survival", "bound_1_minus_pi2_over_4N"]
-    )
+    # No column can hold a comma: an int and three ``repr`` floats.
+    rows = ["N,analytic_survival,simulated_survival,bound_1_minus_pi2_over_4N"]
     for stages in args.n_list:
         gate = ExtractGate(m=args.m, src=0, dst=1, stages=stages)
         # Probe with a single component the gate does not extract.
         probe = basis_state(0, args.m + 1, n=1)
         simulated = survival_probability(apply_element(probe, gate))
-        writer.writerow(
-            [
-                stages,
-                repr(extraction.component_survival(stages)),
-                repr(simulated),
-                repr(extraction.survival_lower_bound(stages)),
-            ]
-        )
-    _write(args.output, buffer.getvalue())
+        rows.append(f"{stages},{extraction.component_survival(stages)!r},{simulated!r},"
+                    f"{extraction.survival_lower_bound(stages)!r}")
+    _write(args.output, "\n".join(rows) + "\n")
 
 
 def cmd_readout(args) -> None:

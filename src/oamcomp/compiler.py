@@ -318,8 +318,7 @@ def reconstruct_and_verify(netlist: Netlist, U: np.ndarray) -> float:
     """Frobenius distance between the netlist's :func:`basis_response` and ``U``."""
     U = np.asarray(U, dtype=complex)
     d = U.shape[0]
-    # Widths first: ``netlist.n`` comes from a file and may be huge.
-    if netlist.n != d.bit_length() - 1 or d != 1 << netlist.n:
+    if d != 1 << netlist.n:
         raise ValidationError(
             f"unitary dimension {d} does not match netlist width {netlist.n}"
         )

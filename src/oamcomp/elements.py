@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping, Union
 
 from .errors import ValidationError
 from .state import (
-    MAX_QUBITS, RESIDUE_TOL, ModeOAM, PhotonState, _json_int, _json_real, checked_norm2,
+    RESIDUE_TOL, ModeOAM, PhotonState, _json_int, _json_real, checked_norm2, register_size,
 )
 
 if TYPE_CHECKING:
@@ -143,8 +143,7 @@ class Netlist:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValidationError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
+        register_size(self.n)
         if self.mode_count < 1:
             raise ValidationError("mode_count must be >= 1")
         for el in self.elements:
@@ -171,8 +170,6 @@ class Netlist:
             modes = _json_int(data["modes"])
             elements = [_element_from_json(entry) for entry in data["elements"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, ValidationError):
-                raise
             raise ValidationError(f"malformed netlist JSON: {exc}") from exc
         return cls(n=n, mode_count=modes, elements=tuple(elements))
 
@@ -383,10 +380,10 @@ def check_state_fits(state: PhotonState, netlist: Netlist) -> None:
         raise ValidationError(
             f"state width {state.n} does not match netlist width {netlist.n}"
         )
-    if state.max_mode() >= netlist.mode_count:
+    top = max(state.modes(), default=-1)
+    if top >= netlist.mode_count:
         raise ValidationError(
-            f"state occupies mode {state.max_mode()} outside the netlist's "
-            f"{netlist.mode_count} modes"
+            f"state occupies mode {top} outside the netlist's {netlist.mode_count} modes"
         )
 
 
@@ -396,29 +393,12 @@ def run_netlist(state: PhotonState, netlist: Netlist) -> PhotonState:
     return PhotonState(n=state.n, amplitudes=propagate(state.amplitudes, netlist.elements))
 
 
-@dataclass(frozen=True)
-class ReflectionParityReport:
-    """Mirror counts per mode; a mode fails on an odd total."""
-
-    counts: dict[int, int]
-    total: int
-
-    @property
-    def failing_modes(self) -> list[int]:
-        return sorted(m for m, c in self.counts.items() if c % 2 == 1)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failing_modes
-
-    def passes(self, mode: int) -> bool:
-        return self.counts.get(mode, 0) % 2 == 0
-
-
-def check_reflection_parity(netlist: Netlist) -> ReflectionParityReport:
-    """Count explicit mirror elements per mode over the whole netlist."""
-    counts = {mode: 0 for mode in range(netlist.mode_count)}
+def check_reflection_parity(netlist: Netlist) -> list[int]:
+    """The modes that hold an odd number of mirrors, sorted.  An odd count
+    flips the OAM signs on that path, so an empty list means the netlist
+    passes."""
+    odd: set[int] = set()
     for el in netlist.elements:
         if isinstance(el, Mirror):
-            counts[el.mode] += 1
-    return ReflectionParityReport(counts=counts, total=sum(counts.values()))
+            odd ^= {el.mode}
+    return sorted(odd)

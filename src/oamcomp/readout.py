@@ -8,13 +8,12 @@ CNOT gates, annotated rather than simulated).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import LeakageError, ValidationError
-from .state import RESIDUE_TOL, PhotonState, checked_norm2
+from .state import RESIDUE_TOL, PhotonState, checked_norm2, normalized, register_size
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,11 +69,7 @@ def measure_bit(
         for key, amp in state.amplitudes.items()
         if key[0] == mode and ((key[1] >> bit_k) & 1) == bit
     }
-    branch_norm = math.sqrt(sum(abs(a) ** 2 for a in keep.values()))
-    collapsed = PhotonState(
-        n=state.n, amplitudes={k: v / branch_norm for k, v in keep.items()}
-    )
-    return bit, collapsed
+    return bit, normalized(PhotonState(n=state.n, amplitudes=keep))
 
 
 def repeated_run_readout(
@@ -120,9 +115,7 @@ def remux(path_state: PathQubitState, mode: int = 0) -> PhotonState:
 def sorter_cost(n: int) -> tuple[ReadoutCost, bool]:
     """Cost of a full branching sorter; second value flags more than
     ``DEFAULT_ARM_BUDGET`` arms."""
-    if n < 1:
-        raise ValidationError("need at least one qubit")
-    arms = 1 << n
+    arms = register_size(n)
     cost = ReadoutCost(decision_points=n, arms=arms, runs=1, cnot_count=0)
     return cost, arms > DEFAULT_ARM_BUDGET
 

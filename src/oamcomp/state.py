@@ -33,6 +33,14 @@ MAX_QUBITS = 53
 ModeOAM = tuple[int, int]
 
 
+def register_size(n: int) -> int:
+    """``2**n``, the size of an ``n``-qubit register's computational range.
+    Raises unless ``1 <= n <= MAX_QUBITS``, before ``2**n`` is built."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValidationError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    return 1 << n
+
+
 def checked_norm2(amps: Mapping) -> float:
     """Squared norm of a map of complex amplitudes.  Raises when it exceeds
     ``1 + NORM_EPS`` or is not a number: one photon's weight is at most 1,
@@ -71,8 +79,7 @@ class PhotonState:
     amplitudes: Mapping[ModeOAM, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValidationError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
+        register_size(self.n)
         amps = {k: complex(v) for k, v in self.amplitudes.items() if v != 0}
         for mode, l in amps:
             if mode < 0:
@@ -90,10 +97,6 @@ class PhotonState:
 
     def modes(self) -> set[int]:
         return {mode for mode, _ in self.amplitudes}
-
-    def max_mode(self) -> int:
-        """Largest occupied spatial mode index, or -1 for the empty state."""
-        return max((mode for mode, _ in self.amplitudes), default=-1)
 
     def coefficients(self, mode: int) -> list[complex]:
         """Computational-range coefficients ``[amp(mode, 0) .. amp(mode, 2^n - 1)]``."""
@@ -129,11 +132,10 @@ def basis_state(mode: int, l: int, n: int) -> PhotonState:
 
 def from_amplitudes(mode: int, coeffs: Iterable[complex], n: int) -> PhotonState:
     """State with ``coeffs[l]`` at ``(mode, l)`` for the computational range."""
+    dim = register_size(n)
     coeffs = [complex(c) for c in coeffs]
-    if len(coeffs) != 1 << n:
-        raise ValidationError(
-            f"expected {1 << n} coefficients for n={n}, got {len(coeffs)}"
-        )
+    if len(coeffs) != dim:
+        raise ValidationError(f"expected {dim} coefficients for n={n}, got {len(coeffs)}")
     return PhotonState(n=n, amplitudes={(mode, l): c for l, c in enumerate(coeffs)})
 
 

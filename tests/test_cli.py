@@ -274,6 +274,26 @@ class TestRejectsBadInput:
         assert json.loads(result.stderr)["error"]["type"] == kind
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("kind", ["state", "netlist", "unitary"])
+    def test_malformed_json_is_worded_alike(self, tmp_path, kind):
+        """A boolean width is malformed JSON in each of the three files."""
+        files = {
+            "state": {"n": 1, "amplitudes": []},
+            "netlist": {"n": 1, "modes": 1, "elements": []},
+            "unitary": unitary_to_json(np.eye(2, dtype=complex)),
+        }
+        files[kind]["d" if kind == "unitary" else "n"] = True
+        for name, payload in files.items():
+            write_json(tmp_path / f"{name}.json", payload)
+        # simulate reads the netlist, then the state; verify the netlist, then the unitary.
+        command, target = ("verify", "unitary") if kind == "unitary" else ("simulate", "state")
+        result = invoke_cli([command, "--netlist", str(tmp_path / "netlist.json"),
+                             "--input", str(tmp_path / f"{target}.json")])
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert error == {"type": "validation",
+                         "message": f"malformed {kind} JSON: expected an integer, got True"}
+
     @pytest.mark.parametrize("data", [
         {"d": 2.0, "rows": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
         {"d": 2, "rows": [[[True, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},

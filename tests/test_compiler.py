@@ -210,7 +210,7 @@ class TestCompileUnitary:
 
     def test_compiled_netlists_have_even_reflections(self, rng):
         net, _ = compile_unitary(haar_random_unitary(4, rng))
-        assert check_reflection_parity(net).ok
+        assert check_reflection_parity(net) == []
 
     def test_finite_stage_report(self, rng):
         U = haar_random_unitary(4, rng)

@@ -185,9 +185,11 @@ class TestSorterCost:
         _, demux_cost = demux(basis_state(0, 0, 3), 0)
         assert cost.arms == 8 and demux_cost.cnot_count == 5
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValidationError):
-            sorter_cost(0)
+    @pytest.mark.parametrize("n", [0, 54, 10**12])
+    def test_rejects_width_outside_bound(self, n):
+        # 2**n is never built: the bound is checked first.
+        with pytest.raises(ValidationError, match=f"qubit count .* got {n}$"):
+            sorter_cost(n)
 
 
 def test_born_distribution_normalized(rng):
