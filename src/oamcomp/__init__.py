@@ -9,26 +9,22 @@ from .errors import LeakageError, ValidationError
 #: CLI only the modules it runs: ``--help`` none, ``simulate`` no numpy.
 _EXPORTS = {
     "state": (
-        "PhotonState", "basis_state", "from_amplitudes", "normalized", "overlap",
-        "survival_probability",
+        "PhotonState", "basis_state", "from_amplitudes", "normalized", "survival_probability",
     ),
     "elements": (
         "IDEAL", "BeamSplitter", "ExtractGate", "Filter", "Hologram", "Mirror",
         "Netlist", "PhaseShifter", "ReintegrateGate", "check_reflection_parity",
         "run_netlist",
     ),
-    "extraction": (
-        "ExtractionSpec", "component_survival", "extraction_survival",
-        "survival_lower_bound",
-    ),
+    "extraction": ("ExtractionSpec", "component_survival", "survival_lower_bound"),
     "compiler": (
         "CompileReport", "TwoLevelFactor", "U2Params", "compile_unitary",
-        "decompose_two_level", "embed_factor", "haar_random_unitary",
-        "lower_two_level", "reconstruct_and_verify", "u2_to_optics",
+        "decompose_two_level", "haar_random_unitary", "lower_two_level",
+        "reconstruct_and_verify", "u2_to_optics",
     ),
     "readout": (
-        "PathQubitState", "ReadoutCost", "demux", "measure_bit", "remux",
-        "repeated_run_readout", "sample_full_measurement", "sorter_cost",
+        "PathQubitState", "ReadoutCost", "demux", "measure_bit", "repeated_run_readout",
+        "sample_full_measurement", "sorter_cost",
     ),
 }
 _LAZY = {name: module for module, names in _EXPORTS.items() for name in names}

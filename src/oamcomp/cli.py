@@ -130,27 +130,28 @@ def cmd_compile(args) -> None:
 
 def cmd_simulate(args) -> None:
     """Evolve a state file through a netlist file."""
-    from .elements import Netlist, run_netlist
+    from .elements import Netlist, is_lossy, run_netlist
     from .state import PhotonState, survival_probability
     netlist = Netlist.from_json_dict(_read_json(args.netlist))
     state = PhotonState.from_json_dict(_read_json(args.input))
-    runs, payload = args.monte_carlo, {}
+    final = run_netlist(state, netlist)
+    survival, runs, payload = survival_probability(final), args.monte_carlo, {}
     if runs > 0:
-        # One pass gives both the output state and the loss profile to sample.
+        # A run passes every filter with the output's share of the input's
+        # norm (rounding can push it past 1); an input of norm 0 passes only
+        # a netlist that absorbs nothing.
         import numpy as np
-        from . import extraction
-        profile = extraction.loss_profile(state, netlist)
-        final = profile.final
-        rate = extraction.monte_carlo_survival(profile, runs, np.random.default_rng(args.seed))
+        initial = survival_probability(state)
+        if initial:
+            p = min(survival, initial) / initial
+        else:
+            p = float(not any(map(is_lossy, netlist.elements)))
+        successes = int(np.random.default_rng(args.seed).binomial(runs, p))
         payload["monte_carlo"] = {
-            "runs": runs,
-            "successes": round(rate * runs),
-            "success_rate": rate,
+            "runs": runs, "successes": successes, "success_rate": successes / runs,
             "seed": args.seed,
         }
-    else:
-        final = run_netlist(state, netlist)
-    payload.update(state=final.to_json_dict(), survival=survival_probability(final))
+    payload.update(state=final.to_json_dict(), survival=survival)
     _write_json(args.output, payload)
 
 

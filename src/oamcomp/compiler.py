@@ -28,9 +28,7 @@ from .elements import (
     Stages,
     is_lossy,
 )
-from .state import (
-    NORM_EPS, RESIDUE_TOL, _json_int, _json_real, basis_state, survival_probability,
-)
+from .state import NORM_EPS, RESIDUE_TOL, _json_int, _json_real
 from . import elements as _elements
 
 UNITARITY_TOL = 1e-9
@@ -128,13 +126,6 @@ class U2Params:
     phi_post: float
     delta: float
 
-    def matrix(self) -> np.ndarray:
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        rot = np.array([[c, s], [-s, c]], dtype=complex)
-        pre = np.diag([cmath.exp(1j * self.phi_pre), 1.0])
-        post = np.diag([cmath.exp(1j * self.phi_post), 1.0])
-        return cmath.exp(1j * self.delta) * (pre @ rot @ post)
-
 
 def u2_to_optics(u2: np.ndarray) -> U2Params:
     """Solve the four optical parameters for an arbitrary 2x2 unitary."""
@@ -167,18 +158,6 @@ def u2_to_optics(u2: np.ndarray) -> U2Params:
         phi_post=cmath.phase(-u_nm) - delta,
         delta=delta,
     )
-
-
-def embed_factor(factor: TwoLevelFactor, d: int) -> np.ndarray:
-    """Full-dimension matrix: identity except the 2x2 block on (m, n_idx)."""
-    if factor.m >= d or factor.n_idx >= d:
-        raise ValidationError(
-            f"factor levels ({factor.m}, {factor.n_idx}) out of range for d={d}"
-        )
-    matrix = np.eye(d, dtype=complex)
-    idx = np.ix_([factor.m, factor.n_idx], [factor.m, factor.n_idx])
-    matrix[idx] = factor.u2
-    return matrix
 
 
 def decompose_two_level(U: np.ndarray) -> list[TwoLevelFactor]:
@@ -222,14 +201,6 @@ def decompose_two_level(U: np.ndarray) -> list[TwoLevelFactor]:
     for col, row, g2 in reversed(eliminations):
         factors.append(TwoLevelFactor(m=col, n_idx=row, u2=g2.conj().T))
     return factors
-
-
-def product_of_factors(factors: list[TwoLevelFactor], d: int) -> np.ndarray:
-    """Matrix product of the embedded factors in application order."""
-    result = np.eye(d, dtype=complex)
-    for factor in factors:
-        result = embed_factor(factor, d) @ result
-    return result
 
 
 def lower_two_level(
@@ -285,18 +256,21 @@ def _column_norms(amps) -> np.ndarray:
     return norm2
 
 
-def basis_response(netlist: Netlist) -> np.ndarray:
-    """The ``d x d`` map the netlist applies to the computational basis of mode 0.
+def basis_response(netlist: Netlist) -> tuple[np.ndarray, np.ndarray]:
+    """The ``d x d`` map the netlist applies to the computational basis of
+    mode 0, and each basis input's survival probability over all modes.
 
     All ``d`` basis inputs go through the netlist in one pass, as the columns
-    of one amplitude map.  Lossless netlists are checked for leakage outside
-    the computational subspace of mode 0; the columns of lossy (finite-stage)
-    netlists are renormalized to their conditional states.
+    of one amplitude map; the survival is the norm guard's last value (all
+    ones for an empty netlist).  Lossless netlists are checked for leakage
+    outside the computational subspace of mode 0; the columns of lossy
+    (finite-stage) netlists are renormalized to their conditional states.
     """
     d = 1 << netlist.n
     basis = np.eye(d, dtype=complex)
-    out = _elements.propagate({(0, l): basis[l] for l in range(d)}, netlist.elements,
-                              _column_norms)
+    out, survival = {(0, l): basis[l] for l in range(d)}, np.ones(d)
+    for _, out, survival in _elements.iter_steps(out, netlist.elements, _column_norms):
+        pass
     absent = np.zeros(d, dtype=complex)
     effective = np.array([out.get((0, l), absent) for l in range(d)])
     if not any(map(is_lossy, netlist.elements)):
@@ -306,25 +280,31 @@ def basis_response(netlist: Netlist) -> np.ndarray:
         )
         if offenders:
             raise LeakageError(offenders)
-        return effective
+        return effective, survival
     norms = np.linalg.norm(effective, axis=0)
     absorbed = np.flatnonzero(norms == 0.0)
     if absorbed.size:
         raise ValidationError(f"basis input {absorbed[0]} was fully absorbed")
-    return effective / norms
+    return effective / norms, survival
 
 
-def reconstruct_and_verify(netlist: Netlist, U: np.ndarray) -> float:
-    """Frobenius distance between the netlist's :func:`basis_response` and ``U``."""
+def _verify(netlist: Netlist, U: np.ndarray) -> tuple[float, np.ndarray]:
+    """The residual of :func:`reconstruct_and_verify` and the survival of
+    :func:`basis_response`, from its one pass."""
     U = np.asarray(U, dtype=complex)
     d = U.shape[0]
     if d != 1 << netlist.n:
         raise ValidationError(
             f"unitary dimension {d} does not match netlist width {netlist.n}"
         )
-    effective = basis_response(netlist)
+    effective, survival = basis_response(netlist)
     with np.errstate(over="ignore"):  # a huge entry of ``U`` gives inf, refused on output
-        return float(np.linalg.norm(effective - U))
+        return float(np.linalg.norm(effective - U)), survival
+
+
+def reconstruct_and_verify(netlist: Netlist, U: np.ndarray) -> float:
+    """Frobenius distance between the netlist's :func:`basis_response` and ``U``."""
+    return _verify(netlist, U)[0]
 
 
 def compile_unitary(
@@ -333,30 +313,23 @@ def compile_unitary(
     """Full pipeline: decompose, lower each factor, verify, report.
 
     ``analytic_survival`` in the report is the exact survival probability of
-    the basis state ``|0>`` in mode 0, simulated through the netlist (1.0 in
+    the basis state ``|0>`` in mode 0, read off the verification pass (1.0 in
     IDEAL mode, which absorbs nothing); it is not an estimate.
     """
     U = check_unitary(U)
-    d = U.shape[0]
-    n = qubit_count_for(d)
+    n = qubit_count_for(U.shape[0])
     factors = decompose_two_level(U)
     seq: list[Element] = []
     for factor in factors:
         seq.extend(lower_two_level(factor, (0, 1, 2), spec_stages))
     netlist = Netlist(n=n, mode_count=3, elements=tuple(seq))
-    residual = reconstruct_and_verify(netlist, U)
-    if spec_stages == IDEAL:
-        if not residual <= IDEAL_RESIDUAL_GUARD:
-            raise InternalError(
-                f"internal compile bug: ideal-mode residual {residual:.3e}"
-            )
-        survival = 1.0
-    else:
-        survival = survival_probability(_elements.run_netlist(basis_state(0, 0, n), netlist))
+    residual, survival = _verify(netlist, U)
+    if spec_stages == IDEAL and not residual <= IDEAL_RESIDUAL_GUARD:
+        raise InternalError(f"internal compile bug: ideal-mode residual {residual:.3e}")
     report = CompileReport(
         factor_count=len(factors),
         element_count=len(netlist),
-        analytic_survival=survival,
+        analytic_survival=1.0 if spec_stages == IDEAL else float(survival[0]),
         verification_residual=residual,
     )
     return netlist, report

@@ -329,17 +329,11 @@ def iter_steps(amps: Amplitudes, elements, norm_guard=checked_norm2):
     :func:`~oamcomp.state.checked_norm2` for one input, the column-wise check
     of :func:`oamcomp.compiler.basis_response` for a column map.  The guard
     raises on a fault, at the element that made it.  This is the one
-    stepping loop; :func:`propagate` and the loss profile read it."""
+    stepping loop; :func:`run_netlist`, the basis response and the loss
+    profile read it."""
     for el in elements:
         amps = step(amps, el)
         yield el, amps, norm_guard(amps)
-
-
-def propagate(amps: Amplitudes, elements, norm_guard=checked_norm2) -> dict:
-    """The map after :func:`iter_steps` has applied every element."""
-    for _, amps, _ in iter_steps(amps, elements, norm_guard):
-        pass
-    return dict(amps)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +384,10 @@ def check_state_fits(state: PhotonState, netlist: Netlist) -> None:
 def run_netlist(state: PhotonState, netlist: Netlist) -> PhotonState:
     """Apply all elements in order; the result may be sub-normalized."""
     check_state_fits(state, netlist)
-    return PhotonState(n=state.n, amplitudes=propagate(state.amplitudes, netlist.elements))
+    amps = state.amplitudes
+    for _, amps, _ in iter_steps(amps, netlist.elements):
+        pass
+    return PhotonState(n=state.n, amplitudes=amps)
 
 
 def check_reflection_parity(netlist: Netlist) -> list[int]:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 from itertools import pairwise
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ValidationError
-from .elements import (  # noqa: F401  (oambench/layers.py reads apply_macro here)
+# ``ExtractionSpec`` is re-exported, and oambench/layers.py reads ``apply_macro`` here.
+from .elements import (  # noqa: F401
     IDEAL, BeamSplitter, Element, ExtractGate, ExtractionSpec, Filter, Hologram, Netlist,
     ReintegrateGate, Stages, apply_macro, check_state_fits, is_lossy, iter_steps,
 )
@@ -60,14 +60,6 @@ def component_survival(stages: Stages) -> float:
 def survival_lower_bound(stages: int) -> float:
     """First-order estimate ``1 - pi^2 / (4 N)`` of the survival probability."""
     return 1.0 - math.pi**2 / (4 * stages)
-
-
-def extraction_survival(spec: ExtractionSpec, input_coeffs) -> float:
-    """Survival for an input superposition held entirely in the source mode."""
-    weights = [abs(complex(c)) ** 2 for c in input_coeffs]
-    kept = weights[spec.m] if 0 <= spec.m < len(weights) else 0.0
-    rest = sum(weights) - kept
-    return kept + rest * component_survival(spec.stages)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +126,6 @@ class LossProfile:
                 return r.first + 2 * j
         return None
 
-    def success_probability(self) -> float:
-        """Probability that one run passes every filter."""
-        if not self.initial:
-            return float(not self.runs)
-        return min([self.initial, *(r.survival(r.count - 1) for r in self.runs)]) / self.initial
-
 
 def loss_profile(state: PhotonState, netlist: Netlist) -> LossProfile:
     """Read the survival after every filter of the netlist's expansion off
@@ -185,7 +171,9 @@ def monte_carlo_run(
     which the survival probability is at most ``u``, so filter ``k`` absorbs
     with probability ``(|psi_{k-1}|^2 - |psi_k|^2) / |psi|^2``.  On success
     the returned state is the normalized conditional state; the success
-    frequency over many runs estimates the survival probability.
+    frequency over many runs estimates the survival probability.  An input
+    of norm 0 draws ``u = 0``: the first filter absorbs it, and a netlist
+    with none passes it.
     """
     profile = loss_profile(state, netlist)
     absorbed = profile.absorbed_at(rng.random() * profile.initial)
@@ -193,11 +181,3 @@ def monte_carlo_run(
         return MonteCarloResult(success=False, state=None, absorbed_at=absorbed)
     final = normalized(profile.final) if profile.final.amplitudes else profile.final
     return MonteCarloResult(success=True, state=final, absorbed_at=None)
-
-
-def monte_carlo_survival(profile: LossProfile, runs: int, rng: np.random.Generator) -> float:
-    """Empirical survival frequency over ``runs`` physical runs sampled from
-    ``profile``: the number of successes is one binomial draw."""
-    if runs < 1:
-        raise ValidationError("need at least one Monte Carlo run")
-    return int(rng.binomial(runs, profile.success_probability())) / runs

@@ -106,12 +106,6 @@ def demux(state: PhotonState, mode: int) -> tuple[PathQubitState, ReadoutCost]:
     return PathQubitState(n=state.n, amplitudes=amps), cost
 
 
-def remux(path_state: PathQubitState, mode: int = 0) -> PhotonState:
-    """Inverse relabeling of :func:`demux`, back onto one spatial mode."""
-    amps = {(mode, int(bits, 2)): amp for bits, amp in path_state.amplitudes.items()}
-    return PhotonState(n=path_state.n, amplitudes=amps)
-
-
 def sorter_cost(n: int) -> tuple[ReadoutCost, bool]:
     """Cost of a full branching sorter; second value flags more than
     ``DEFAULT_ARM_BUDGET`` arms."""

@@ -35,9 +35,11 @@ ModeOAM = tuple[int, int]
 
 def register_size(n: int) -> int:
     """``2**n``, the size of an ``n``-qubit register's computational range.
-    Raises unless ``1 <= n <= MAX_QUBITS``, before ``2**n`` is built."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValidationError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    Raises unless ``n`` is an ``int`` (not a bool or a float) in
+    ``[1, MAX_QUBITS]``, before ``2**n`` is built."""
+    if type(n) is not int or not 1 <= n <= MAX_QUBITS:
+        raise ValidationError(
+            f"qubit count must be an integer in [1, {MAX_QUBITS}], got {n!r}")
     return 1 << n
 
 
@@ -142,19 +144,6 @@ def from_amplitudes(mode: int, coeffs: Iterable[complex], n: int) -> PhotonState
 def survival_probability(state: PhotonState) -> float:
     """Squared norm: the probability the photon has not been absorbed."""
     return sum(abs(a) ** 2 for a in state.amplitudes.values())
-
-
-def overlap(a: PhotonState, b: PhotonState) -> complex:
-    """Inner product <a|b> over the shared sparse support."""
-    if a.n != b.n:
-        raise ValidationError(f"width mismatch: {a.n} vs {b.n}")
-    return sum((amp.conjugate() * b.amplitude(*key) for key, amp in a.amplitudes.items()), 0j)
-
-
-def states_close(a: PhotonState, b: PhotonState, tol: float = 1e-12) -> bool:
-    """Amplitude-map equality up to ``tol`` per entry."""
-    keys = set(a.amplitudes) | set(b.amplitudes)
-    return all(abs(a.amplitude(*k) - b.amplitude(*k)) <= tol for k in keys)
 
 
 def normalized(state: PhotonState) -> PhotonState:

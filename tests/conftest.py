@@ -23,6 +23,12 @@ def random_state(rng, n: int, mode: int = 0) -> PhotonState:
     return from_amplitudes(mode, coeffs, n)
 
 
+def states_close(a: PhotonState, b: PhotonState, tol: float = 1e-12) -> bool:
+    """Amplitude-map equality up to ``tol`` per entry."""
+    keys = set(a.amplitudes) | set(b.amplitudes)
+    return all(abs(a.amplitude(*k) - b.amplitude(*k)) <= tol for k in keys)
+
+
 class CliResult(NamedTuple):
     exit_code: int
     stdout: str

@@ -28,11 +28,12 @@ from oamcomp.elements import (
 )
 from oamcomp.errors import LeakageError, ValidationError
 from oamcomp.extraction import loss_profile
-from oamcomp.state import PhotonState, basis_state
+from oamcomp.state import PhotonState, basis_state, survival_probability
 
 
-def per_column_response(netlist: Netlist) -> np.ndarray:
-    """The unoptimised basis response: ``run_netlist`` on each basis input.
+def per_column_response(netlist: Netlist) -> tuple[np.ndarray, np.ndarray]:
+    """The unoptimised basis response, and each input's survival:
+    ``run_netlist`` on each basis input.
 
     Every column is run before any output is looked at, as in the batched
     pass, which finds a fault (norm, occupied slot) in any column before it
@@ -63,7 +64,7 @@ def per_column_response(netlist: Netlist) -> np.ndarray:
                 raise ValidationError(f"basis input {col} was fully absorbed")
             column = column / norm
         effective[:, col] = column
-    return effective
+    return effective, np.array([survival_probability(out) for out in outs])
 
 
 def outcome(response, netlist):
@@ -74,7 +75,8 @@ def outcome(response, netlist):
 
 
 def assert_same_response(netlist: Netlist) -> bool:
-    """Both paths give the same matrix and residual, or the same error class."""
+    """Both paths give the same matrix, survival and residual, or the same
+    error class."""
     batched, batched_error = outcome(basis_response, netlist)
     oracle, oracle_error = outcome(per_column_response, netlist)
     assert type(batched_error) is type(oracle_error), (batched_error, oracle_error)
@@ -84,10 +86,11 @@ def assert_same_response(netlist: Netlist) -> bool:
         assert str(batched_error) == str(oracle_error)
     if oracle_error is not None:
         return False
-    np.testing.assert_allclose(batched, oracle, rtol=0, atol=1e-12)
+    for got, want in zip(batched, oracle):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     U = haar_random_unitary(1 << netlist.n, np.random.default_rng(netlist.n))
     residual = reconstruct_and_verify(netlist, U)
-    assert abs(residual - np.linalg.norm(oracle - U)) <= 1e-12
+    assert abs(residual - np.linalg.norm(oracle[0] - U)) <= 1e-12
     return True
 
 

@@ -189,9 +189,8 @@ class TestSimulate:
         return ["--netlist", str(tmp_path / "net.json"), "--input", str(tmp_path / "s.json")]
 
     def test_monte_carlo_applies_each_element_once(self, tmp_path, monkeypatch):
-        """The output state and the sampled loss profile come from one pass:
-        every element semantics call (``step`` dispatches through the table)
-        is counted."""
+        """The output state and the sample come from one pass: every element
+        semantics call (``step`` dispatches through the table) is counted."""
         files = self.finite_stage_files(tmp_path)
         calls = []
         for cls, semantics in list(elements._SEMANTICS.items()):
@@ -354,8 +353,10 @@ class TestRejectsBadInput:
             assert result.output.startswith("Usage:")
 
     def test_residual_guard_is_an_internal_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(compiler, "reconstruct_and_verify", lambda netlist, U: 1.0)
         H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+        # A response one unit off H in Frobenius norm: the residual is 1.
+        monkeypatch.setattr(compiler, "basis_response",
+                            lambda netlist: (H + np.diag([1, 0]), np.ones(2)))
         write_json(tmp_path / "u.json", unitary_to_json(H))
         result = invoke_cli([
             "compile", "--input", str(tmp_path / "u.json"),

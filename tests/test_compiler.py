@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -9,10 +10,8 @@ from oamcomp.compiler import (
     check_unitary,
     compile_unitary,
     decompose_two_level,
-    embed_factor,
     haar_random_unitary,
     lower_two_level,
-    product_of_factors,
     qubit_count_for,
     reconstruct_and_verify,
     u2_to_optics,
@@ -25,6 +24,36 @@ from oamcomp.state import basis_state, survival_probability
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def embed_factor(factor: TwoLevelFactor, d: int) -> np.ndarray:
+    """Full-dimension matrix: identity except the 2x2 block on (m, n_idx)."""
+    if factor.m >= d or factor.n_idx >= d:
+        raise ValidationError(
+            f"factor levels ({factor.m}, {factor.n_idx}) out of range for d={d}"
+        )
+    matrix = np.eye(d, dtype=complex)
+    matrix[np.ix_([factor.m, factor.n_idx], [factor.m, factor.n_idx])] = factor.u2
+    return matrix
+
+
+def product_of_factors(factors: list[TwoLevelFactor], d: int) -> np.ndarray:
+    """Matrix product of the embedded factors in application order: the
+    oracle of the decomposition."""
+    result = np.eye(d, dtype=complex)
+    for factor in factors:
+        result = embed_factor(factor, d) @ result
+    return result
+
+
+def optics_matrix(p) -> np.ndarray:
+    """The 2x2 unitary that :class:`U2Params` ``p`` realizes:
+    ``exp(i delta) diag(exp(i phi_pre), 1) R(theta) diag(exp(i phi_post), 1)``."""
+    c, s = math.cos(p.theta), math.sin(p.theta)
+    rot = np.array([[c, s], [-s, c]], dtype=complex)
+    pre = np.diag([cmath.exp(1j * p.phi_pre), 1.0])
+    post = np.diag([cmath.exp(1j * p.phi_post), 1.0])
+    return cmath.exp(1j * p.delta) * (pre @ rot @ post)
 
 
 class TestDecompose:
@@ -139,14 +168,14 @@ class TestU2ToOptics:
         p = u2_to_optics(u2)
         assert p.theta == pytest.approx(math.pi / 2)
         assert p.phi_pre == 0.0
-        assert np.linalg.norm(p.matrix() - u2) < 1e-12
+        assert np.linalg.norm(optics_matrix(p) - u2) < 1e-12
 
     def test_reconstruction_on_random_unitaries(self, rng):
         for _ in range(1000):
             u2 = haar_random_unitary(2, rng)
             p = u2_to_optics(u2)
             assert 0 <= p.theta <= math.pi / 2
-            assert np.linalg.norm(p.matrix() - u2) < 1e-12
+            assert np.linalg.norm(optics_matrix(p) - u2) < 1e-12
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
@@ -221,6 +250,23 @@ class TestCompileUnitary:
         assert survival_probability(run_netlist(s, net)) == pytest.approx(
             report.analytic_survival, abs=1e-9
         )
+
+    @pytest.mark.parametrize("stages", [1, 2, 7, 100, 500])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_survival_matches_a_separate_run(self, d, stages):
+        """The report's survival, read off the verification pass, against a
+        run of ``|0>`` on its own: equal within rounding, not bit-equal."""
+        rng = np.random.default_rng(1000 * d + stages)
+        for U in (haar_random_unitary(d, rng) for _ in range(3)):
+            if stages == 1 and d > 2:
+                # A one-stage gate keeps cos(pi/2) = 6e-17 of every component
+                # it does not extract, so some basis input is absorbed.
+                with pytest.raises(ValidationError, match="fully absorbed"):
+                    compile_unitary(U, spec_stages=stages)
+                continue
+            net, report = compile_unitary(U, spec_stages=stages)
+            alone = survival_probability(run_netlist(basis_state(0, 0, net.n), net))
+            assert abs(report.analytic_survival - alone) <= 1e-12
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):

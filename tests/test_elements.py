@@ -21,9 +21,9 @@ from oamcomp.elements import (
     run_netlist,
 )
 from oamcomp.errors import ValidationError
-from oamcomp.state import PhotonState, basis_state, from_amplitudes, states_close, survival_probability
+from oamcomp.state import PhotonState, basis_state, from_amplitudes, survival_probability
 
-from conftest import random_state
+from conftest import random_state, states_close
 
 
 amplitude_maps = st.dictionaries(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,10 +22,8 @@ from oamcomp.extraction import (
     ExtractionSpec,
     component_survival,
     expand_netlist,
-    extraction_survival,
     loss_profile,
     monte_carlo_run,
-    monte_carlo_survival,
     survival_lower_bound,
 )
 from oamcomp.state import (
@@ -33,16 +32,27 @@ from oamcomp.state import (
     basis_state,
     from_amplitudes,
     normalized,
-    states_close,
     survival_probability,
 )
 
-from conftest import random_state
+from conftest import invoke_cli, random_state, states_close
 
 
 def chain(gate, n=1, mode_count=2):
     """The gate's primitive chain: ``expand_netlist`` of a one-gate netlist."""
     return expand_netlist(Netlist(n=n, mode_count=mode_count, elements=(gate,)))
+
+
+def sample_cli(tmp_path, state, netlist, runs, seed=0) -> dict:
+    """The ``monte_carlo`` block that ``oamc simulate --monte-carlo runs`` writes."""
+    for name, obj in (("s.json", state), ("net.json", netlist)):
+        (tmp_path / name).write_text(json.dumps(obj.to_json_dict()))
+    result = invoke_cli([
+        "simulate", "--netlist", str(tmp_path / "net.json"), "--input", str(tmp_path / "s.json"),
+        "--output", str(tmp_path / "out.json"), "--monte-carlo", str(runs), "--seed", str(seed),
+    ])
+    assert result.exit_code == 0, result.output
+    return json.loads((tmp_path / "out.json").read_text())["monte_carlo"]
 
 
 class TestIdealExtract:
@@ -174,28 +184,32 @@ class TestZenoExtract:
 
 class TestSurvivalFormula:
     def test_all_weight_on_target(self):
-        spec = ExtractionSpec(m=2, src=0, dst=1, stages=5)
-        assert extraction_survival(spec, [0, 0, 1, 0]) == pytest.approx(1.0)
+        gate = ExtractGate(m=2, src=0, dst=1, stages=5)
+        out = apply_element(basis_state(0, 2, 2), gate)
+        assert survival_probability(out) == pytest.approx(1.0)
 
     def test_all_weight_off_target_n100(self):
-        spec = ExtractionSpec(m=0, src=0, dst=1, stages=100)
-        value = extraction_survival(spec, [0, 1])
+        gate = ExtractGate(m=0, src=0, dst=1, stages=100)
+        value = survival_probability(apply_element(basis_state(0, 1, 1), gate))
         assert value == pytest.approx(0.9756269141438981, abs=1e-12)
+        assert value == pytest.approx(component_survival(100), abs=1e-12)
         assert value >= survival_lower_bound(100)
 
     def test_equal_split_n3(self):
-        spec = ExtractionSpec(m=0, src=0, dst=1, stages=3)
-        coeffs = [math.sqrt(0.5), math.sqrt(0.5)]
-        assert extraction_survival(spec, coeffs) == pytest.approx(
+        gate = ExtractGate(m=0, src=0, dst=1, stages=3)
+        s = from_amplitudes(0, [math.sqrt(0.5), math.sqrt(0.5)], 1)
+        assert survival_probability(apply_element(s, gate)) == pytest.approx(
             0.7109375, abs=1e-12
         )
 
     def test_matches_simulation(self, rng):
+        """The target keeps its weight; the rest survives ``component_survival``."""
         for stages in (1, 2, 7, 40):
             gate = ExtractGate(m=1, src=0, dst=1, stages=stages)
             s = random_state(rng, 2)
             simulated = survival_probability(apply_element(s, gate))
-            analytic = extraction_survival(gate, s.coefficients(0))
+            kept = abs(s.amplitude(0, 1)) ** 2
+            analytic = kept + (1 - kept) * component_survival(stages)
             assert simulated == pytest.approx(analytic, abs=1e-12)
 
     def test_monotone_in_stages(self):
@@ -244,14 +258,13 @@ class TestMonteCarlo:
         assert all(not isinstance(el, ExtractGate) for el in expanded.elements)
         assert len(expanded) == 2 + 2 * 4
 
-    def test_success_rate_tracks_survival(self):
+    def test_success_rate_tracks_survival(self, tmp_path):
         net = chain(ExtractGate(m=0, src=0, dst=1, stages=3))
-        s = basis_state(0, 1, 1)
-        rng = np.random.default_rng(7)
-        rate = monte_carlo_survival(loss_profile(s, net), runs=4000, rng=rng)
+        mc = sample_cli(tmp_path, basis_state(0, 1, 1), net, runs=4000, seed=7)
         # true survival 27/64 = 0.421875; 4 sigma binomial bound
         sigma = math.sqrt(0.421875 * (1 - 0.421875) / 4000)
-        assert abs(rate - 0.421875) < 4 * sigma
+        assert abs(mc["success_rate"] - 0.421875) < 4 * sigma
+        assert mc["successes"] == round(mc["success_rate"] * 4000)
 
     def test_successful_run_state_is_normalized(self):
         net = chain(ExtractGate(m=0, src=0, dst=1, stages=50))
@@ -286,7 +299,7 @@ class TestMonteCarlo:
             if result.success:
                 assert survival_probability(result.state) == pytest.approx(1.0, abs=1e-12)
 
-    def test_zero_norm_input_absorbed_at_first_filter(self):
+    def test_zero_norm_input_absorbed_at_first_filter(self, tmp_path):
         net = Netlist(
             n=1, mode_count=2,
             elements=(Mirror(0), ExtractGate(m=0, src=0, dst=1, stages=4)),
@@ -294,8 +307,16 @@ class TestMonteCarlo:
         result = monte_carlo_run(PhotonState(n=1), net, np.random.default_rng(0))
         # mirror, then the chain: hologram, beamsplitter, filter
         assert (result.success, result.absorbed_at) == (False, 3)
-        profile = loss_profile(PhotonState(n=1), net)
-        assert monte_carlo_survival(profile, 10, np.random.default_rng(0)) == 0
+        assert sample_cli(tmp_path, PhotonState(n=1), net, runs=10)["successes"] == 0
+
+    def test_zero_norm_input_passes_a_lossless_netlist(self, tmp_path):
+        net = Netlist(
+            n=1, mode_count=2,
+            elements=(Mirror(0), ExtractGate(m=0, src=0, dst=1), BeamSplitter(0, 1, 0.3)),
+        )
+        result = monte_carlo_run(PhotonState(n=1), net, np.random.default_rng(0))
+        assert (result.success, result.absorbed_at) == (True, None)
+        assert sample_cli(tmp_path, PhotonState(n=1), net, runs=10)["successes"] == 10
 
     def test_ideal_gates_never_absorb(self):
         net, _ = compile_unitary(haar_random_unitary(4, np.random.default_rng(1)), "ideal")
@@ -303,10 +324,18 @@ class TestMonteCarlo:
         assert (result.success, result.absorbed_at) == (True, None)
         assert expand_netlist(net) == net
 
-    def test_netlist_without_filters_always_passes(self):
+    def test_output_norm_above_the_input_norm_passes(self, tmp_path):
+        """Rounding in an ideal netlist can leave the output a bit heavier than
+        the input; a run still passes with probability 1, not above it."""
+        net, _ = compile_unitary(haar_random_unitary(4, np.random.default_rng(18)), "ideal")
+        s = basis_state(0, 1, 2)
+        assert survival_probability(run_netlist(s, net)) > 1.0
+        assert sample_cli(tmp_path, s, net, runs=10)["successes"] == 10
+
+    def test_netlist_without_filters_always_passes(self, tmp_path):
         net = Netlist(n=1, mode_count=1, elements=(Mirror(0), Mirror(0)))
         s = basis_state(0, 1, 1)
-        assert monte_carlo_survival(loss_profile(s, net), 10, np.random.default_rng(0)) == 1
+        assert sample_cli(tmp_path, s, net, runs=10)["successes"] == 10
         assert monte_carlo_run(s, net, np.random.default_rng(0)).success
 
 

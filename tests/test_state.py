@@ -8,7 +8,6 @@ from oamcomp.state import (
     basis_state,
     from_amplitudes,
     normalized,
-    overlap,
     survival_probability,
 )
 
@@ -33,6 +32,15 @@ class TestBasisState:
     def test_rejects_width_below_one(self):
         with pytest.raises(ValidationError):
             basis_state(0, 0, 0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: PhotonState(n=True),
+        lambda: PhotonState(n=2.0),
+        lambda: from_amplitudes(0, [1, 0], True),
+    ], ids=["bool-state", "float-state", "bool-amplitudes"])
+    def test_rejects_a_width_that_is_not_an_int(self, build):
+        with pytest.raises(ValidationError, match="qubit count must be an integer"):
+            build()
 
 
 class TestFromAmplitudes:
@@ -77,26 +85,6 @@ class TestSurvivalProbability:
     def test_subnormalized(self):
         s = PhotonState(n=1, amplitudes={(0, 0): 0.5})
         assert survival_probability(s) == pytest.approx(0.25)
-
-
-class TestOverlap:
-    def test_self_overlap(self, rng):
-        s = random_state(rng, 2)
-        assert overlap(s, s) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_oam(self):
-        assert overlap(basis_state(0, 0, 1), basis_state(0, 1, 1)) == 0
-
-    def test_distinct_spatial_modes(self):
-        assert overlap(basis_state(0, 3, 2), basis_state(1, 3, 2)) == 0
-
-    def test_conjugate_symmetry(self, rng):
-        a, b = random_state(rng, 2), random_state(rng, 2)
-        assert overlap(a, b) == pytest.approx(overlap(b, a).conjugate(), abs=1e-14)
-
-    def test_rejects_width_mismatch(self):
-        with pytest.raises(ValidationError):
-            overlap(basis_state(0, 0, 1), basis_state(0, 0, 2))
 
 
 def test_normalized_restores_unit_norm():
