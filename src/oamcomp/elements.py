@@ -329,8 +329,8 @@ def iter_steps(amps: Amplitudes, elements, norm_guard=checked_norm2):
     :func:`~oamcomp.state.checked_norm2` for one input, the column-wise check
     of :func:`oamcomp.compiler.basis_response` for a column map.  The guard
     raises on a fault, at the element that made it.  This is the one
-    stepping loop; :func:`run_netlist`, the basis response and the loss
-    profile read it."""
+    stepping loop; :func:`run_netlist`, the basis response and the Monte
+    Carlo sampler read it."""
     for el in elements:
         amps = step(amps, el)
         yield el, amps, norm_guard(amps)

@@ -20,8 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from itertools import pairwise
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 # ``ExtractionSpec`` is re-exported, and oambench/layers.py reads ``apply_macro`` here.
 from .elements import (  # noqa: F401
@@ -78,83 +77,6 @@ def expand_netlist(netlist: Netlist) -> Netlist:
     return replace(netlist, elements=tuple(elements))
 
 
-class _FilterRun(NamedTuple):
-    """``count`` consecutive filters of the expanded netlist, at indices
-    ``first + 2 j``.  The survival after the ``j``-th is the closed form
-    ``floor + leak * cos ** (2 (j + 1 - count))`` of a Zeno chain; a lone
-    filter is a run of one with no leak."""
-
-    first: int
-    count: int
-    floor: float
-    leak: float = 0.0
-    cos: float = 1.0
-
-    def survival(self, j: int) -> float:
-        return self.floor + self.leak * self.cos ** (2 * (j + 1 - self.count))
-
-
-@dataclass(frozen=True)
-class LossProfile:
-    """Where a photon can be absorbed along a netlist, from one exact pass.
-
-    ``initial`` is the input's squared norm and ``final`` the output state.
-    ``runs`` covers every filter of :func:`expand_netlist`'s netlist in
-    order, one run per finite gate or lone filter, so the profile does not
-    grow with the stage count.
-    """
-
-    initial: float
-    final: PhotonState
-    runs: tuple[_FilterRun, ...]
-
-    def absorption(self) -> dict[int, float]:
-        """Probability that each filter absorbs the photon, ``|psi_{k-1}|^2 -
-        |psi_k|^2``, by the filter's index (one entry per filter of a chain)."""
-        after = {r.first + 2 * j: r.survival(j) for r in self.runs for j in range(r.count)}
-        return {k: prev - cur
-                for k, (prev, cur) in zip(after, pairwise([self.initial, *after.values()]))}
-
-    def absorbed_at(self, u: float) -> int | None:
-        """Index of the first filter after which the survival is at most ``u``
-        (``None`` if there is none): where a run drawing ``u`` is absorbed.
-        Survival falls along a run, so its last filter tells whether the run
-        holds that index, and a bisection finds it."""
-        for r in self.runs:
-            if r.survival(r.count - 1) <= u:
-                j = bisect.bisect_left(range(r.count), True, key=lambda j: r.survival(j) <= u)
-                return r.first + 2 * j
-        return None
-
-
-def loss_profile(state: PhotonState, netlist: Netlist) -> LossProfile:
-    """Read the survival after every filter of the netlist's expansion off
-    one pass of :func:`~oamcomp.elements.iter_steps`, the stepping loop of
-    :func:`run_netlist`, whose output state is ``final``.
-
-    A finite-stage gate expands to hologram, ``N`` times (beamsplitter,
-    filter), hologram.  Inside it only the ``l != m`` components of ``src``
-    lose weight, by ``cos^2 theta`` per filter after the first, and they hold
-    all of their remaining weight at the gate's output; so the output fixes
-    the survival after each of the gate's filters.  An ideal gate is one
-    lossless element of the expansion.
-    """
-    check_state_fits(state, netlist)
-    runs: list[_FilterRun] = []
-    index, amps = 0, state.amplitudes
-    for el, amps, norm2 in iter_steps(amps, netlist.elements):
-        if isinstance(el, Filter):
-            runs.append(_FilterRun(index, 1, norm2))
-        elif is_lossy(el):
-            leak = sum(abs(amp) ** 2 for (mode, l), amp in amps.items()
-                       if mode == el.src and l != el.m)
-            runs.append(_FilterRun(index + 2, el.stages, norm2 - leak, leak, math.cos(el.theta)))
-            index += 2 * el.stages + 1
-        index += 1
-    final = PhotonState(n=state.n, amplitudes=amps)
-    return LossProfile(survival_probability(state), final, tuple(runs))
-
-
 @dataclass(frozen=True)
 class MonteCarloResult:
     success: bool
@@ -167,17 +89,42 @@ def monte_carlo_run(
 ) -> MonteCarloResult:
     """Sample one physical run: the photon is absorbed at one filter or passes all.
 
-    One uniform draw ``u`` in ``[0, |psi|^2)`` picks the first filter after
-    which the survival probability is at most ``u``, so filter ``k`` absorbs
-    with probability ``(|psi_{k-1}|^2 - |psi_k|^2) / |psi|^2``.  On success
-    the returned state is the normalized conditional state; the success
-    frequency over many runs estimates the survival probability.  An input
-    of norm 0 draws ``u = 0``: the first filter absorbs it, and a netlist
-    with none passes it.
+    One uniform draw ``u`` in ``[0, |psi|^2)`` picks the first filter of
+    :func:`expand_netlist`'s netlist after which the survival probability is
+    at most ``u``, so filter ``k`` absorbs with probability ``(|psi_{k-1}|^2
+    - |psi_k|^2) / |psi|^2``, and a run that passes returns the normalized
+    conditional state.  An input whose squared norm is 0 (or underflows to
+    0) draws ``u = 0``: the first filter absorbs it, and a netlist with none
+    passes it as it is.
+
+    The survivals come off one pass of :func:`run_netlist`'s stepping loop.
+    Inside a finite gate (hologram, ``N`` times beamsplitter and filter,
+    hologram) only the ``l != m`` components of ``src`` lose weight, by
+    ``cos^2 theta`` per filter after the first, and they hold all of their
+    remaining weight at the gate's output.  So the output fixes the survival
+    after each of the gate's filters, and a bisection finds the absorbing one.
     """
-    profile = loss_profile(state, netlist)
-    absorbed = profile.absorbed_at(rng.random() * profile.initial)
-    if absorbed is not None:
-        return MonteCarloResult(success=False, state=None, absorbed_at=absorbed)
-    final = normalized(profile.final) if profile.final.amplitudes else profile.final
-    return MonteCarloResult(success=True, state=final, absorbed_at=None)
+    check_state_fits(state, netlist)
+    u = rng.random() * survival_probability(state)
+    absorbed_at, index, amps = None, 0, state.amplitudes
+    # Run on after an absorption, so that a later fault raises as in run_netlist.
+    for el, amps, norm2 in iter_steps(amps, netlist.elements):
+        gate = is_lossy(el) and not isinstance(el, Filter)
+        if absorbed_at is None and is_lossy(el):
+            first, count, leak, cos = index, 1, 0.0, 1.0
+            if gate:
+                leak = sum(abs(amp) ** 2 for (mode, l), amp in amps.items()
+                           if mode == el.src and l != el.m)
+                first, count, cos = index + 2, el.stages, math.cos(el.theta)
+
+            def absorbs(j: int) -> bool:
+                return (norm2 - leak) + leak * cos ** (2 * (j + 1 - count)) <= u
+
+            if absorbs(count - 1):
+                absorbed_at = first + 2 * bisect.bisect_left(range(count), True, key=absorbs)
+        index += 2 * el.stages + 2 if gate else 1
+    final = PhotonState(n=state.n, amplitudes=amps)
+    if absorbed_at is not None:
+        return MonteCarloResult(success=False, state=None, absorbed_at=absorbed_at)
+    passed = normalized(final) if survival_probability(final) else final
+    return MonteCarloResult(success=True, state=passed, absorbed_at=None)

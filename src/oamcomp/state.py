@@ -100,10 +100,6 @@ class PhotonState:
     def modes(self) -> set[int]:
         return {mode for mode, _ in self.amplitudes}
 
-    def coefficients(self, mode: int) -> list[complex]:
-        """Computational-range coefficients ``[amp(mode, 0) .. amp(mode, 2^n - 1)]``."""
-        return [self.amplitude(mode, l) for l in range(self.dim)]
-
     def to_json_dict(self) -> dict:
         entries = [
             {"mode": mode, "l": l, "re": amp.real, "im": amp.imag}

@@ -23,6 +23,22 @@ def random_state(rng, n: int, mode: int = 0) -> PhotonState:
     return from_amplitudes(mode, coeffs, n)
 
 
+def coefficients(state: PhotonState, mode: int = 0) -> list[complex]:
+    """Computational-range coefficients ``[amp(mode, 0) .. amp(mode, 2^n - 1)]``."""
+    return [state.amplitude(mode, l) for l in range(state.dim)]
+
+
+class Draws:
+    """A stand-in for ``numpy.random.Generator`` whose uniform draws are
+    ``draws``, in order."""
+
+    def __init__(self, *draws: float):
+        self._draws = iter(draws)
+
+    def random(self) -> float:
+        return next(self._draws)
+
+
 def states_close(a: PhotonState, b: PhotonState, tol: float = 1e-12) -> bool:
     """Amplitude-map equality up to ``tol`` per entry."""
     keys = set(a.amplitudes) | set(b.amplitudes)

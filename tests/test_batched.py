@@ -27,8 +27,10 @@ from oamcomp.elements import (
     run_netlist,
 )
 from oamcomp.errors import LeakageError, ValidationError
-from oamcomp.extraction import loss_profile
-from oamcomp.state import PhotonState, basis_state, survival_probability
+from oamcomp.extraction import monte_carlo_run
+from oamcomp.state import PhotonState, basis_state, normalized, survival_probability
+
+from conftest import Draws, coefficients
 
 
 def per_column_response(netlist: Netlist) -> tuple[np.ndarray, np.ndarray]:
@@ -57,7 +59,7 @@ def per_column_response(netlist: Netlist) -> tuple[np.ndarray, np.ndarray]:
             raise LeakageError(offenders)
     effective = np.zeros((d, d), dtype=complex)
     for col, out in enumerate(outs):
-        column = np.array(out.coefficients(0), dtype=complex)
+        column = np.array(coefficients(out), dtype=complex)
         if not lossless:
             norm = np.linalg.norm(column)
             if norm == 0.0:
@@ -150,9 +152,11 @@ def test_batched_response_matches_per_column_runs(netlist, faulty):
 
 @settings(max_examples=200, deadline=None)
 @given(netlist=netlists(), faulty=st.booleans(), data=st.data())
-def test_loss_profile_final_is_the_run_netlist_output(netlist, faulty, data):
-    """The profile reads the same stepping loop as ``run_netlist``: the same
-    output state exactly, or the same error class."""
+def test_monte_carlo_run_reads_the_run_netlist_pass(netlist, faulty, data):
+    """The sampler reads the same stepping loop as ``run_netlist``: the same
+    error class, or, on a run that passes (a draw of 0 passes every filter
+    that leaves any weight), the same output state, normalized.  A run that
+    is absorbed still steps to the end, so a later fault raises in it too."""
     keys = st.tuples(st.integers(0, netlist.mode_count - 1), st.integers(-2, 1 << netlist.n))
     amps = data.draw(st.dictionaries(keys, st.complex_numbers(max_magnitude=1), max_size=6))
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
@@ -160,10 +164,15 @@ def test_loss_profile_final_is_the_run_netlist_output(netlist, faulty, data):
     semantics = {PhaseShifter: _amplifying_phase_shift} if faulty else {}
     with mock.patch.dict(elements._SEMANTICS, semantics):
         final, final_error = outcome(lambda net: run_netlist(state, net), netlist)
-        profile, profile_error = outcome(lambda net: loss_profile(state, net), netlist)
-    assert type(profile_error) is type(final_error)
-    if final_error is None:
-        assert dict(profile.final.amplitudes) == dict(final.amplitudes)
+        result, result_error = outcome(lambda net: monte_carlo_run(state, net, Draws(0.0)), netlist)
+        draw = data.draw(st.floats(0, 1, exclude_max=True))
+        _, drawn_error = outcome(lambda net: monte_carlo_run(state, net, Draws(draw)), netlist)
+    assert type(result_error) is type(final_error) is type(drawn_error)
+    if final_error is None and result.success:
+        # A state of norm 0, or one whose squared norm underflows to 0, passes
+        # a lossless netlist as it is.
+        expected = normalized(final) if survival_probability(final) else final
+        assert dict(result.state.amplitudes) == dict(expected.amplitudes)
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])

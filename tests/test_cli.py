@@ -78,6 +78,20 @@ class TestCompile:
         ])
         assert result.exit_code == 3
 
+    def test_failed_report_write_leaves_no_file(self, tmp_path):
+        """The netlist and the report are written all or none: a report into
+        a missing directory is an I/O error, and no netlist or temporary
+        file is left behind."""
+        write_json(tmp_path / "u.json", unitary_to_json(np.eye(2, dtype=complex)))
+        result = invoke_cli([
+            "compile", "--input", str(tmp_path / "u.json"),
+            "--output", str(tmp_path / "net.json"),
+            "--report", str(tmp_path / "nodir" / "rep.json"),
+        ])
+        assert result.exit_code == 3
+        assert json.loads(result.stderr)["error"]["type"] == "io"
+        assert [path.name for path in tmp_path.iterdir()] == ["u.json"]
+
 
 class TestSimulate:
     def test_empty_netlist_echoes_input(self, tmp_path):

@@ -22,7 +22,6 @@ from oamcomp.extraction import (
     ExtractionSpec,
     component_survival,
     expand_netlist,
-    loss_profile,
     monte_carlo_run,
     survival_lower_bound,
 )
@@ -35,7 +34,7 @@ from oamcomp.state import (
     survival_probability,
 )
 
-from conftest import invoke_cli, random_state, states_close
+from conftest import Draws, invoke_cli, random_state, states_close
 
 
 def chain(gate, n=1, mode_count=2):
@@ -314,9 +313,12 @@ class TestMonteCarlo:
             n=1, mode_count=2,
             elements=(Mirror(0), ExtractGate(m=0, src=0, dst=1), BeamSplitter(0, 1, 0.3)),
         )
-        result = monte_carlo_run(PhotonState(n=1), net, np.random.default_rng(0))
-        assert (result.success, result.absorbed_at) == (True, None)
-        assert sample_cli(tmp_path, PhotonState(n=1), net, runs=10)["successes"] == 10
+        # An amplitude of 1e-170 is a state whose squared norm underflows to 0.
+        for s in (PhotonState(n=1), PhotonState(n=1, amplitudes={(0, 0): 1e-170})):
+            result = monte_carlo_run(s, net, np.random.default_rng(0))
+            assert (result.success, result.absorbed_at) == (True, None)
+            assert result.state == run_netlist(s, net)
+            assert sample_cli(tmp_path, s, net, runs=10)["successes"] == 10
 
     def test_ideal_gates_never_absorb(self):
         net, _ = compile_unitary(haar_random_unitary(4, np.random.default_rng(1)), "ideal")
@@ -341,16 +343,14 @@ class TestMonteCarlo:
 
 def filter_oracle(state, netlist):
     """Index of every Filter of ``expand_netlist(netlist)``, with the squared
-    norm just before and just after it, from primitive-by-primitive runs."""
-    indices, before, after = [], [], []
+    norm just after it, from primitive-by-primitive runs."""
+    indices, after = [], []
     for index, el in enumerate(expand_netlist(netlist).elements):
-        norm2 = survival_probability(state)
         state = apply_element(state, el)
         if isinstance(el, Filter):
             indices.append(index)
-            before.append(norm2)
             after.append(survival_probability(state))
-    return indices, np.array(before), np.array(after)
+    return indices, np.array(after)
 
 
 amplitude_maps = st.dictionaries(
@@ -383,7 +383,11 @@ def test_closed_form_gate_matches_primitive_chain(gate_class, stages, m, modes, 
     assert states_close(fused, run_netlist(state, chain(gate, n=2, mode_count=3)), tol=1e-12)
 
 
-def test_loss_profile_matches_expanded_filters(rng):
+def test_monte_carlo_run_matches_expanded_filters(rng):
+    """A run drawing ``u`` is absorbed at the first filter of the primitive
+    chain after which the survival is at most ``u``: for 200 uniform draws,
+    and for ``u`` within 1e-12 of the survival after each filter, which
+    holds every filter's survival to the primitive-by-primitive oracle."""
     # The second netlist mixes ideal gates, lossless single elements of the
     # expansion, with finite ones.
     for compiled_stages, inner_stages in ((25, (1, 7)), ("ideal", ("ideal", 7))):
@@ -408,14 +412,13 @@ def test_loss_profile_matches_expanded_filters(rng):
         amps.update({(1, 2): 0.4j, (2, -1): 0.3, (1, -2): 0.2})
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
         s = PhotonState(n=2, amplitudes={key: a / norm for key, a in amps.items()})
-        indices, before, after = filter_oracle(s, net)
-        profile = loss_profile(s, net)
-        absorption = profile.absorption()
-        assert list(absorption) == indices
-        assert np.max(np.abs(np.array(list(absorption.values())) - (before - after))) <= 1e-12
-        for u in rng.uniform(0, profile.initial, size=200):
+        indices, after = filter_oracle(s, net)
+        initial = survival_probability(s)
+        probes = np.concatenate([after - 1e-12, after + 1e-12]) / initial
+        for draw in [*rng.uniform(0, 1, size=200), *probes]:
+            u = draw * initial  # as the run computes it
             first = next((i for i, norm2 in zip(indices, after) if norm2 <= u), None)
-            assert profile.absorbed_at(u) == first
+            assert monte_carlo_run(s, net, Draws(draw)).absorbed_at == first
 
 
 def test_analytic_netlist_survival_matches_simulation(rng):
