@@ -6,7 +6,8 @@ from .errors import LeakageError, ValidationError
 
 #: Names re-exported from the submodules, loaded on first access (PEP 562),
 #: so that ``import oamcomp`` loads only ``errors``, and each command of the
-#: CLI only the modules it runs: ``--help`` none, ``simulate`` no numpy.
+#: CLI only the modules it runs: ``--help`` none, and only the sampling
+#: commands numpy.
 _EXPORTS = {
     "state": (
         "PhotonState", "basis_state", "from_amplitudes", "normalized", "survival_probability",

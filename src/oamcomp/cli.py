@@ -9,7 +9,8 @@ guard; no output is written); 2 bad input, whether a bad option (error type
 failure prints one JSON object ``{"error": {"type": ..., "message": ...}}``
 on stderr.  Options are parsed by ``argparse``, and each command imports
 only the modules it runs: ``--help`` loads no ``oamcomp`` module but
-``errors``, and ``simulate`` without ``--monte-carlo`` no numpy.  The process
+``errors``, and only ``simulate --monte-carlo`` and ``readout`` load numpy,
+for its random generator.  The process
 entry point :func:`run` freezes the heap before teardown; :func:`main`, the
 in-process entry, leaves the garbage collector alone.
 """

@@ -13,8 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InternalError, LeakageError, ValidationError
 from .elements import (
@@ -25,11 +25,19 @@ from .elements import (
     Netlist,
     PhaseShifter,
     ReintegrateGate,
+    Rows,
     Stages,
     is_lossy,
 )
-from .state import NORM_EPS, RESIDUE_TOL, _json_int, _json_real
+from .state import _json_int, _json_real
 from . import elements as _elements
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: A ``d x d`` matrix: any sequence of ``d`` rows of ``d`` complex numbers,
+#: such as nested lists or a numpy array.
+Matrix = Sequence[Sequence[complex]]
 
 UNITARITY_TOL = 1e-9
 FACTOR_TOL = 1e-10
@@ -37,24 +45,49 @@ FACTOR_TOL = 1e-10
 IDEAL_RESIDUAL_GUARD = 1e-6
 
 
-def unitarity_residual(matrix: np.ndarray) -> float:
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
-    d = matrix.shape[0]
-    # A huge entry makes the residual inf or NaN, which every check rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(d)))
+def _square(matrix: Matrix) -> list[list[complex]]:
+    """``matrix`` as a new list of rows of ``complex``; raises unless it is
+    square."""
+    try:
+        rows = [[complex(z) for z in row] for row in matrix]
+    except TypeError as exc:
+        raise ValidationError(f"expected a square matrix: {exc}") from exc
+    lengths = sorted({len(row) for row in rows})
+    if lengths and lengths != [len(rows)]:
+        raise ValidationError(
+            f"expected a square matrix, got {len(rows)} rows of length {lengths}")
+    return rows
 
 
-def check_unitary(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=complex)
-    residual = unitarity_residual(matrix)
+def _frobenius2(entries) -> float:
+    """Squared Frobenius norm of the complex ``entries``; a huge entry gives
+    inf, as ``re * re`` overflows to inf where ``abs`` would raise."""
+    return sum(z.real * z.real + z.imag * z.imag for z in entries)
+
+
+def _unitarity_residual(rows: list[list[complex]]) -> float:
+    """Frobenius norm of ``U^dagger U - I`` for the square ``rows`` of
+    ``U``, from the upper triangle of the Hermitian product."""
+    columns = list(zip(*rows))
+    total = 0.0
+    for i, column in enumerate(columns):
+        conj = [z.conjugate() for z in column]
+        gram = [sum(map(mul, conj, other)) for other in columns[i:]]
+        gram[0] -= 1.0
+        total += 2.0 * _frobenius2(gram) - _frobenius2(gram[:1])
+    return math.sqrt(total)
+
+
+def check_unitary(matrix: Matrix, tol: float = UNITARITY_TOL) -> list[list[complex]]:
+    """``matrix`` as a list of rows of ``complex``; raises unless it is
+    unitary within ``tol``."""
+    rows = _square(matrix)
+    residual = _unitarity_residual(rows)
     if not residual <= tol:
         raise ValidationError(
             f"matrix is not unitary: residual {residual:.3e} exceeds {tol:.1e}"
         )
-    return matrix
+    return rows
 
 
 def qubit_count_for(d: int) -> int:
@@ -64,52 +97,43 @@ def qubit_count_for(d: int) -> int:
     return n
 
 
-def unitary_from_json(data: dict) -> np.ndarray:
+def unitary_from_json(data: dict) -> list[list[complex]]:
     try:
         d = _json_int(data["d"])
-        rows = data["rows"]
-        matrix = np.array(
-            [[complex(_json_real(re), _json_real(im)) for re, im in row] for row in rows],
-            dtype=complex,
-        )
+        matrix = [[complex(_json_real(re), _json_real(im)) for re, im in row]
+                  for row in data["rows"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed unitary JSON: {exc}") from exc
-    if not np.isfinite(matrix).all():
+    if not all(map(cmath.isfinite, (z for row in matrix for z in row))):
         raise ValidationError("unitary JSON holds a non-finite entry")
-    if matrix.shape != (d, d):
+    if len(matrix) != d or any(len(row) != d for row in matrix):
+        lengths = sorted({len(row) for row in matrix})
         raise ValidationError(
-            f"declared dimension {d} does not match a {matrix.shape} entry grid"
+            f"declared dimension {d} does not match {len(matrix)} rows of length {lengths}"
         )
     return matrix
 
 
-def unitary_to_json(matrix: np.ndarray) -> dict:
-    matrix = np.asarray(matrix, dtype=complex)
-    return {
-        "d": matrix.shape[0],
-        "rows": [[[z.real, z.imag] for z in row] for row in matrix],
-    }
-
-
 @dataclass(frozen=True, eq=False)
 class TwoLevelFactor:
-    """2x2 unitary acting on OAM levels ``m`` and ``n_idx`` only."""
+    """2x2 unitary acting on OAM levels ``m`` and ``n_idx`` only; ``u2`` is
+    stored as a tuple of two rows, each a tuple of two ``complex``."""
 
     m: int
     n_idx: int
-    u2: np.ndarray
+    u2: Matrix
 
     def __post_init__(self) -> None:
         if self.m == self.n_idx or self.m < 0 or self.n_idx < 0:
             raise ValidationError(
                 f"factor needs two distinct non-negative levels, got ({self.m}, {self.n_idx})"
             )
-        u2 = np.asarray(self.u2, dtype=complex)
-        if u2.shape != (2, 2):
-            raise ValidationError(f"factor matrix must be 2x2, got {u2.shape}")
-        if not unitarity_residual(u2) <= FACTOR_TOL:
+        u2 = _square(self.u2)
+        if len(u2) != 2:
+            raise ValidationError(f"factor matrix must be 2x2, got {len(u2)}x{len(u2)}")
+        if not _unitarity_residual(u2) <= FACTOR_TOL:
             raise ValidationError("factor matrix is not unitary")
-        object.__setattr__(self, "u2", u2)
+        object.__setattr__(self, "u2", tuple(map(tuple, u2)))
 
 
 @dataclass(frozen=True)
@@ -127,11 +151,9 @@ class U2Params:
     delta: float
 
 
-def u2_to_optics(u2: np.ndarray) -> U2Params:
+def u2_to_optics(u2: Matrix) -> U2Params:
     """Solve the four optical parameters for an arbitrary 2x2 unitary."""
-    u2 = check_unitary(u2, tol=FACTOR_TOL)
-    u_mm, u_mn = u2[0, 0], u2[0, 1]
-    u_nm, u_nn = u2[1, 0], u2[1, 1]
+    (u_mm, u_mn), (u_nm, u_nn) = check_unitary(u2, tol=FACTOR_TOL)
     if abs(u_mn) == 0.0:
         # Diagonal: no beamsplitter needed.
         delta = cmath.phase(u_nn)
@@ -160,46 +182,45 @@ def u2_to_optics(u2: np.ndarray) -> U2Params:
     )
 
 
-def decompose_two_level(U: np.ndarray) -> list[TwoLevelFactor]:
+def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
     """Factor ``U`` into two-level unitaries, listed in application order.
 
     The product ``F_k @ ... @ F_1`` of the embedded factors reconstructs
     ``U``; the first list entry is applied first.  Residual diagonal phases
-    come out as degenerate ``diag(exp(i phi), 1)`` factors.
+    come out as degenerate ``diag(exp(i phi), 1)`` factors.  Raises unless
+    ``U`` is unitary.
     """
-    U = check_unitary(U)
-    d = U.shape[0]
-    working = U.copy()
-    eliminations: list[tuple[int, int, np.ndarray]] = []
+    working = check_unitary(U)
+    d = len(working)
+    eliminations: list[tuple[int, int, tuple]] = []
     for col in range(d - 1):
+        top = working[col]
         for row in range(col + 1, d):
-            b = working[row, col]
+            low = working[row]
+            b = low[col]
             if abs(b) <= 1e-14:
                 continue
-            a = working[col, col]
+            a = top[col]
             r = math.hypot(abs(a), abs(b))
-            g2 = np.array(
-                [[a.conjugate() / r, b.conjugate() / r], [b / r, -a / r]],
-                dtype=complex,
-            )
-            pair = [col, row]  # the only rows the rotation touches
-            working[pair] = g2 @ working[pair]
-            eliminations.append((col, row, g2))
+            g00, g01, g10, g11 = a.conjugate() / r, b.conjugate() / r, b / r, -a / r
+            # The rotation touches rows col and row; their entries left of
+            # col are already eliminated, and no later step reads them.
+            pairs = list(zip(top[col:], low[col:]))
+            top[col:] = [g00 * x + g01 * y for x, y in pairs]
+            low[col:] = [g10 * x + g11 * y for x, y in pairs]
+            eliminations.append((col, row, (g00, g01, g10, g11)))
 
     factors: list[TwoLevelFactor] = []
     # working is now diagonal (phases); U = G_1^† ... G_K^† D, applied D first.
     for level in range(d):
-        phase = working[level, level]
+        phase = working[level][level]
         phase = phase / abs(phase)  # magnitude drift inherits U's unitarity slack
         if abs(phase - 1.0) > 1e-13:
             partner = (level + 1) % d
-            factors.append(
-                TwoLevelFactor(
-                    m=level, n_idx=partner, u2=np.diag([phase, 1.0]).astype(complex)
-                )
-            )
-    for col, row, g2 in reversed(eliminations):
-        factors.append(TwoLevelFactor(m=col, n_idx=row, u2=g2.conj().T))
+            factors.append(TwoLevelFactor(m=level, n_idx=partner, u2=((phase, 0j), (0j, 1 + 0j))))
+    for col, row, (g00, g01, g10, g11) in reversed(eliminations):
+        u2 = ((g00.conjugate(), g10.conjugate()), (g01.conjugate(), g11.conjugate()))
+        factors.append(TwoLevelFactor(m=col, n_idx=row, u2=u2))
     return factors
 
 
@@ -246,69 +267,56 @@ class CompileReport:
     verification_residual: float
 
 
-def _column_norms(amps) -> np.ndarray:
-    """Squared norm of every column of a column map; the batched counterpart
-    of :func:`oamcomp.state.checked_norm2`, failing on a NaN as it does."""
-    rows = np.array(list(amps.values()))
-    norm2 = (rows.real ** 2 + rows.imag ** 2).sum(axis=0)
-    if not (norm2 <= 1.0 + NORM_EPS).all():
-        raise ValidationError(f"squared norm {np.max(norm2)} exceeds 1 + eps")
-    return norm2
-
-
-def basis_response(netlist: Netlist) -> tuple[np.ndarray, np.ndarray]:
+def basis_response(netlist: Netlist) -> tuple[list[list[complex]], list[float]]:
     """The ``d x d`` map the netlist applies to the computational basis of
-    mode 0, and each basis input's survival probability over all modes.
+    mode 0, as a list of rows, and each basis input's survival probability
+    over all modes.
 
-    All ``d`` basis inputs go through the netlist in one pass, as the columns
-    of one amplitude map; the survival is the norm guard's last value (all
-    ones for an empty netlist).  Lossless netlists are checked for leakage
-    outside the computational subspace of mode 0; the columns of lossy
-    (finite-stage) netlists are renormalized to their conditional states.
+    All ``d`` basis inputs go through the netlist in one pass, as ``d``
+    entries of each row of one :class:`~oamcomp.elements.Rows`; the survival
+    is its norm guard's last value (all ones for an empty netlist).
+    Lossless netlists are checked for leakage outside the computational
+    subspace of mode 0; the columns of lossy (finite-stage) netlists are
+    renormalized to their conditional states.
     """
     d = 1 << netlist.n
-    basis = np.eye(d, dtype=complex)
-    out, survival = {(0, l): basis[l] for l in range(d)}, np.ones(d)
-    for _, out, survival in _elements.iter_steps(out, netlist.elements, _column_norms):
+    rows = Rows(d, {(0, l): [1 + 0j if i == l else 0j for i in range(d)] for l in range(d)})
+    for _ in _elements.iter_steps(rows, netlist.elements):
         pass
-    absent = np.zeros(d, dtype=complex)
-    effective = np.array([out.get((0, l), absent) for l in range(d)])
+    effective = [rows.get(0, l) or [0j] * d for l in range(d)]
     if not any(map(is_lossy, netlist.elements)):
-        offenders = sorted(
-            (mode, l) for (mode, l), row in out.items()
-            if (mode != 0 or not 0 <= l < d) and not (np.abs(row) <= RESIDUE_TOL).all()
-        )
+        offenders = sorted((mode, l) for mode, l in rows.keys()
+                           if (mode != 0 or not 0 <= l < d) and rows.occupied(mode, l))
         if offenders:
             raise LeakageError(offenders)
-        return effective, survival
-    norms = np.linalg.norm(effective, axis=0)
-    absorbed = np.flatnonzero(norms == 0.0)
-    if absorbed.size:
-        raise ValidationError(f"basis input {absorbed[0]} was fully absorbed")
-    return effective / norms, survival
+        return effective, rows.norm2
+    norms = [math.sqrt(_frobenius2(column)) for column in zip(*effective)]
+    if 0.0 in norms:
+        raise ValidationError(f"basis input {norms.index(0.0)} was fully absorbed")
+    return [[z / norm for z, norm in zip(row, norms)] for row in effective], rows.norm2
 
 
-def _verify(netlist: Netlist, U: np.ndarray) -> tuple[float, np.ndarray]:
+def _verify(netlist: Netlist, U: Matrix) -> tuple[float, list[float]]:
     """The residual of :func:`reconstruct_and_verify` and the survival of
     :func:`basis_response`, from its one pass."""
-    U = np.asarray(U, dtype=complex)
-    d = U.shape[0]
-    if d != 1 << netlist.n:
+    U = _square(U)
+    if len(U) != 1 << netlist.n:
         raise ValidationError(
-            f"unitary dimension {d} does not match netlist width {netlist.n}"
+            f"unitary dimension {len(U)} does not match netlist width {netlist.n}"
         )
     effective, survival = basis_response(netlist)
-    with np.errstate(over="ignore"):  # a huge entry of ``U`` gives inf, refused on output
-        return float(np.linalg.norm(effective - U)), survival
+    # A huge entry of ``U`` gives inf, refused on output.
+    residual2 = _frobenius2(e - u for got, want in zip(effective, U) for e, u in zip(got, want))
+    return math.sqrt(residual2), survival
 
 
-def reconstruct_and_verify(netlist: Netlist, U: np.ndarray) -> float:
+def reconstruct_and_verify(netlist: Netlist, U: Matrix) -> float:
     """Frobenius distance between the netlist's :func:`basis_response` and ``U``."""
     return _verify(netlist, U)[0]
 
 
 def compile_unitary(
-    U: np.ndarray, spec_stages: Stages = IDEAL
+    U: Matrix, spec_stages: Stages = IDEAL
 ) -> tuple[Netlist, CompileReport]:
     """Full pipeline: decompose, lower each factor, verify, report.
 
@@ -316,8 +324,7 @@ def compile_unitary(
     the basis state ``|0>`` in mode 0, read off the verification pass (1.0 in
     IDEAL mode, which absorbs nothing); it is not an estimate.
     """
-    U = check_unitary(U)
-    n = qubit_count_for(U.shape[0])
+    n = qubit_count_for(len(U))
     factors = decompose_two_level(U)
     seq: list[Element] = []
     for factor in factors:
@@ -337,6 +344,8 @@ def compile_unitary(
 
 def haar_random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    import numpy as np
+
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))

@@ -4,9 +4,10 @@ Five primitives (phase shifter, hologram, beamsplitter, OAM filter, mirror)
 plus two macro gates (extract / reintegrate) that the compiler emits.  The
 executor applies a macro gate either ideally or, at a finite stage count, as
 the exact closed form of its Zeno chain; the chain itself, as primitives, is
-built in :mod:`oamcomp.extraction`.  The executor runs one input state, or
-many inputs at once as the columns of one amplitude map, and checks every
-input's norm after every element.
+built in :mod:`oamcomp.extraction`.  The executor, :class:`Rows`, runs one
+input state, or many inputs at once as rows of amplitudes, rewrites only the
+rows each element acts on, and guards every input's norm after every
+element.  It is plain Python: this module does not import numpy.
 
 Beamsplitter convention: the mode-pair amplitudes ``(a, b)`` at each OAM
 index transform by the proper rotation ``[[cos t, sin t], [-sin t, cos t]]``,
@@ -19,15 +20,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Mapping, Union
+from itertools import repeat
+from operator import add, mul, neg, sub, truediv
+from typing import Mapping, Union
 
 from .errors import ValidationError
 from .state import (
-    RESIDUE_TOL, ModeOAM, PhotonState, _json_int, _json_real, checked_norm2, register_size,
+    NORM_EPS, RESIDUE_TOL, ModeOAM, PhotonState, _json_int, _json_real, check_norm2,
+    register_size,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Marker for the lossless, infinite-stage limit of the extraction gate.
 IDEAL = "ideal"
@@ -212,66 +213,222 @@ def _field_from_json(kind: str, value) -> float | Stages:
 
 
 # ---------------------------------------------------------------------------
-# Element semantics on an amplitude map ``(mode, l) -> value``.  A value is a
-# complex amplitude, or a numpy array of ``k`` amplitudes when ``k`` inputs go
-# through a netlist together: every element is linear and acts on each input
-# alike, so one pass computes all of them.  The functions are pure, map in,
-# new map out; they may keep exact zeros, which ``PhotonState`` drops.  Only
-# the guards look at the values' type, and only a column map reaches numpy.
-
-Amplitudes = Mapping[ModeOAM, Union[complex, "np.ndarray"]]
+# Element semantics on rows.  ``Rows`` holds the amplitudes of ``k`` inputs
+# at once: one input state is ``k = 1``, the compiler's basis response
+# ``k = d``.  Every element is linear and acts on each input alike, so one
+# pass computes all of them, and each element rewrites only its own rows.
 
 
-def _phase_shift(amps: Amplitudes, el: PhaseShifter) -> dict:
+def _weights(row: list[complex]) -> list[float]:
+    """``|z|^2`` of every entry; an entry is at most ``1 / RESCALE_BELOW``."""
+    return [x * x for x in map(abs, row)]
+
+
+class Rows:
+    """Amplitudes of ``k`` inputs as rows ``(mode, l) -> [k complex]``.
+
+    Input ``i``'s amplitude at ``(mode, l)`` is entry ``i`` of the row there
+    times the mode's scale.  The scale carries the decay that a finite gate
+    puts on every ``src`` row it does not mix, so those rows are not
+    rewritten; it is folded into the rows before it can underflow.  Rows
+    exist only where an input put amplitude, never per declared mode, and
+    may hold exact zeros.
+
+    ``norm2`` is each input's squared norm as a running total: every row
+    written adds its change of weight.  Each row's weights are kept beside
+    it, and a mode's summed weights from the first decay of that mode on,
+    all in stored units (before the scale).
+    """
+
+    __slots__ = ("k", "rows", "row_weights", "scale", "weight", "norm2")
+
+    #: A mode's scale is folded into its rows once it falls below this, so
+    #: that a stored entry (amplitude over scale) stays far from overflow.
+    RESCALE_BELOW = 1e-100
+
+    def __init__(self, k: int, amplitudes: Mapping[ModeOAM, list[complex]]):
+        self.k = k
+        self.rows: dict[int, dict[int, list[complex]]] = {}
+        self.row_weights: dict[int, dict[int, list[float]]] = {}
+        self.scale: dict[int, float] = {}
+        self.weight: dict[int, list[float] | None] = {}
+        for (mode, l), row in amplitudes.items():
+            if mode not in self.rows:
+                self._mode(mode)
+            self.rows[mode][l] = row
+        self.resync()
+
+    @classmethod
+    def from_state(cls, state: PhotonState) -> "Rows":
+        return cls(1, {key: [amp] for key, amp in state.amplitudes.items()})
+
+    def column(self) -> dict[ModeOAM, complex]:
+        """The first input's amplitude map (the only one when ``k = 1``)."""
+        return {key: self.get(*key)[0] for key in self.keys()}
+
+    def keys(self) -> list[ModeOAM]:
+        return [(mode, l) for mode, rows in self.rows.items() for l in rows]
+
+    def levels(self, mode: int):
+        """The OAM indices that hold a row in ``mode``."""
+        return self.rows.get(mode, {}).keys()
+
+    def occupied(self, mode: int, l: int) -> bool:
+        """Whether some input holds more than rounding residue (at most
+        ``RESIDUE_TOL``) at ``(mode, l)``; a NaN counts as weight."""
+        row = self.get(mode, l)
+        return row is not None and not all(abs(z) <= RESIDUE_TOL for z in row)
+
+    def _mode(self, mode: int) -> dict[int, list[complex]]:
+        rows = self.rows[mode] = {}
+        self.row_weights[mode], self.scale[mode], self.weight[mode] = {}, 1.0, None
+        return rows
+
+    def _account(self, mode: int, delta: list[float]) -> None:
+        """Add ``delta``, a change of stored weight in ``mode``, to the totals."""
+        if self.weight[mode] is not None:
+            self.weight[mode] = list(map(add, self.weight[mode], delta))
+        scale = self.scale[mode]
+        if scale != 1.0:
+            delta = list(map(mul, delta, repeat(scale * scale)))
+        self.norm2 = list(map(add, self.norm2, delta))
+
+    def get(self, mode: int, l: int) -> list[complex] | None:
+        """The amplitudes at ``(mode, l)``, or None where no row is."""
+        rows = self.rows.get(mode)
+        row = None if rows is None else rows.get(l)
+        if row is None or self.scale[mode] == 1.0:
+            return row
+        return list(map(mul, row, repeat(self.scale[mode])))
+
+    def put(self, mode: int, l: int, row: list[complex]) -> None:
+        """Set the amplitudes at ``(mode, l)`` to ``row``."""
+        rows = self.rows.get(mode)
+        if rows is None:
+            rows = self._mode(mode)
+        elif self.scale[mode] != 1.0:
+            row = list(map(truediv, row, repeat(self.scale[mode])))
+        rows[l] = row
+        weights = self.row_weights[mode]
+        new, old = _weights(row), weights.get(l)
+        weights[l] = new
+        self._account(mode, new if old is None else list(map(sub, new, old)))
+
+    def pop(self, mode: int, l: int) -> list[complex] | None:
+        """Remove the row at ``(mode, l)``, returning it as :meth:`get` does."""
+        row = self.get(mode, l)
+        if row is not None:
+            del self.rows[mode][l]
+            self._account(mode, list(map(neg, self.row_weights[mode].pop(l))))
+        return row
+
+    def move(self, source: ModeOAM, target: ModeOAM) -> None:
+        """Move the row at ``source`` to ``target``, replacing what is there."""
+        self.pop(*target)
+        (src, l_src), (dst, l_dst) = source, target
+        if l_src not in self.levels(src):
+            return
+        if self.scale[src] != self.scale.get(dst, 1.0):
+            self.put(dst, l_dst, self.pop(src, l_src))
+            return
+        # Same scale: the row and its weights move, and the total stays.
+        if dst not in self.rows:
+            self._mode(dst)
+        self.rows[dst][l_dst] = self.rows[src].pop(l_src)
+        weights = self.row_weights[dst][l_dst] = self.row_weights[src].pop(l_src)
+        if self.weight[src] is not None:
+            self.weight[src] = list(map(sub, self.weight[src], weights))
+        if self.weight[dst] is not None:
+            self.weight[dst] = list(map(add, self.weight[dst], weights))
+
+    def relabel(self, mode: int, sign: int, shift: int) -> None:
+        """Move every row of ``mode`` from ``l`` to ``sign * l + shift``."""
+        if mode in self.rows:
+            for table in (self.rows, self.row_weights):
+                table[mode] = {sign * l + shift: row for l, row in table[mode].items()}
+
+    def decay(self, mode: int, factor: float) -> None:
+        """Scale every row of ``mode`` by ``factor`` in ``(0, 1]``, through
+        the mode's scale."""
+        if mode not in self.rows:
+            return
+        if self.weight[mode] is None:
+            self.weight[mode] = self._sum(self.row_weights[mode].values())
+        scale = self.scale[mode]
+        loss = scale * scale * (1.0 - factor * factor)
+        self.norm2 = [t - loss * w for t, w in zip(self.norm2, self.weight[mode])]
+        scale = self.scale[mode] = scale * factor
+        if scale < self.RESCALE_BELOW:
+            self.rows[mode] = {l: list(map(mul, row, repeat(scale)))
+                               for l, row in self.rows[mode].items()}
+            self.scale[mode] = 1.0
+            self.resync()
+
+    def _sum(self, rows) -> list[float]:
+        total = [0.0] * self.k
+        for row in rows:
+            total = list(map(add, total, row))
+        return total
+
+    def resync(self) -> None:
+        """Recompute every weight, and so ``norm2``, from the rows."""
+        norm2 = [0.0] * self.k
+        for mode, rows in self.rows.items():
+            weights = self.row_weights[mode] = {l: _weights(row) for l, row in rows.items()}
+            total = self._sum(weights.values())
+            if self.weight[mode] is not None:
+                self.weight[mode] = total
+            norm2 = list(map(add, norm2, map(mul, total, repeat(self.scale[mode] ** 2))))
+        self.norm2 = norm2
+
+    def check(self) -> None:
+        """Recompute ``norm2`` and raise, as :func:`~oamcomp.state.check_norm2`
+        does, if any input's exceeds ``1 + NORM_EPS`` or is NaN."""
+        self.resync()
+        worst = max(self.norm2)
+        check_norm2(next((x for x in self.norm2 if x != x), worst))
+
+
+def _phase_shift(rows: Rows, el: PhaseShifter) -> None:
     """Multiply every amplitude in ``el.mode`` by ``exp(i * phi)``."""
     factor = cmath.exp(1j * el.phi)
-    return {key: (amp * factor if key[0] == el.mode else amp) for key, amp in amps.items()}
+    for l in list(rows.levels(el.mode)):
+        rows.put(el.mode, l, list(map(mul, rows.get(el.mode, l), repeat(factor))))
 
 
-def _hologram(amps: Amplitudes, el: Hologram) -> dict:
+def _hologram(rows: Rows, el: Hologram) -> None:
     """Shift every OAM index in ``el.mode`` by ``k`` (bijective relabeling)."""
-    return {((m, l + el.k) if m == el.mode else (m, l)): amp for (m, l), amp in amps.items()}
+    rows.relabel(el.mode, 1, el.k)
 
 
-def _beamsplitter(amps: Amplitudes, el: BeamSplitter) -> dict:
+def _beamsplitter(rows: Rows, el: BeamSplitter) -> None:
     """Rotate the ``(mode_a, mode_b)`` amplitude pair at every OAM index."""
     mode_a, mode_b = el.mode_a, el.mode_b
     c, s = math.cos(el.theta), math.sin(el.theta)
-    out = {key: amp for key, amp in amps.items() if key[0] not in (mode_a, mode_b)}
-    for l in {l for m, l in amps if m in (mode_a, mode_b)}:
-        a, b = amps.get((mode_a, l), 0), amps.get((mode_b, l), 0)
-        out[(mode_a, l)] = a * c + b * s
-        out[(mode_b, l)] = -a * s + b * c
-    return out
+    absent = [0j] * rows.k
+    for l in rows.levels(mode_a) | rows.levels(mode_b):
+        a, b = rows.get(mode_a, l) or absent, rows.get(mode_b, l) or absent
+        rows.put(mode_a, l, [x * c + y * s for x, y in zip(a, b)])
+        rows.put(mode_b, l, [-x * s + y * c for x, y in zip(a, b)])
 
 
-def _filter(amps: Amplitudes, el: Filter) -> dict:
+def _filter(rows: Rows, el: Filter) -> None:
     """Project ``el.mode`` onto OAM ``m``; everything else in that mode is absorbed."""
-    return {key: amp for key, amp in amps.items() if key[0] != el.mode or key[1] == el.m}
+    for l in [l for l in rows.levels(el.mode) if l != el.m]:
+        rows.pop(el.mode, l)
 
 
-def _mirror(amps: Amplitudes, el: Mirror) -> dict:
+def _mirror(rows: Rows, el: Mirror) -> None:
     """Reflect OAM in ``el.mode``: amplitude at ``l`` moves to ``-l``."""
-    return {((m, -l) if m == el.mode else (m, l)): amp for (m, l), amp in amps.items()}
+    rows.relabel(el.mode, -1, 0)
 
 
-def _check_vacant(amps: Amplitudes, slot: ModeOAM, role: str) -> None:
-    vacant = abs(amps.get(slot, 0)) <= RESIDUE_TOL  # a numpy array for columns
-    if not (vacant if isinstance(vacant, bool) else vacant.all()):
+def _check_vacant(rows: Rows, slot: ModeOAM, role: str) -> None:
+    if rows.occupied(*slot):
         raise ValidationError(f"{role} (mode {slot[0]}, OAM {slot[1]}) already occupied")
 
 
-def _move(amps: Amplitudes, source: ModeOAM, target: ModeOAM) -> dict:
-    # The move replaces the target's residue (at most RESIDUE_TOL) whether
-    # the source is absent or, as in a column of a batched map, present at 0.
-    out = dict(amps)
-    out.pop(target, None)
-    if source in out:
-        out[target] = out.pop(source)
-    return out
-
-
-def _zeno_chain(amps: Amplitudes, spec: ExtractionSpec, theta: float) -> dict:
+def _zeno_chain(rows: Rows, spec: ExtractionSpec, theta: float) -> None:
     """Exact output of the ``N``-stage chain with beamsplitter angle ``theta``.
 
     The chain is hologram ``-m`` on ``src``, ``N`` times a beamsplitter on
@@ -280,33 +437,42 @@ def _zeno_chain(amps: Amplitudes, spec: ExtractionSpec, theta: float) -> dict:
     At ``j = 0`` the filter passes everything, so the stages compose to the
     rotation by ``N theta``.  At ``j != 0`` the first filter absorbs the
     ``dst`` part and each later stage scales the ``src`` part by
-    ``cos theta``.
+    ``cos theta``.  Where ``dst`` holds nothing at ``j``, that is the same
+    factor on every such ``src`` row: the mode's scale takes it, and only
+    the pairs that mix are rewritten.
     """
     src, dst, m, stages = spec.src, spec.dst, spec.m, spec.stages
     c, s = math.cos(theta), math.sin(theta)
     c_n, s_n = math.cos(stages * theta), math.sin(stages * theta)
     decay = c ** (stages - 1)
-    out = {key: amp for key, amp in amps.items() if key[0] not in (src, dst)}
-    for j in {l if mode == dst else l - m for mode, l in amps if mode in (src, dst)}:
-        a, b = amps.get((dst, j), 0), amps.get((src, j + m), 0)
+    pairs = {j: (rows.pop(dst, j), rows.pop(src, j + m)) for j in {0, *rows.levels(dst)}}
+    rows.decay(src, c * decay)
+    absent = [0j] * rows.k
+    for j, (a, b) in pairs.items():
+        if a is None and b is None:
+            continue
+        a, b = a or absent, b or absent
         if j == 0:
-            out[(dst, j)], out[(src, j + m)] = a * c_n + b * s_n, -a * s_n + b * c_n
+            rows.put(dst, j, [x * c_n + y * s_n for x, y in zip(a, b)])
+            rows.put(src, j + m, [-x * s_n + y * c_n for x, y in zip(a, b)])
         else:
-            out[(src, j + m)] = (-a * s + b * c) * decay
-    return out
+            rows.put(src, j + m, [(-x * s + y * c) * decay for x, y in zip(a, b)])
 
 
-def _macro(amps: Amplitudes, gate: ExtractGate | ReintegrateGate) -> dict:
+def _macro(rows: Rows, gate: ExtractGate | ReintegrateGate) -> None:
     """Extract moves ``(src, m)`` to ``(dst, 0)`` and reintegrate moves it
     back: ideally, or at a finite stage count through the exact Zeno chain,
-    at angle ``+pi/2N`` to extract and ``-pi/2N`` to reintegrate."""
+    at angle ``+pi/2N`` to extract and ``-pi/2N`` to reintegrate.  The ideal
+    move replaces the target's residue (at most ``RESIDUE_TOL``) even when
+    the source is absent."""
     source, target, sign, role = (gate.src, gate.m), (gate.dst, 0), 1, "destination"
     if isinstance(gate, ReintegrateGate):
         source, target, sign, role = target, source, -1, "reintegration target"
-    _check_vacant(amps, target, role)
+    _check_vacant(rows, target, role)
     if gate.stages == IDEAL:
-        return _move(amps, source, target)
-    return _zeno_chain(amps, gate, sign * gate.theta)
+        rows.move(source, target)
+    else:
+        _zeno_chain(rows, gate, sign * gate.theta)
 
 
 _SEMANTICS = {
@@ -314,26 +480,30 @@ _SEMANTICS = {
     Filter: _filter, Mirror: _mirror, ExtractGate: _macro, ReintegrateGate: _macro,
 }
 
-
-def step(amps: Amplitudes, el: Element) -> dict:
-    """The amplitude map after element ``el``."""
-    semantics = _SEMANTICS.get(type(el))
-    if semantics is None:
-        raise ValidationError(f"unknown element {el!r}")
-    return semantics(amps, el)
+_NORM_LIMIT = 1.0 + NORM_EPS
 
 
-def iter_steps(amps: Amplitudes, elements, norm_guard=checked_norm2):
-    """Apply ``elements`` in order, yielding ``(element, map, norm2)`` after
-    each, where ``norm2`` is what ``norm_guard`` returns for the new map:
-    :func:`~oamcomp.state.checked_norm2` for one input, the column-wise check
-    of :func:`oamcomp.compiler.basis_response` for a column map.  The guard
-    raises on a fault, at the element that made it.  This is the one
-    stepping loop; :func:`run_netlist`, the basis response and the Monte
-    Carlo sampler read it."""
+def iter_steps(rows: Rows, elements):
+    """Apply ``elements`` to ``rows`` in place, yielding each element after
+    it is applied.  This is the one stepping loop; :func:`run_netlist`, the
+    basis response and the Monte Carlo sampler read it.
+
+    The norm guard reads the running totals ``rows.norm2``.  When one
+    exceeds ``1 + NORM_EPS`` or is NaN, it recomputes them from the rows
+    and raises only if the recomputed value does too, so rounding in the
+    totals never trips it; at the end it recomputes them and checks once
+    more, leaving ``rows.norm2`` exact.
+    """
     for el in elements:
-        amps = step(amps, el)
-        yield el, amps, norm_guard(amps)
+        semantics = _SEMANTICS.get(type(el))
+        if semantics is None:
+            raise ValidationError(f"unknown element {el!r}")
+        semantics(rows, el)
+        total = sum(rows.norm2)  # NaN if any total is
+        if not (max(rows.norm2) <= _NORM_LIMIT and total == total):
+            rows.check()
+        yield el
+    rows.check()
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +513,7 @@ def iter_steps(amps: Amplitudes, elements, norm_guard=checked_norm2):
 def apply_element(state: PhotonState, el: Element) -> PhotonState:
     """The state after element ``el``; a macro gate is applied as its class
     and ``stages`` say."""
-    return PhotonState(n=state.n, amplitudes=step(state.amplitudes, el))
+    return _run(state, (el,))
 
 
 def apply_phase_shifter(state: PhotonState, mode: int, phi: float) -> PhotonState:
@@ -381,13 +551,17 @@ def check_state_fits(state: PhotonState, netlist: Netlist) -> None:
         )
 
 
+def _run(state: PhotonState, elements) -> PhotonState:
+    rows = Rows.from_state(state)
+    for _ in iter_steps(rows, elements):
+        pass
+    return PhotonState(n=state.n, amplitudes=rows.column())
+
+
 def run_netlist(state: PhotonState, netlist: Netlist) -> PhotonState:
     """Apply all elements in order; the result may be sub-normalized."""
     check_state_fits(state, netlist)
-    amps = state.amplitudes
-    for _, amps, _ in iter_steps(amps, netlist.elements):
-        pass
-    return PhotonState(n=state.n, amplitudes=amps)
+    return _run(state, netlist.elements)
 
 
 def check_reflection_parity(netlist: Netlist) -> list[int]:

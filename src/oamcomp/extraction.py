@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 # ``ExtractionSpec`` is re-exported, and oambench/layers.py reads ``apply_macro`` here.
 from .elements import (  # noqa: F401
     IDEAL, BeamSplitter, Element, ExtractGate, ExtractionSpec, Filter, Hologram, Netlist,
-    ReintegrateGate, Stages, apply_macro, check_state_fits, is_lossy, iter_steps,
+    ReintegrateGate, Rows, Stages, apply_macro, check_state_fits, is_lossy, iter_steps,
 )
 from .state import PhotonState, normalized, survival_probability
 
@@ -97,7 +97,8 @@ def monte_carlo_run(
     0) draws ``u = 0``: the first filter absorbs it, and a netlist with none
     passes it as it is.
 
-    The survivals come off one pass of :func:`run_netlist`'s stepping loop.
+    The survivals come off one pass of :func:`run_netlist`'s stepping loop,
+    recomputed from the rows at each lossy element.
     Inside a finite gate (hologram, ``N`` times beamsplitter and filter,
     hologram) only the ``l != m`` components of ``src`` lose weight, by
     ``cos^2 theta`` per filter after the first, and they hold all of their
@@ -106,11 +107,13 @@ def monte_carlo_run(
     """
     check_state_fits(state, netlist)
     u = rng.random() * survival_probability(state)
-    absorbed_at, index, amps = None, 0, state.amplitudes
+    absorbed_at, index, rows = None, 0, Rows.from_state(state)
     # Run on after an absorption, so that a later fault raises as in run_netlist.
-    for el, amps, norm2 in iter_steps(amps, netlist.elements):
+    for el in iter_steps(rows, netlist.elements):
         gate = is_lossy(el) and not isinstance(el, Filter)
         if absorbed_at is None and is_lossy(el):
+            amps = rows.column()
+            norm2 = sum(x * x for x in map(abs, amps.values()))
             first, count, leak, cos = index, 1, 0.0, 1.0
             if gate:
                 leak = sum(abs(amp) ** 2 for (mode, l), amp in amps.items()
@@ -123,7 +126,7 @@ def monte_carlo_run(
             if absorbs(count - 1):
                 absorbed_at = first + 2 * bisect.bisect_left(range(count), True, key=absorbs)
         index += 2 * el.stages + 2 if gate else 1
-    final = PhotonState(n=state.n, amplitudes=amps)
+    final = PhotonState(n=state.n, amplitudes=rows.column())
     if absorbed_at is not None:
         return MonteCarloResult(success=False, state=None, absorbed_at=absorbed_at)
     passed = normalized(final) if survival_probability(final) else final

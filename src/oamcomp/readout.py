@@ -92,16 +92,10 @@ def repeated_run_readout(
 def demux(state: PhotonState, mode: int) -> tuple[PathQubitState, ReadoutCost]:
     """Relabel OAM amplitudes as path-qubit bit strings (ideal demultiplexer).
 
-    Amplitudes outside ``mode``'s computational range are leakage unless they
-    are rounding residue (at most ``RESIDUE_TOL``), which is dropped."""
-    amps, offenders = {}, []
-    for (m, l), amp in state.amplitudes.items():
-        if m == mode and 0 <= l < state.dim:
-            amps[format(l, f"0{state.n}b")] = amp
-        elif not abs(amp) <= RESIDUE_TOL:
-            offenders.append((m, l))
-    if offenders:
-        raise LeakageError(sorted(offenders))
+    Amplitudes outside ``mode``'s computational range, in any mode, are
+    leakage unless they are rounding residue."""
+    register = _register(state.amplitudes.items(), mode, state.dim)
+    amps = {format(l, f"0{state.n}b"): amp for l, amp in register.items()}
     cost = ReadoutCost(cnot_count=2 * state.n - 1, runs=1)
     return PathQubitState(n=state.n, amplitudes=amps), cost
 
@@ -114,9 +108,27 @@ def sorter_cost(n: int) -> tuple[ReadoutCost, bool]:
     return cost, arms > DEFAULT_ARM_BUDGET
 
 
+def _register(amplitudes, mode: int, dim: int) -> dict[int, complex]:
+    """The amplitudes ``((m, l), amp)`` at ``m == mode`` and ``0 <= l <
+    dim``, by ``l``.  Any other is leakage unless it is rounding residue (at
+    most ``RESIDUE_TOL``), which is dropped."""
+    register, offenders = {}, []
+    for (m, l), amp in amplitudes:
+        if m == mode and 0 <= l < dim:
+            register[l] = amp
+        elif not abs(amp) <= RESIDUE_TOL:
+            offenders.append((m, l))
+    if offenders:
+        raise LeakageError(sorted(offenders))
+    return register
+
+
 def born_distribution(state: PhotonState, mode: int) -> dict[int, float]:
-    """Post-selected outcome probabilities of a full measurement, by OAM index."""
-    weights = {l: abs(amp) ** 2 for (m, l), amp in state.amplitudes.items() if m == mode}
+    """Post-selected outcome probabilities of a full measurement, by OAM
+    index.  Amplitudes in ``mode`` outside its computational range are
+    leakage, as in :func:`demux`, unless they are rounding residue."""
+    in_mode = [(key, amp) for key, amp in state.amplitudes.items() if key[0] == mode]
+    weights = {l: abs(amp) ** 2 for l, amp in _register(in_mode, mode, state.dim).items()}
     total = sum(weights.values())
     if total <= 0.0:
         raise ValidationError("state has no surviving amplitude in that mode")

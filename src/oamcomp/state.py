@@ -43,15 +43,20 @@ def register_size(n: int) -> int:
     return 1 << n
 
 
-def checked_norm2(amps: Mapping) -> float:
-    """Squared norm of a map of complex amplitudes.  Raises when it exceeds
-    ``1 + NORM_EPS`` or is not a number: one photon's weight is at most 1,
-    and no element adds any."""
-    # ``x * x`` rather than ``x ** 2``: it overflows to inf, not an exception.
-    norm2 = sum(x * x for x in map(abs, amps.values()))
+def check_norm2(norm2: float) -> float:
+    """``norm2``, a squared norm; raises when it exceeds ``1 + NORM_EPS`` or
+    is not a number: one photon's weight is at most 1, and no element adds
+    any."""
     if not norm2 <= 1.0 + NORM_EPS:
         raise ValidationError(f"squared norm {norm2} exceeds 1 + eps")
     return norm2
+
+
+def checked_norm2(amps: Mapping) -> float:
+    """Squared norm of a map of complex amplitudes, checked by
+    :func:`check_norm2`."""
+    # ``x * x`` rather than ``x ** 2``: it overflows to inf, not an exception.
+    return check_norm2(sum(x * x for x in map(abs, amps.values())))
 
 
 def _json_int(value) -> int:
@@ -144,7 +149,9 @@ def survival_probability(state: PhotonState) -> float:
 
 def normalized(state: PhotonState) -> PhotonState:
     """Renormalize the conditional (post-selected) state to unit norm."""
-    norm = math.sqrt(survival_probability(state))
+    # ``hypot`` scales, where the squares of amplitudes below 1e-154 would
+    # lose precision as subnormals.
+    norm = math.hypot(*map(abs, state.amplitudes.values()))
     if norm == 0.0:
         raise ValidationError("cannot normalize a fully absorbed state")
     return PhotonState(

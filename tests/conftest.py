@@ -74,3 +74,12 @@ def invoke_cli(args, catch_exceptions: bool = True) -> CliResult:
                 raise
             code, exc_info = 1, sys.exc_info()
     return CliResult(code, out.getvalue(), err.getvalue(), exc_info)
+
+
+def unitary_to_json(matrix) -> dict:
+    """The unitary JSON of a ``d x d`` matrix, as ``oamc compile`` reads it."""
+    matrix = np.asarray(matrix, dtype=complex)
+    return {
+        "d": matrix.shape[0],
+        "rows": [[[z.real, z.imag] for z in row] for row in matrix],
+    }

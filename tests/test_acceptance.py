@@ -13,7 +13,6 @@ from oamcomp.compiler import (
     haar_random_unitary,
     lower_two_level,
     decompose_two_level,
-    unitary_to_json,
 )
 from oamcomp.elements import (
     ExtractGate,
@@ -32,7 +31,7 @@ from oamcomp.state import (
     survival_probability,
 )
 
-from conftest import invoke_cli, random_state
+from conftest import invoke_cli, random_state, unitary_to_json
 
 
 def report(criterion, ok, detail=""):

@@ -1,6 +1,8 @@
-"""The batched basis response against one validated run per basis input."""
+"""The batched basis response against one validated run per basis input,
+and the row engine against the unoptimised map semantics of ``map_oracle``."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -30,6 +32,7 @@ from oamcomp.errors import LeakageError, ValidationError
 from oamcomp.extraction import monte_carlo_run
 from oamcomp.state import PhotonState, basis_state, normalized, survival_probability
 
+import map_oracle
 from conftest import Draws, coefficients
 
 
@@ -126,8 +129,14 @@ def netlists(draw):
     return Netlist(n=n, mode_count=mode_count, elements=draw(st.lists(element, max_size=12)))
 
 
-def _amplifying_phase_shift(amps, el):
+def _amplifying_phase_shift(rows, el):
     """A faulty phase shifter with gain 1.5, to trip the norm guard."""
+    for l in list(rows.levels(el.mode)):
+        rows.put(el.mode, l, [z * 1.5 for z in rows.get(el.mode, l)])
+
+
+def _amplifying_map_phase_shift(amps, el):
+    """The same faulty phase shifter in the map oracle's semantics."""
     return {key: amp * 1.5 if key[0] == el.mode else amp for key, amp in amps.items()}
 
 
@@ -201,3 +210,75 @@ def test_batched_errors_name_the_fault(netlist, error, message):
         with pytest.raises(error, match=message) as caught:
             basis_response(netlist)
     assert type(caught.value) is error
+
+
+#: A number in an error message: an int, a float in ``repr`` form, or nan/inf.
+NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?|nan|inf")
+
+
+def assert_same_error(got, want):
+    """The same error class, the same leaking keys, and the same message up
+    to its numbers, which may differ in rounding by 1e-12 relative."""
+    assert type(got) is type(want), (got, want)
+    if want is None:
+        return
+    if isinstance(want, LeakageError):
+        assert got.offenders == want.offenders
+    got_text, want_text = str(got), str(want)
+    assert NUMBER.sub("#", got_text) == NUMBER.sub("#", want_text), (got_text, want_text)
+    for x, y in zip(NUMBER.findall(got_text), NUMBER.findall(want_text)):
+        assert x == y or math.isclose(float(x), float(y), rel_tol=1e-12), (got_text, want_text)
+
+
+def oracle_run(state: PhotonState, netlist: Netlist) -> PhotonState:
+    amps, _ = map_oracle.run(dict(state.amplitudes), netlist.elements)
+    return PhotonState(n=state.n, amplitudes=amps)
+
+
+def assert_engine_matches_oracle(netlist: Netlist, states) -> None:
+    """Each state through ``run_netlist`` and through the map oracle, and
+    the basis response through both: the same error, or results within
+    1e-12."""
+    for state in states:
+        (got, got_error), (want, want_error) = (
+            outcome(lambda net: run(state, net), netlist) for run in (run_netlist, oracle_run))
+        assert_same_error(got_error, want_error)
+        if want_error is None:
+            keys = set(got.amplitudes) | set(want.amplitudes)
+            assert all(abs(got.amplitude(*k) - want.amplitude(*k)) <= 1e-12 for k in keys)
+    (got, got_error), (want, want_error) = (
+        outcome(response, netlist) for response in (basis_response, map_oracle.basis_response))
+    assert_same_error(got_error, want_error)
+    if want_error is None:
+        for got_part, want_part in zip(got, want):
+            np.testing.assert_allclose(got_part, want_part, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(netlist=netlists(), faulty=st.booleans(), data=st.data())
+def test_engine_matches_the_map_oracle(netlist, faulty, data):
+    """The row engine, its per-mode scale and its running norm guard
+    included, against the map semantics it replaced: every basis input and
+    one drawn state on their own, and the basis response as one pass."""
+    keys = st.tuples(st.integers(0, netlist.mode_count - 1), st.integers(-2, 1 << netlist.n))
+    amps = data.draw(st.dictionaries(keys, st.complex_numbers(max_magnitude=1), max_size=6))
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    drawn = PhotonState(n=netlist.n, amplitudes={k: a / max(norm, 1.0) for k, a in amps.items()})
+    states = [basis_state(0, l, netlist.n) for l in range(1 << netlist.n)] + [drawn]
+    if not faulty:
+        assert_engine_matches_oracle(netlist, states)
+        return
+    with mock.patch.dict(elements._SEMANTICS, {PhaseShifter: _amplifying_phase_shift}), \
+            mock.patch.dict(map_oracle._SEMANTICS, {PhaseShifter: _amplifying_map_phase_shift}):
+        assert_engine_matches_oracle(netlist, states)
+
+
+def test_deep_decay_matches_the_map_oracle():
+    """1,200 two-stage gates halve the amplitude they do not extract each
+    time, to 0.5**1200 (below the smallest double): the row engine's mode
+    scale must be folded into the rows on the way, or it underflows to 0."""
+    pair = (ExtractGate(m=0, src=0, dst=1, stages=2), ReintegrateGate(m=0, src=0, dst=1, stages=2))
+    netlist = Netlist(n=1, mode_count=2, elements=pair * 600)
+    state = PhotonState(n=1, amplitudes={(0, 0): 0.6, (0, 1): 0.8j})
+    assert_engine_matches_oracle(netlist, [state, basis_state(0, 1, 1)])
+    assert survival_probability(run_netlist(state, netlist)) == pytest.approx(0.36, rel=1e-12)

@@ -15,10 +15,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oamcomp
 from oamcomp import compiler, elements
-from oamcomp.compiler import haar_random_unitary, unitary_to_json
+from oamcomp.compiler import haar_random_unitary
 from oamcomp.state import basis_state, from_amplitudes
 
-from conftest import invoke_cli
+from conftest import invoke_cli, unitary_to_json
 
 
 def write_json(path, payload):
@@ -204,7 +204,7 @@ class TestSimulate:
 
     def test_monte_carlo_applies_each_element_once(self, tmp_path, monkeypatch):
         """The output state and the sample come from one pass: every element
-        semantics call (``step`` dispatches through the table) is counted."""
+        semantics call (``iter_steps`` dispatches through the table) is counted."""
         files = self.finite_stage_files(tmp_path)
         calls = []
         for cls, semantics in list(elements._SEMANTICS.items()):
@@ -446,6 +446,39 @@ class TestVerify:
         v = json.loads((tmp_path / "v.json").read_text())
         assert v["verification_residual"] < 1e-9
 
+    def test_huge_entry_is_a_non_finite_residual(self, tmp_path):
+        """An entry whose ``abs`` overflows gives an infinite residual, which
+        is refused on output, not an ``OverflowError``."""
+        write_json(tmp_path / "u.json", {"d": 2, "rows": [
+            [[1.7e308, 1.7e308], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+        write_json(tmp_path / "net.json", {"n": 1, "modes": 1, "elements": []})
+        result = invoke_cli(["verify", "--netlist", str(tmp_path / "net.json"),
+                             "--input", str(tmp_path / "u.json")])
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "validation"
+        assert "non-finite" in error["message"]
+
+    def test_modes_declared_beyond_memory(self, tmp_path):
+        """A netlist may declare 2**62 modes: rows exist only where amplitude
+        goes, so it simulates and verifies at the cost of what it uses."""
+        top = 2**62 - 1
+        write_json(tmp_path / "net.json", {"n": 1, "modes": 2**62, "elements": [
+            {"type": "bs", "mode_a": 0, "mode_b": top, "theta": 0.3},
+            {"type": "ps", "mode": top, "phi": 0.5},
+            {"type": "ps", "mode": top, "phi": -0.5},
+            {"type": "bs", "mode_a": 0, "mode_b": top, "theta": -0.3},
+        ]})
+        write_json(tmp_path / "s.json", basis_state(0, 1, 1).to_json_dict())
+        write_json(tmp_path / "u.json", unitary_to_json(np.eye(2, dtype=complex)))
+        files = ["--netlist", str(tmp_path / "net.json")]
+        result = invoke(["simulate", *files, "--input", str(tmp_path / "s.json")])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["survival"] == pytest.approx(1.0, abs=1e-12)
+        result = invoke(["verify", *files, "--input", str(tmp_path / "u.json")])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["verification_residual"] <= 1e-12
+
 
 class TestZenoSweep:
     def test_rows_and_values(self, tmp_path):
@@ -546,6 +579,18 @@ class TestReadout:
         error = json.loads(result.stderr)["error"]
         assert error["type"] == "validation"
         assert "--mode 1" in error["message"]
+
+    @pytest.mark.parametrize("strategy, l", [("repeat", 2), ("repeat", -1), ("sorter", 2)])
+    def test_out_of_range_amplitude_is_leakage(self, tmp_path, strategy, l):
+        """A photon wholly outside [0, 2**n) in the read mode is refused as
+        demux refuses it, not read as bits or sampled as an OAM index."""
+        write_json(tmp_path / "s.json", basis_state(0, l, 1).to_json_dict())
+        result = invoke_cli(["readout", "--input", str(tmp_path / "s.json"),
+                             "--strategy", strategy])
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "validation"
+        assert error["message"] == f"amplitude outside computational range at [(0, {l})]"
 
     def test_demux_of_a_finite_stage_state(self, tmp_path):
         # Simulating |0> leaves 1e-16 of rounding residue in the aux modes.

@@ -16,11 +16,12 @@ from oamcomp.compiler import (
     reconstruct_and_verify,
     u2_to_optics,
     unitary_from_json,
-    unitary_to_json,
 )
 from oamcomp.elements import Mirror, Netlist, check_reflection_parity, run_netlist
 from oamcomp.errors import LeakageError, ValidationError
 from oamcomp.state import basis_state, survival_probability
+
+from conftest import unitary_to_json
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -79,7 +80,7 @@ class TestDecompose:
         U = haar_random_unitary(4, rng)
         nontrivial = [
             f for f in decompose_two_level(U)
-            if np.linalg.norm(f.u2 - np.eye(2)) > 1e-12 and abs(f.u2[0, 1]) > 1e-12
+            if np.linalg.norm(np.subtract(f.u2, np.eye(2))) > 1e-12 and abs(f.u2[0][1]) > 1e-12
         ]
         assert len(nontrivial) <= 6
 

@@ -329,7 +329,8 @@ class TestMonteCarlo:
     def test_output_norm_above_the_input_norm_passes(self, tmp_path):
         """Rounding in an ideal netlist can leave the output a bit heavier than
         the input; a run still passes with probability 1, not above it."""
-        net, _ = compile_unitary(haar_random_unitary(4, np.random.default_rng(18)), "ideal")
+        # Seed 2, input |1>: survival 1 + 4e-16 (seed 18 no longer rounds up).
+        net, _ = compile_unitary(haar_random_unitary(4, np.random.default_rng(2)), "ideal")
         s = basis_state(0, 1, 2)
         assert survival_probability(run_netlist(s, net)) > 1.0
         assert sample_cli(tmp_path, s, net, runs=10)["successes"] == 10

@@ -14,9 +14,11 @@ import oamcomp
 from oamcomp import compiler, elements, errors, extraction, readout, state
 from oamcomp.state import basis_state
 
+from conftest import unitary_to_json
+
 SRC = Path(oamcomp.__file__).resolve().parent.parent
-#: Modules that only compiling, sampling and reading out need.
-HEAVY = {"numpy", "oamcomp.compiler", "oamcomp.extraction", "oamcomp.readout"}
+#: Modules that only sampling and reading out need.
+HEAVY = {"numpy", "oamcomp.extraction", "oamcomp.readout"}
 
 #: Every name ``oamcomp`` re-exports, by the submodule it comes from.
 EXPORTS = {
@@ -58,10 +60,28 @@ def simulate_args(tmp_path, *extra):
             *extra]
 
 
-@pytest.mark.parametrize("command", ["help", "simulate", "zeno-sweep"])
+def compile_verify_args(tmp_path, command):
+    """``compile`` or ``verify`` of the 2x2 X gate, on files in tmp_path."""
+    unitary, netlist = tmp_path / "x.json", tmp_path / "net.json"
+    unitary.write_text(json.dumps(unitary_to_json(np.array([[0, 1], [1, 0]], dtype=complex))))
+    netlist.write_text(json.dumps({"n": 1, "modes": 3, "elements": [
+        {"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": "ideal"},
+        {"type": "extract", "m": 1, "src": 0, "dst": 2, "stages": "ideal"},
+        {"type": "reintegrate", "m": 0, "src": 0, "dst": 2, "stages": "ideal"},
+        {"type": "reintegrate", "m": 1, "src": 0, "dst": 1, "stages": "ideal"},
+    ]}))
+    if command == "compile":
+        return ["compile", "--input", str(unitary), "--output", str(tmp_path / "c.json"),
+                "--report", str(tmp_path / "r.json"), "--spec-n", "7"]
+    return ["verify", "--netlist", str(netlist), "--input", str(unitary)]
+
+
+@pytest.mark.parametrize("command", ["help", "simulate", "zeno-sweep", "compile", "verify"])
 def test_light_commands_import_no_numpy(tmp_path, command):
     args = {"help": ["--help"], "simulate": simulate_args(tmp_path),
-            "zeno-sweep": ["zeno-sweep", "--n-list", "1,3"]}[command]
+            "zeno-sweep": ["zeno-sweep", "--n-list", "1,3"],
+            "compile": compile_verify_args(tmp_path, "compile"),
+            "verify": compile_verify_args(tmp_path, "verify")}[command]
     code, names = imported_modules(*args)
     assert code == 0
     assert "oamcomp" in names  # the log was read
@@ -71,6 +91,8 @@ def test_light_commands_import_no_numpy(tmp_path, command):
         assert not (HEAVY - {"oamcomp.extraction"} | {"csv", "_csv"}) & names
     else:
         assert not HEAVY & names
+    if command in ("compile", "verify"):
+        assert "oamcomp.compiler" in names
 
 
 def test_monte_carlo_samples_without_extraction(tmp_path):
@@ -100,7 +122,7 @@ def test_help_imports_no_simulator():
 @pytest.mark.parametrize("command", ["help", "simulate", "monte-carlo", "compile", "verify"])
 def test_no_command_imports_click(tmp_path, command):
     unitary, netlist = tmp_path / "u.json", tmp_path / "id.json"
-    unitary.write_text(json.dumps(compiler.unitary_to_json(np.eye(2, dtype=complex))))
+    unitary.write_text(json.dumps(unitary_to_json(np.eye(2, dtype=complex))))
     netlist.write_text(json.dumps({"n": 1, "modes": 3, "elements": []}))
     args = {
         "help": ["--help"],

@@ -92,6 +92,15 @@ def test_normalized_restores_unit_norm():
     assert survival_probability(normalized(s)) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("amp", [1.77e-160, 1e-200, 3e-310])
+def test_normalized_restores_unit_norm_below_the_subnormal_squares(amp):
+    """Squares of these amplitudes are subnormal or 0, so a norm taken from
+    them is off by up to 1e-5, or 0; the state still normalizes."""
+    s = PhotonState(n=1, amplitudes={(0, 0): amp, (0, 1): amp * 1j})
+    out = normalized(s)
+    assert survival_probability(out) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_normalize_empty_rejected():
     with pytest.raises(ValidationError):
         normalized(PhotonState(n=1))
