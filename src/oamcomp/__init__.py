@@ -6,8 +6,7 @@ from .errors import LeakageError, ValidationError
 
 #: Names re-exported from the submodules, loaded on first access (PEP 562),
 #: so that ``import oamcomp`` loads only ``errors``, and each command of the
-#: CLI only the modules it runs: ``--help`` none, and only the sampling
-#: commands numpy.
+#: CLI only the modules it runs: ``--help`` none, and no command numpy.
 _EXPORTS = {
     "state": (
         "PhotonState", "basis_state", "from_amplitudes", "normalized", "survival_probability",

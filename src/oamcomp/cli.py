@@ -9,8 +9,9 @@ guard; no output is written); 2 bad input, whether a bad option (error type
 failure prints one JSON object ``{"error": {"type": ..., "message": ...}}``
 on stderr.  Options are parsed by ``argparse``, and each command imports
 only the modules it runs: ``--help`` loads no ``oamcomp`` module but
-``errors``, and only ``simulate --monte-carlo`` and ``readout`` load numpy,
-for its random generator.  The process
+``errors``, and no command loads numpy: ``simulate --monte-carlo`` and
+``readout`` draw from :mod:`oamcomp.rng`, which reproduces the stream of
+numpy's ``default_rng(seed)`` in plain Python.  The process
 entry point :func:`run` freezes the heap before teardown; :func:`main`, the
 in-process entry, leaves the garbage collector alone.
 """
@@ -119,8 +120,8 @@ def _stage_list(text: str) -> list[int]:
 
 
 def _runs(text: str) -> int:
-    """``--monte-carlo``: at most ``MAX_STAGES`` (2**53) runs, well inside the
-    C long that ``Generator.binomial`` draws the successes as."""
+    """``--monte-carlo``: at most ``MAX_STAGES`` (2**53) runs, the bound
+    within which a run count is exact as a double, as ``binomial`` takes it."""
     from .elements import MAX_STAGES
     return _integer(text, high=MAX_STAGES)
 
@@ -146,13 +147,13 @@ def cmd_simulate(args) -> None:
         # A run passes every filter with the output's share of the input's
         # norm (rounding can push it past 1); an input of norm 0 passes only
         # a netlist that absorbs nothing.
-        import numpy as np
+        from .rng import default_rng
         initial = survival_probability(state)
         if initial:
             p = min(survival, initial) / initial
         else:
             p = float(not any(map(is_lossy, netlist.elements)))
-        successes = int(np.random.default_rng(args.seed).binomial(runs, p))
+        successes = default_rng(args.seed).binomial(runs, p)
         payload["monte_carlo"] = {
             "runs": runs, "successes": successes, "success_rate": successes / runs,
             "seed": args.seed,
@@ -191,13 +192,13 @@ def cmd_zeno_sweep(args) -> None:
 def cmd_readout(args) -> None:
     """Plan or sample a readout of the final OAM state."""
     from dataclasses import asdict
-    import numpy as np
     from . import readout as readout_mod
+    from .rng import default_rng
     from .state import PhotonState
     state = PhotonState.from_json_dict(_read_json(args.input))
     if args.mode not in state.modes():
         raise ValidationError(f"--mode {args.mode} holds no amplitude in {args.input}")
-    rng = np.random.default_rng(args.seed)
+    rng = default_rng(args.seed)
     payload: dict = {"strategy": args.strategy, "n": state.n, "seed": args.seed}
     if args.strategy == "sorter":
         cost, payload["exponential_warning"] = readout_mod.sorter_cost(state.n)

@@ -153,7 +153,13 @@ class U2Params:
 
 def u2_to_optics(u2: Matrix) -> U2Params:
     """Solve the four optical parameters for an arbitrary 2x2 unitary."""
-    (u_mm, u_mn), (u_nm, u_nn) = check_unitary(u2, tol=FACTOR_TOL)
+    return _optics(check_unitary(u2, tol=FACTOR_TOL))
+
+
+def _optics(u2) -> U2Params:
+    """:func:`u2_to_optics` of ``u2``, two rows of two ``complex`` already
+    checked unitary."""
+    (u_mm, u_mn), (u_nm, u_nn) = u2
     if abs(u_mn) == 0.0:
         # Diagonal: no beamsplitter needed.
         delta = cmath.phase(u_nn)
@@ -240,7 +246,7 @@ def lower_two_level(
     src, aux_b, aux_c = mode_plan
     if len({src, aux_b, aux_c}) != 3:
         raise ValidationError("mode plan needs three distinct modes")
-    params = u2_to_optics(factor.u2)
+    params = _optics(factor.u2)  # checked unitary when the factor was built
     seq: list[Element] = [
         ExtractGate(m=factor.m, src=src, dst=aux_b, stages=spec_stages),
         ExtractGate(m=factor.n_idx, src=src, dst=aux_c, stages=spec_stages),

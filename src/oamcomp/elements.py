@@ -266,6 +266,15 @@ class Rows:
         """The first input's amplitude map (the only one when ``k = 1``)."""
         return {key: self.get(*key)[0] for key in self.keys()}
 
+    def weight_in(self, mode: int, skip: int | None = None) -> float:
+        """The first input's squared norm in ``mode``, leaving out the row
+        at OAM ``skip``: its kept row weights times the mode's scale squared."""
+        weights = self.row_weights.get(mode)
+        if not weights:
+            return 0.0
+        scale = self.scale[mode]
+        return sum(w[0] for l, w in weights.items() if l != skip) * (scale * scale)
+
     def keys(self) -> list[ModeOAM]:
         return [(mode, l) for mode, rows in self.rows.items() for l in rows]
 

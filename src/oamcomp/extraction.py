@@ -20,17 +20,14 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 # ``ExtractionSpec`` is re-exported, and oambench/layers.py reads ``apply_macro`` here.
 from .elements import (  # noqa: F401
     IDEAL, BeamSplitter, Element, ExtractGate, ExtractionSpec, Filter, Hologram, Netlist,
     ReintegrateGate, Rows, Stages, apply_macro, check_state_fits, is_lossy, iter_steps,
 )
+from .rng import Generator
 from .state import PhotonState, normalized, survival_probability
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _chain_elements(gate: ExtractGate | ReintegrateGate) -> list[Element]:
@@ -85,7 +82,7 @@ class MonteCarloResult:
 
 
 def monte_carlo_run(
-    state: PhotonState, netlist: Netlist, rng: np.random.Generator
+    state: PhotonState, netlist: Netlist, rng: Generator
 ) -> MonteCarloResult:
     """Sample one physical run: the photon is absorbed at one filter or passes all.
 
@@ -98,7 +95,8 @@ def monte_carlo_run(
     passes it as it is.
 
     The survivals come off one pass of :func:`run_netlist`'s stepping loop,
-    recomputed from the rows at each lossy element.
+    summed from the engine's row weights at each lossy element.  ``rng`` is
+    an :class:`oamcomp.rng.Generator` or a ``numpy.random.Generator``.
     Inside a finite gate (hologram, ``N`` times beamsplitter and filter,
     hologram) only the ``l != m`` components of ``src`` lose weight, by
     ``cos^2 theta`` per filter after the first, and they hold all of their
@@ -112,12 +110,10 @@ def monte_carlo_run(
     for el in iter_steps(rows, netlist.elements):
         gate = is_lossy(el) and not isinstance(el, Filter)
         if absorbed_at is None and is_lossy(el):
-            amps = rows.column()
-            norm2 = sum(x * x for x in map(abs, amps.values()))
+            norm2 = sum(map(rows.weight_in, rows.rows))
             first, count, leak, cos = index, 1, 0.0, 1.0
             if gate:
-                leak = sum(abs(amp) ** 2 for (mode, l), amp in amps.items()
-                           if mode == el.src and l != el.m)
+                leak = rows.weight_in(el.src, skip=el.m)
                 first, count, cos = index + 2, el.stages, math.cos(el.theta)
 
             def absorbs(j: int) -> bool:

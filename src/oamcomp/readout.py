@@ -3,20 +3,20 @@
 Three routes out of the photon: a full branching sorter (exponential arms),
 bitwise readout over repeated runs (one binary decision per run), and an
 ideal demultiplexer into path-encoded qubits (priced at ``2 n - 1`` path
-CNOT gates, annotated rather than simulated).
+CNOT gates, annotated rather than simulated).  The samplers take an
+:class:`oamcomp.rng.Generator` or a ``numpy.random.Generator``; from the
+same seed both draw the same outcomes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from .errors import LeakageError, ValidationError
+from .rng import Generator
 from .state import RESIDUE_TOL, PhotonState, checked_norm2, normalized, register_size
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Sorter arm count above which plans are flagged as exponentially large.
 DEFAULT_ARM_BUDGET = 512
@@ -47,7 +47,7 @@ class PathQubitState:
 
 
 def sample_full_measurement(
-    state: PhotonState, mode: int, rng: np.random.Generator
+    state: PhotonState, mode: int, rng: Generator
 ) -> int:
     """Sample an OAM index from :func:`born_distribution`."""
     probs = born_distribution(state, mode)
@@ -56,7 +56,7 @@ def sample_full_measurement(
 
 
 def measure_bit(
-    state: PhotonState, mode: int, bit_k: int, rng: np.random.Generator
+    state: PhotonState, mode: int, bit_k: int, rng: Generator
 ) -> tuple[int, PhotonState]:
     """Projectively measure one bit of the OAM index; collapse and renormalize."""
     if not 0 <= bit_k < state.n:
@@ -73,7 +73,7 @@ def measure_bit(
 
 
 def repeated_run_readout(
-    state: PhotonState, rng: np.random.Generator, mode: int = 0
+    state: PhotonState, rng: Generator, mode: int = 0
 ) -> tuple[str, ReadoutCost]:
     """Read bit ``k`` of ``state`` in run ``k``, for ``k = 0 .. n-1``, each
     run on a fresh copy of the state; the n runs assemble the full value.

@@ -154,6 +154,27 @@ class TestSimulate:
         assert mc["runs"] == 500
         assert abs(mc["success_rate"] - 27 / 64) < 0.1
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
+    @pytest.mark.parametrize("runs", [1, 20, 61, 10**6, 2**53])
+    def test_monte_carlo_draws_numpy_successes(self, tmp_path, runs, seed):
+        """The successes are the draw of numpy's ``default_rng(seed)``, for run
+        counts on both of ``binomial``'s algorithms and the largest one."""
+        write_json(tmp_path / "s.json", basis_state(0, 1, 1).to_json_dict())
+        write_json(tmp_path / "net.json", {
+            "n": 1, "modes": 2,
+            "elements": [{"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": 3}],
+        })
+        assert invoke([
+            "simulate", "--netlist", str(tmp_path / "net.json"),
+            "--input", str(tmp_path / "s.json"), "--output", str(tmp_path / "out.json"),
+            "--seed", str(seed), "--monte-carlo", str(runs),
+        ]).exit_code == 0
+        out = json.loads((tmp_path / "out.json").read_text())
+        p = min(out["survival"], 1.0)  # the input's norm is 1
+        assert 0.0 < p < 1.0
+        expected = int(np.random.default_rng(seed).binomial(runs, p))
+        assert out["monte_carlo"]["successes"] == expected
+
     def test_monte_carlo_on_ideal_netlist(self, tmp_path):
         U = haar_random_unitary(4, np.random.default_rng(2))
         write_json(tmp_path / "u.json", unitary_to_json(U))

@@ -17,8 +17,8 @@ from oamcomp.state import basis_state
 from conftest import unitary_to_json
 
 SRC = Path(oamcomp.__file__).resolve().parent.parent
-#: Modules that only sampling and reading out need.
-HEAVY = {"numpy", "oamcomp.extraction", "oamcomp.readout"}
+#: Modules that only the Monte Carlo sampler and reading out need.
+HEAVY = {"oamcomp.extraction", "oamcomp.readout"}
 
 #: Every name ``oamcomp`` re-exports, by the submodule it comes from.
 EXPORTS = {
@@ -76,19 +76,27 @@ def compile_verify_args(tmp_path, command):
     return ["verify", "--netlist", str(netlist), "--input", str(unitary)]
 
 
-@pytest.mark.parametrize("command", ["help", "simulate", "zeno-sweep", "compile", "verify"])
+@pytest.mark.parametrize("command", ["help", "simulate", "monte-carlo", "zeno-sweep",
+                                     "compile", "verify", "readout"])
 def test_light_commands_import_no_numpy(tmp_path, command):
     args = {"help": ["--help"], "simulate": simulate_args(tmp_path),
+            "monte-carlo": simulate_args(tmp_path, "--monte-carlo", "3"),
             "zeno-sweep": ["zeno-sweep", "--n-list", "1,3"],
             "compile": compile_verify_args(tmp_path, "compile"),
-            "verify": compile_verify_args(tmp_path, "verify")}[command]
+            "verify": compile_verify_args(tmp_path, "verify"),
+            # simulate_args wrote the state file s.json.
+            "readout": ["readout", "--input", str(tmp_path / "s.json"),
+                        "--strategy", "sorter"]}[command]
     code, names = imported_modules(*args)
     assert code == 0
     assert "oamcomp" in names  # the log was read
+    assert not {name for name in names if name.partition(".")[0] == "numpy"}
     # The sweep runs the gate's closed form and the survival formulas of
-    # ``extraction``, which needs no numpy, and joins its rows without ``csv``.
+    # ``extraction``, and joins its rows without ``csv``.
     if command == "zeno-sweep":
         assert not (HEAVY - {"oamcomp.extraction"} | {"csv", "_csv"}) & names
+    elif command == "readout":
+        assert "oamcomp.readout" in names and "oamcomp.extraction" not in names
     else:
         assert not HEAVY & names
     if command in ("compile", "verify"):
@@ -96,11 +104,12 @@ def test_light_commands_import_no_numpy(tmp_path, command):
 
 
 def test_monte_carlo_samples_without_extraction(tmp_path):
-    """``simulate --monte-carlo`` samples from the state it computed: it loads
-    numpy for the generator, but not the loss profile's module."""
+    """``simulate --monte-carlo`` samples from the state it computed, with the
+    plain-Python generator: it loads neither numpy nor the sampler's module."""
     code, names = imported_modules(*simulate_args(tmp_path, "--monte-carlo", "3"))
     assert code == 0
-    assert "numpy" in names  # the log was read
+    assert "oamcomp.rng" in names  # the log was read
+    assert "numpy" not in names
     assert not {"oamcomp.extraction", "oamcomp.compiler", "oamcomp.readout"} & names
 
 
