@@ -114,9 +114,10 @@ def _stages(text: str) -> int | str:
 
 
 def _stage_list(text: str) -> list[int]:
-    """``--n-list``: comma-separated stage counts, each in ``[1, MAX_STAGES]``."""
+    """``--n-list``: comma-separated stage counts, each in ``[1, MAX_STAGES]``;
+    an empty entry, and so an empty list, is an error."""
     from .elements import MAX_STAGES
-    return [_integer(tok, low=1, high=MAX_STAGES) for tok in text.split(",") if tok.strip()]
+    return [_integer(tok, low=1, high=MAX_STAGES) for tok in text.split(",")]
 
 
 def _runs(text: str) -> int:

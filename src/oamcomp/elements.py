@@ -234,13 +234,13 @@ class Rows:
     exist only where an input put amplitude, never per declared mode, and
     may hold exact zeros.
 
-    ``norm2`` is each input's squared norm as a running total: every row
-    written adds its change of weight.  Each row's weights are kept beside
-    it, and a mode's summed weights from the first decay of that mode on,
-    all in stored units (before the scale).
+    Each row's weights are kept beside it, in stored units (before the
+    scale).  ``norm2`` is an upper bound on each input's squared norm: every
+    row written adds its change of weight, and a decay, which only removes
+    weight, leaves it as it is.  :meth:`check` makes it exact again.
     """
 
-    __slots__ = ("k", "rows", "row_weights", "scale", "weight", "norm2")
+    __slots__ = ("k", "rows", "row_weights", "scale", "norm2")
 
     #: A mode's scale is folded into its rows once it falls below this, so
     #: that a stored entry (amplitude over scale) stays far from overflow.
@@ -251,7 +251,6 @@ class Rows:
         self.rows: dict[int, dict[int, list[complex]]] = {}
         self.row_weights: dict[int, dict[int, list[float]]] = {}
         self.scale: dict[int, float] = {}
-        self.weight: dict[int, list[float] | None] = {}
         for (mode, l), row in amplitudes.items():
             if mode not in self.rows:
                 self._mode(mode)
@@ -290,13 +289,11 @@ class Rows:
 
     def _mode(self, mode: int) -> dict[int, list[complex]]:
         rows = self.rows[mode] = {}
-        self.row_weights[mode], self.scale[mode], self.weight[mode] = {}, 1.0, None
+        self.row_weights[mode], self.scale[mode] = {}, 1.0
         return rows
 
     def _account(self, mode: int, delta: list[float]) -> None:
         """Add ``delta``, a change of stored weight in ``mode``, to the totals."""
-        if self.weight[mode] is not None:
-            self.weight[mode] = list(map(add, self.weight[mode], delta))
         scale = self.scale[mode]
         if scale != 1.0:
             delta = list(map(mul, delta, repeat(scale * scale)))
@@ -344,11 +341,7 @@ class Rows:
         if dst not in self.rows:
             self._mode(dst)
         self.rows[dst][l_dst] = self.rows[src].pop(l_src)
-        weights = self.row_weights[dst][l_dst] = self.row_weights[src].pop(l_src)
-        if self.weight[src] is not None:
-            self.weight[src] = list(map(sub, self.weight[src], weights))
-        if self.weight[dst] is not None:
-            self.weight[dst] = list(map(add, self.weight[dst], weights))
+        self.row_weights[dst][l_dst] = self.row_weights[src].pop(l_src)
 
     def relabel(self, mode: int, sign: int, shift: int) -> None:
         """Move every row of ``mode`` from ``l`` to ``sign * l + shift``."""
@@ -357,36 +350,35 @@ class Rows:
                 table[mode] = {sign * l + shift: row for l, row in table[mode].items()}
 
     def decay(self, mode: int, factor: float) -> None:
-        """Scale every row of ``mode`` by ``factor`` in ``(0, 1]``, through
-        the mode's scale."""
+        """Scale every row of ``mode`` by ``factor``, through the mode's scale.
+
+        A factor in ``[-1, 1]`` only removes weight, so ``norm2`` stays an
+        upper bound.  Any other factor, NaN included, is a fault: it makes
+        the totals NaN, so that the guard recomputes them.
+        """
+        if not abs(factor) <= 1.0:
+            self.norm2 = [math.nan] * self.k
         if mode not in self.rows:
             return
-        if self.weight[mode] is None:
-            self.weight[mode] = self._sum(self.row_weights[mode].values())
-        scale = self.scale[mode]
-        loss = scale * scale * (1.0 - factor * factor)
-        self.norm2 = [t - loss * w for t, w in zip(self.norm2, self.weight[mode])]
-        scale = self.scale[mode] = scale * factor
+        scale = self.scale[mode] = self.scale[mode] * factor
         if scale < self.RESCALE_BELOW:
             self.rows[mode] = {l: list(map(mul, row, repeat(scale)))
                                for l, row in self.rows[mode].items()}
             self.scale[mode] = 1.0
-            self.resync()
+            self._reweigh(mode)
 
-    def _sum(self, rows) -> list[float]:
-        total = [0.0] * self.k
-        for row in rows:
-            total = list(map(add, total, row))
-        return total
+    def _reweigh(self, mode: int) -> dict[int, list[float]]:
+        """Recompute the row weights of ``mode`` from its rows."""
+        weights = self.row_weights[mode] = {l: _weights(row) for l, row in self.rows[mode].items()}
+        return weights
 
     def resync(self) -> None:
-        """Recompute every weight, and so ``norm2``, from the rows."""
+        """Recompute every row's weights, and so an exact ``norm2``, from the rows."""
         norm2 = [0.0] * self.k
-        for mode, rows in self.rows.items():
-            weights = self.row_weights[mode] = {l: _weights(row) for l, row in rows.items()}
-            total = self._sum(weights.values())
-            if self.weight[mode] is not None:
-                self.weight[mode] = total
+        for mode in self.rows:
+            total = [0.0] * self.k
+            for weights in self._reweigh(mode).values():
+                total = list(map(add, total, weights))
             norm2 = list(map(add, norm2, map(mul, total, repeat(self.scale[mode] ** 2))))
         self.norm2 = norm2
 
@@ -497,11 +489,13 @@ def iter_steps(rows: Rows, elements):
     it is applied.  This is the one stepping loop; :func:`run_netlist`, the
     basis response and the Monte Carlo sampler read it.
 
-    The norm guard reads the running totals ``rows.norm2``.  When one
-    exceeds ``1 + NORM_EPS`` or is NaN, it recomputes them from the rows
-    and raises only if the recomputed value does too, so rounding in the
-    totals never trips it; at the end it recomputes them and checks once
-    more, leaving ``rows.norm2`` exact.
+    The norm guard reads the totals ``rows.norm2``, upper bounds on each
+    input's squared norm, so a fault that lifts a norm past ``1 + NORM_EPS``
+    trips it at its element.  When one exceeds that or is NaN, it
+    recomputes them from the rows and raises only if the recomputed value
+    does too, so neither rounding nor an absorbed loss in the totals trips
+    it; at the end it recomputes them and checks once more, leaving
+    ``rows.norm2`` exact.
     """
     for el in elements:
         semantics = _SEMANTICS.get(type(el))

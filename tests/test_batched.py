@@ -135,9 +135,24 @@ def _amplifying_phase_shift(rows, el):
         rows.put(el.mode, l, [z * 1.5 for z in rows.get(el.mode, l)])
 
 
+def _decaying_phase_shift(rows, el):
+    """The same fault through the mode's scale: a decay by 1.5."""
+    rows.decay(el.mode, 1.5)
+
+
 def _amplifying_map_phase_shift(amps, el):
     """The same faulty phase shifter in the map oracle's semantics."""
     return {key: amp * 1.5 if key[0] == el.mode else amp for key, amp in amps.items()}
+
+
+@st.composite
+def states(draw, netlist: Netlist) -> PhotonState:
+    """A state on ``netlist``'s modes, of up to six amplitudes and norm at
+    most 1."""
+    keys = st.tuples(st.integers(0, netlist.mode_count - 1), st.integers(-2, 1 << netlist.n))
+    amps = draw(st.dictionaries(keys, st.complex_numbers(max_magnitude=1), max_size=6))
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return PhotonState(n=netlist.n, amplitudes={k: a / max(norm, 1.0) for k, a in amps.items()})
 
 
 @settings(max_examples=300, deadline=None)
@@ -166,10 +181,7 @@ def test_monte_carlo_run_reads_the_run_netlist_pass(netlist, faulty, data):
     error class, or, on a run that passes (a draw of 0 passes every filter
     that leaves any weight), the same output state, normalized.  A run that
     is absorbed still steps to the end, so a later fault raises in it too."""
-    keys = st.tuples(st.integers(0, netlist.mode_count - 1), st.integers(-2, 1 << netlist.n))
-    amps = data.draw(st.dictionaries(keys, st.complex_numbers(max_magnitude=1), max_size=6))
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    state = PhotonState(n=netlist.n, amplitudes={k: a / max(norm, 1.0) for k, a in amps.items()})
+    state = data.draw(states(netlist))
     semantics = {PhaseShifter: _amplifying_phase_shift} if faulty else {}
     with mock.patch.dict(elements._SEMANTICS, semantics):
         final, final_error = outcome(lambda net: run_netlist(state, net), netlist)
@@ -255,22 +267,49 @@ def assert_engine_matches_oracle(netlist: Netlist, states) -> None:
 
 
 @settings(max_examples=300, deadline=None)
-@given(netlist=netlists(), faulty=st.booleans(), data=st.data())
-def test_engine_matches_the_map_oracle(netlist, faulty, data):
-    """The row engine, its per-mode scale and its running norm guard
+@given(case=netlists().flatmap(lambda net: st.tuples(st.just(net), states(net))),
+       fault=st.sampled_from([None, _amplifying_phase_shift, _decaying_phase_shift]))
+# The decay by 1.5 leaves the totals below the amplified norm, and the filter
+# then absorbs the amplified mode: the fault must still raise at its element.
+@example(case=(Netlist(n=1, mode_count=2, elements=(
+    PhaseShifter(mode=0, phi=0.0), Filter(mode=0, m=5),
+)), PhotonState(n=1, amplitudes={(0, 1): 1.0})), fault=_decaying_phase_shift)
+def test_engine_matches_the_map_oracle(case, fault):
+    """The row engine, its per-mode scale and its upper-bound norm guard
     included, against the map semantics it replaced: every basis input and
-    one drawn state on their own, and the basis response as one pass."""
-    keys = st.tuples(st.integers(0, netlist.mode_count - 1), st.integers(-2, 1 << netlist.n))
-    amps = data.draw(st.dictionaries(keys, st.complex_numbers(max_magnitude=1), max_size=6))
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    drawn = PhotonState(n=netlist.n, amplitudes={k: a / max(norm, 1.0) for k, a in amps.items()})
-    states = [basis_state(0, l, netlist.n) for l in range(1 << netlist.n)] + [drawn]
-    if not faulty:
-        assert_engine_matches_oracle(netlist, states)
+    one drawn state on their own, and the basis response as one pass.  A
+    faulty phase shifter amplifies through ``Rows.put`` or ``Rows.decay``."""
+    netlist, drawn = case
+    inputs = [basis_state(0, l, netlist.n) for l in range(1 << netlist.n)] + [drawn]
+    if fault is None:
+        assert_engine_matches_oracle(netlist, inputs)
         return
-    with mock.patch.dict(elements._SEMANTICS, {PhaseShifter: _amplifying_phase_shift}), \
+    with mock.patch.dict(elements._SEMANTICS, {PhaseShifter: fault}), \
             mock.patch.dict(map_oracle._SEMANTICS, {PhaseShifter: _amplifying_map_phase_shift}):
-        assert_engine_matches_oracle(netlist, states)
+        assert_engine_matches_oracle(netlist, inputs)
+
+
+@pytest.mark.parametrize("d, stages", [(16, IDEAL), (16, 200), (32, 2000)])
+def test_compile_recomputes_the_norms_once(d, stages):
+    """The totals, upper bounds on each input's squared norm, stay within
+    ``1 + NORM_EPS`` through a whole compile, so the guard recomputes them
+    from the rows (``O(rows x d)``) once, at the end, and never mid-run; the
+    survival read after the loop is that exact recompute."""
+    checked = []
+    check = elements.Rows.check
+
+    def counted(rows):
+        checked.append(rows)
+        check(rows)
+
+    U = haar_random_unitary(d, np.random.default_rng(d))
+    with mock.patch.object(elements.Rows, "check", counted):
+        netlist, _ = compile_unitary(U, stages)
+        assert len(checked) == 1
+        _, survival = basis_response(netlist)
+    rows = checked[-1]
+    exact = [math.fsum(abs(rows.get(*key)[i]) ** 2 for key in rows.keys()) for i in range(d)]
+    assert survival == pytest.approx(exact, rel=1e-12)
 
 
 def test_deep_decay_matches_the_map_oracle():

@@ -518,7 +518,7 @@ class TestZenoSweep:
             assert float(row[1]) == pytest.approx(float(row[2]), abs=1e-12)
 
     def test_rejects_bad_stage(self):
-        for n_list in ("0", "1,abc", "9007199254740993"):
+        for n_list in ("0", "1,abc", "9007199254740993", ",", "", "1,,3"):
             result = invoke_cli(["zeno-sweep", "--n-list", n_list])
             assert result.exit_code == 2
             error = json.loads(result.stderr)["error"]
