@@ -129,11 +129,10 @@ def _runs(text: str) -> int:
 
 def cmd_compile(args) -> None:
     """Lower a unitary (JSON matrix) to an optical netlist plus report."""
-    from dataclasses import asdict
     from . import compiler
     U = compiler.unitary_from_json(_read_json(args.input))
     netlist, report = compiler.compile_unitary(U, args.spec_n)
-    _write((args.output, _json(netlist.to_json_dict())), (args.report, _json(asdict(report))))
+    _write((args.output, _json(netlist.to_json_dict())), (args.report, _json(report.asdict())))
 
 
 def cmd_simulate(args) -> None:
@@ -192,7 +191,6 @@ def cmd_zeno_sweep(args) -> None:
 
 def cmd_readout(args) -> None:
     """Plan or sample a readout of the final OAM state."""
-    from dataclasses import asdict
     from . import readout as readout_mod
     from .rng import default_rng
     from .state import PhotonState
@@ -214,7 +212,7 @@ def cmd_readout(args) -> None:
         }
         if len(path_state.amplitudes) == 1:
             payload["bits"] = next(iter(path_state.amplitudes))
-    payload["cost"] = asdict(cost)
+    payload["cost"] = cost.asdict()
     _write((args.output, _json(payload)))
 
 

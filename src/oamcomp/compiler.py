@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -29,7 +28,7 @@ from .elements import (
     Stages,
     is_lossy,
 )
-from .state import _json_int, _json_real
+from .state import Record, _json_int, _json_real
 from . import elements as _elements
 
 if TYPE_CHECKING:
@@ -114,14 +113,15 @@ def unitary_from_json(data: dict) -> list[list[complex]]:
     return matrix
 
 
-@dataclass(frozen=True, eq=False)
-class TwoLevelFactor:
+class TwoLevelFactor(Record):
     """2x2 unitary acting on OAM levels ``m`` and ``n_idx`` only; ``u2`` is
     stored as a tuple of two rows, each a tuple of two ``complex``."""
 
     m: int
     n_idx: int
     u2: Matrix
+
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity
 
     def __post_init__(self) -> None:
         if self.m == self.n_idx or self.m < 0 or self.n_idx < 0:
@@ -136,8 +136,7 @@ class TwoLevelFactor:
         object.__setattr__(self, "u2", tuple(map(tuple, u2)))
 
 
-@dataclass(frozen=True)
-class U2Params:
+class U2Params(Record):
     """Phases and rotation angle realizing a 2x2 unitary optically.
 
     Reconstruction:
@@ -265,8 +264,7 @@ def lower_two_level(
     return seq
 
 
-@dataclass(frozen=True)
-class CompileReport:
+class CompileReport(Record):
     factor_count: int
     element_count: int
     analytic_survival: float

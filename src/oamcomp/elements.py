@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import add, mul, neg, sub, truediv
 from typing import Mapping, Union
 
 from .errors import ValidationError
 from .state import (
-    NORM_EPS, RESIDUE_TOL, ModeOAM, PhotonState, _json_int, _json_real, check_norm2,
-    register_size,
+    NORM_EPS, RESIDUE_TOL, ModeOAM, PhotonState, Record, _json_int, _json_real,
+    check_norm2, register_size,
 )
 
 #: Marker for the lossless, infinite-stage limit of the extraction gate.
@@ -40,8 +39,7 @@ Stages = Union[int, str]  # positive int or IDEAL
 MAX_STAGES = 2**53
 
 
-@dataclass(frozen=True)
-class PhaseShifter:
+class PhaseShifter(Record):
     mode: int
     phi: float
 
@@ -50,14 +48,12 @@ class PhaseShifter:
             raise ValidationError(f"phase must be finite, got {self.phi!r}")
 
 
-@dataclass(frozen=True)
-class Hologram:
+class Hologram(Record):
     mode: int
     k: int
 
 
-@dataclass(frozen=True)
-class BeamSplitter:
+class BeamSplitter(Record):
     mode_a: int
     mode_b: int
     theta: float
@@ -69,21 +65,18 @@ class BeamSplitter:
             raise ValidationError(f"beamsplitter angle must be finite, got {self.theta!r}")
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(Record):
     """Absorbing projector: passes OAM index ``m`` in ``mode``, absorbs the rest."""
 
     mode: int
     m: int
 
 
-@dataclass(frozen=True)
-class Mirror:
+class Mirror(Record):
     mode: int
 
 
-@dataclass(frozen=True)
-class ExtractionSpec:
+class ExtractionSpec(Record):
     """Parameters of one extraction gate on the mode pair ``(src, dst)``.
 
     ``stages`` is a positive beamsplitter count, or :data:`IDEAL` for the
@@ -113,12 +106,10 @@ class ExtractionSpec:
         return math.pi / (2 * self.stages)
 
 
-@dataclass(frozen=True)
 class ExtractGate(ExtractionSpec):
     """Macro: move the OAM-``m`` component of ``src`` to OAM 0 of ``dst``."""
 
 
-@dataclass(frozen=True)
 class ReintegrateGate(ExtractionSpec):
     """Macro: inverse of :class:`ExtractGate` on the same mode pair."""
 
@@ -134,8 +125,7 @@ def is_lossy(el: Element) -> bool:
     return isinstance(el, Filter) or isinstance(el, ExtractionSpec) and el.stages != IDEAL
 
 
-@dataclass(frozen=True)
-class Netlist:
+class Netlist(Record):
     """Ordered element program over ``mode_count`` spatial modes, width ``n``."""
 
     n: int
@@ -190,20 +180,21 @@ _ELEMENT_TYPES = {
     "mirror": Mirror, "extract": ExtractGate, "reintegrate": ReintegrateGate,
 }
 _ELEMENT_TAGS = {cls: tag for tag, cls in _ELEMENT_TYPES.items()}
-_ELEMENT_FIELDS = {cls: fields(cls) for cls in _ELEMENT_TAGS}
 
 
 def _element_to_json(el: Element) -> dict:
     if type(el) not in _ELEMENT_TAGS:
         raise ValidationError(f"unknown element {el!r}")
-    return {"type": _ELEMENT_TAGS[type(el)], **vars(el)}
+    return {"type": _ELEMENT_TAGS[type(el)], **el.asdict()}
 
 
 def _element_from_json(entry: dict) -> Element:
     cls = _ELEMENT_TYPES.get(entry["type"])
     if cls is None:
         raise ValidationError(f"unknown element type {entry['type']!r}")
-    return cls(**{f.name: _field_from_json(f.type, entry[f.name]) for f in _ELEMENT_FIELDS[cls]})
+    if len(entry) > 1 + len(cls._fields):  # a key besides "type" and the fields
+        raise ValueError(f"a {entry['type']!r} element has only the keys {['type', *cls._fields]}")
+    return cls(**{name: _field_from_json(kind, entry[name]) for name, kind in cls._fields.items()})
 
 
 def _field_from_json(kind: str, value) -> float | Stages:

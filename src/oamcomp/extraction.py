@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
 
 # ``ExtractionSpec`` is re-exported, and oambench/layers.py reads ``apply_macro`` here.
 from .elements import (  # noqa: F401
@@ -27,7 +26,7 @@ from .elements import (  # noqa: F401
     ReintegrateGate, Rows, Stages, apply_macro, check_state_fits, is_lossy, iter_steps,
 )
 from .rng import Generator
-from .state import PhotonState, normalized, survival_probability
+from .state import PhotonState, Record, normalized, survival_probability
 
 
 def _chain_elements(gate: ExtractGate | ReintegrateGate) -> list[Element]:
@@ -71,11 +70,10 @@ def expand_netlist(netlist: Netlist) -> Netlist:
             elements.extend(_chain_elements(el))
         else:
             elements.append(el)
-    return replace(netlist, elements=tuple(elements))
+    return Netlist(n=netlist.n, mode_count=netlist.mode_count, elements=tuple(elements))
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(Record):
     success: bool
     state: PhotonState | None
     absorbed_at: int | None  # element index of the absorbing filter, if any

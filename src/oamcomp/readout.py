@@ -10,28 +10,25 @@ same seed both draw the same outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import LeakageError, ValidationError
 from .rng import Generator
-from .state import RESIDUE_TOL, PhotonState, checked_norm2, normalized, register_size
+from .state import RESIDUE_TOL, PhotonState, Record, checked_norm2, normalized, register_size
 
 #: Sorter arm count above which plans are flagged as exponentially large.
 DEFAULT_ARM_BUDGET = 512
 
 
-@dataclass(frozen=True)
-class ReadoutCost:
+class ReadoutCost(Record):
     decision_points: int = 0
     arms: int = 0
     runs: int = 0
     cnot_count: int = 0
 
 
-@dataclass(frozen=True)
-class PathQubitState:
+class PathQubitState(Record):
     """Path-encoded register: amplitudes keyed by n-bit strings."""
 
     n: int

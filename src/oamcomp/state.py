@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -73,8 +72,53 @@ def _json_real(value) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class PhotonState:
+class Record:
+    """A frozen record, as ``@dataclass(frozen=True)`` makes one but without
+    generated code: the fields are the annotations, after the bases', and a
+    class attribute is a default.  ``__post_init__`` runs last; only it may
+    set a field, with ``object.__setattr__``."""
+
+    _fields: dict = {}  # field name -> annotation, a string
+    _required: frozenset = frozenset()  # the fields without a default
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = {**cls._fields, **cls.__annotations__}
+        cls._required = frozenset(name for name in cls._fields if not hasattr(cls, name))
+        # Every field with its default, in order: an instance's __dict__ starts as a copy.
+        cls._defaults = {name: getattr(cls, name, None) for name in cls._fields}
+
+    def __init__(self, *args, **kwargs) -> None:
+        values = dict(zip(self._fields, args), **kwargs) if args else kwargs
+        # An argument past the last field, or a field given twice, is lost.
+        if len(values) < len(args) + len(kwargs) or not (
+                self._required <= values.keys() <= self._fields.keys()):
+            raise TypeError(f"{type(self).__name__} takes the fields {list(self._fields)}")
+        self.__dict__.update(self._defaults, **values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+    __delattr__ = __setattr__
+
+    def asdict(self) -> dict:
+        """The fields by name, in order."""
+        return dict(self.__dict__)
+
+    def __eq__(self, other) -> bool:
+        return self.__dict__ == other.__dict__ if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({body})"
+
+
+class PhotonState(Record):
     """Immutable sparse amplitude map for exactly one photon.
 
     ``n`` is the qubit count; computational basis states occupy OAM indices
@@ -83,7 +127,7 @@ class PhotonState:
     """
 
     n: int
-    amplitudes: Mapping[ModeOAM, complex] = field(default_factory=dict)
+    amplitudes: Mapping[ModeOAM, complex] = MappingProxyType({})
 
     def __post_init__(self) -> None:
         register_size(self.n)
@@ -144,7 +188,7 @@ def from_amplitudes(mode: int, coeffs: Iterable[complex], n: int) -> PhotonState
 
 def survival_probability(state: PhotonState) -> float:
     """Squared norm: the probability the photon has not been absorbed."""
-    return sum(abs(a) ** 2 for a in state.amplitudes.values())
+    return sum((abs(a) ** 2 for a in state.amplitudes.values()), 0.0)
 
 
 def normalized(state: PhotonState) -> PhotonState:

@@ -124,6 +124,25 @@ class TestSimulate:
         out = json.loads((tmp_path / "out.json").read_text())
         assert out["survival"] == pytest.approx(0.9817201856079236, abs=1e-12)
 
+    @pytest.mark.parametrize("extra", [[], ["--monte-carlo", "3"]], ids=["plain", "sampled"])
+    def test_fully_absorbed_survival_is_a_float(self, tmp_path, extra):
+        """A filter that absorbs the whole photon leaves survival ``0.0``, a
+        JSON real like every other survival, not the integer ``0``."""
+        write_json(tmp_path / "s.json", basis_state(0, 0, 1).to_json_dict())
+        write_json(tmp_path / "net.json", {
+            "n": 1, "modes": 3, "elements": [{"type": "filter", "mode": 0, "m": 1}],
+        })
+        result = invoke([
+            "simulate", "--netlist", str(tmp_path / "net.json"),
+            "--input", str(tmp_path / "s.json"),
+            "--output", str(tmp_path / "out.json"), *extra,
+        ])
+        assert result.exit_code == 0
+        out = json.loads((tmp_path / "out.json").read_text())
+        assert out["state"]["amplitudes"] == []
+        assert type(out["survival"]) is float and out["survival"] == 0.0
+        assert '"survival": 0.0\n' in (tmp_path / "out.json").read_text()
+
     def test_mode_out_of_range(self, tmp_path):
         write_json(tmp_path / "s.json", basis_state(0, 0, 1).to_json_dict())
         write_json(tmp_path / "net.json", {
@@ -290,10 +309,16 @@ class TestRejectsBadInput:
         ({}, {}, ["--seed", "-1", "--monte-carlo", "3"], "usage"),
         ({}, {}, ["--monte-carlo", "99999999999999999999"], "usage"),
         ({}, {}, ["--monte-carlo", str(elements.MAX_STAGES + 1)], "usage"),
+        # An element takes its own fields' keys and no other.
+        ({"elements": [{"type": "filter", "mode": 0, "m": 0, "extra": 1}]}, {}, [],
+         "validation"),
+        ({"elements": [{"type": "ps", "mode": 0, "phi": 1.0, "theta": 2.0}]}, {}, [],
+         "validation"),
     ], ids=["bool-stages", "nan-phase", "inf-angle", "nan-amplitude", "negative-runs",
             "float-width", "float-modes", "float-filter-m", "float-stages",
             "float-state-width", "bool-mode", "float-l", "bool-re", "string-im",
-            "negative-seed", "huge-runs", "runs-above-max-stages"])
+            "negative-seed", "huge-runs", "runs-above-max-stages", "extra-key",
+            "foreign-field"])
     def test_bad_simulate_input(self, tmp_path, netlist, state, extra, kind):
         entry = {"mode": 0, "l": 1, "re": 1.0, "im": 0.0, **state}
         width = entry.pop("n", 1)

@@ -91,6 +91,9 @@ def test_light_commands_import_no_numpy(tmp_path, command):
     assert code == 0
     assert "oamcomp" in names  # the log was read
     assert not {name for name in names if name.partition(".")[0] == "numpy"}
+    # The records derive from ``state.Record``, not from ``dataclasses``,
+    # which would import ``inspect``.
+    assert not {"dataclasses", "inspect"} & names
     # The sweep runs the gate's closed form and the survival formulas of
     # ``extraction``, and joins its rows without ``csv``.
     if command == "zeno-sweep":
