@@ -28,7 +28,7 @@ from .elements import (
     Stages,
     is_lossy,
 )
-from .state import Record, _json_int, _json_real
+from .state import Record, _json_int, _json_real, norm
 from . import elements as _elements
 
 if TYPE_CHECKING:
@@ -64,9 +64,11 @@ def _frobenius2(entries) -> float:
     return sum(z.real * z.real + z.imag * z.imag for z in entries)
 
 
-def _unitarity_residual(rows: list[list[complex]]) -> float:
-    """Frobenius norm of ``U^dagger U - I`` for the square ``rows`` of
-    ``U``, from the upper triangle of the Hermitian product."""
+def check_unitary(matrix: Matrix, tol: float = UNITARITY_TOL) -> list[list[complex]]:
+    """``matrix`` as a list of rows of ``complex``; raises unless it is
+    unitary within ``tol``: the Frobenius norm of ``U^dagger U - I``, summed
+    from the upper triangle of the Hermitian product."""
+    rows = _square(matrix)
     columns = list(zip(*rows))
     total = 0.0
     for i, column in enumerate(columns):
@@ -74,14 +76,7 @@ def _unitarity_residual(rows: list[list[complex]]) -> float:
         gram = [sum(map(mul, conj, other)) for other in columns[i:]]
         gram[0] -= 1.0
         total += 2.0 * _frobenius2(gram) - _frobenius2(gram[:1])
-    return math.sqrt(total)
-
-
-def check_unitary(matrix: Matrix, tol: float = UNITARITY_TOL) -> list[list[complex]]:
-    """``matrix`` as a list of rows of ``complex``; raises unless it is
-    unitary within ``tol``."""
-    rows = _square(matrix)
-    residual = _unitarity_residual(rows)
+    residual = math.sqrt(total)
     if not residual <= tol:
         raise ValidationError(
             f"matrix is not unitary: residual {residual:.3e} exceeds {tol:.1e}"
@@ -128,11 +123,9 @@ class TwoLevelFactor(Record):
             raise ValidationError(
                 f"factor needs two distinct non-negative levels, got ({self.m}, {self.n_idx})"
             )
-        u2 = _square(self.u2)
+        u2 = check_unitary(self.u2, FACTOR_TOL)
         if len(u2) != 2:
             raise ValidationError(f"factor matrix must be 2x2, got {len(u2)}x{len(u2)}")
-        if not _unitarity_residual(u2) <= FACTOR_TOL:
-            raise ValidationError("factor matrix is not unitary")
         object.__setattr__(self, "u2", tuple(map(tuple, u2)))
 
 
@@ -294,10 +287,10 @@ def basis_response(netlist: Netlist) -> tuple[list[list[complex]], list[float]]:
         if offenders:
             raise LeakageError(offenders)
         return effective, rows.norm2
-    norms = [math.sqrt(_frobenius2(column)) for column in zip(*effective)]
+    norms = [norm(column) for column in zip(*effective)]
     if 0.0 in norms:
         raise ValidationError(f"basis input {norms.index(0.0)} was fully absorbed")
-    return [[z / norm for z, norm in zip(row, norms)] for row in effective], rows.norm2
+    return [[z / r for z, r in zip(row, norms)] for row in effective], rows.norm2
 
 
 def _verify(netlist: Netlist, U: Matrix) -> tuple[float, list[float]]:

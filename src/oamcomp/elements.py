@@ -26,7 +26,7 @@ from typing import Mapping, Union
 from .errors import ValidationError
 from .state import (
     NORM_EPS, RESIDUE_TOL, ModeOAM, PhotonState, Record, _json_int, _json_real,
-    check_norm2, register_size,
+    check_norm2, register_size, weights,
 )
 
 #: Marker for the lossless, infinite-stage limit of the extraction gate.
@@ -210,11 +210,6 @@ def _field_from_json(kind: str, value) -> float | Stages:
 # pass computes all of them, and each element rewrites only its own rows.
 
 
-def _weights(row: list[complex]) -> list[float]:
-    """``|z|^2`` of every entry; an entry is at most ``1 / RESCALE_BELOW``."""
-    return [x * x for x in map(abs, row)]
-
-
 class Rows:
     """Amplitudes of ``k`` inputs as rows ``(mode, l) -> [k complex]``.
 
@@ -259,11 +254,11 @@ class Rows:
     def weight_in(self, mode: int, skip: int | None = None) -> float:
         """The first input's squared norm in ``mode``, leaving out the row
         at OAM ``skip``: its kept row weights times the mode's scale squared."""
-        weights = self.row_weights.get(mode)
-        if not weights:
+        kept = self.row_weights.get(mode)
+        if not kept:
             return 0.0
         scale = self.scale[mode]
-        return sum(w[0] for l, w in weights.items() if l != skip) * (scale * scale)
+        return sum(w[0] for l, w in kept.items() if l != skip) * (scale * scale)
 
     def keys(self) -> list[ModeOAM]:
         return [(mode, l) for mode, rows in self.rows.items() for l in rows]
@@ -306,9 +301,9 @@ class Rows:
         elif self.scale[mode] != 1.0:
             row = list(map(truediv, row, repeat(self.scale[mode])))
         rows[l] = row
-        weights = self.row_weights[mode]
-        new, old = _weights(row), weights.get(l)
-        weights[l] = new
+        kept = self.row_weights[mode]
+        new, old = weights(row), kept.get(l)
+        kept[l] = new
         self._account(mode, new if old is None else list(map(sub, new, old)))
 
     def pop(self, mode: int, l: int) -> list[complex] | None:
@@ -360,17 +355,18 @@ class Rows:
 
     def _reweigh(self, mode: int) -> dict[int, list[float]]:
         """Recompute the row weights of ``mode`` from its rows."""
-        weights = self.row_weights[mode] = {l: _weights(row) for l, row in self.rows[mode].items()}
-        return weights
+        kept = self.row_weights[mode] = {l: weights(row) for l, row in self.rows[mode].items()}
+        return kept
 
     def resync(self) -> None:
         """Recompute every row's weights, and so an exact ``norm2``, from the rows."""
         norm2 = [0.0] * self.k
         for mode in self.rows:
             total = [0.0] * self.k
-            for weights in self._reweigh(mode).values():
-                total = list(map(add, total, weights))
-            norm2 = list(map(add, norm2, map(mul, total, repeat(self.scale[mode] ** 2))))
+            for kept in self._reweigh(mode).values():
+                total = list(map(add, total, kept))
+            scale = self.scale[mode]
+            norm2 = list(map(add, norm2, map(mul, total, repeat(scale * scale))))
         self.norm2 = norm2
 
     def check(self) -> None:

@@ -15,7 +15,9 @@ from typing import Mapping
 
 from .errors import LeakageError, ValidationError
 from .rng import Generator
-from .state import RESIDUE_TOL, PhotonState, Record, checked_norm2, normalized, register_size
+from .state import (
+    RESIDUE_TOL, PhotonState, Record, checked_norm2, normalized, register_size, weights,
+)
 
 #: Sorter arm count above which plans are flagged as exponentially large.
 DEFAULT_ARM_BUDGET = 512
@@ -125,8 +127,9 @@ def born_distribution(state: PhotonState, mode: int) -> dict[int, float]:
     index.  Amplitudes in ``mode`` outside its computational range are
     leakage, as in :func:`demux`, unless they are rounding residue."""
     in_mode = [(key, amp) for key, amp in state.amplitudes.items() if key[0] == mode]
-    weights = {l: abs(amp) ** 2 for l, amp in _register(in_mode, mode, state.dim).items()}
-    total = sum(weights.values())
+    register = _register(in_mode, mode, state.dim)
+    weight = dict(zip(register, weights(register.values())))
+    total = sum(weight.values())
     if total <= 0.0:
         raise ValidationError("state has no surviving amplitude in that mode")
-    return {l: w / total for l, w in sorted(weights.items())}
+    return {l: w / total for l, w in sorted(weight.items())}

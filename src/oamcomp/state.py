@@ -51,11 +51,26 @@ def check_norm2(norm2: float) -> float:
     return norm2
 
 
+def weights(values: Iterable[complex]) -> list[float]:
+    """``|z|^2`` of each complex ``z``, as ``x * x`` of ``x = abs(z)``: correctly
+    rounded, where libm's ``x ** 2`` misrounds some, and inf on overflow."""
+    return [x * x for x in map(abs, values)]
+
+
+def norm(values: Iterable[complex]) -> float:
+    """Euclidean norm of the complex ``values``: ``hypot`` of the magnitudes
+    scales, where squares of magnitudes below 1e-154 would lose precision."""
+    return math.hypot(*map(abs, values))
+
+
 def checked_norm2(amps: Mapping) -> float:
     """Squared norm of a map of complex amplitudes, checked by
-    :func:`check_norm2`."""
-    # ``x * x`` rather than ``x ** 2``: it overflows to inf, not an exception.
-    return check_norm2(sum(x * x for x in map(abs, amps.values())))
+    :func:`check_norm2`; a magnitude beyond the largest double is inf."""
+    try:
+        norm2 = sum(weights(amps.values()))
+    except OverflowError:  # from ``abs``
+        norm2 = math.inf
+    return check_norm2(norm2)
 
 
 def _json_int(value) -> int:
@@ -188,17 +203,12 @@ def from_amplitudes(mode: int, coeffs: Iterable[complex], n: int) -> PhotonState
 
 def survival_probability(state: PhotonState) -> float:
     """Squared norm: the probability the photon has not been absorbed."""
-    return sum((abs(a) ** 2 for a in state.amplitudes.values()), 0.0)
+    return sum(weights(state.amplitudes.values()), 0.0)
 
 
 def normalized(state: PhotonState) -> PhotonState:
     """Renormalize the conditional (post-selected) state to unit norm."""
-    # ``hypot`` scales, where the squares of amplitudes below 1e-154 would
-    # lose precision as subnormals.
-    norm = math.hypot(*map(abs, state.amplitudes.values()))
-    if norm == 0.0:
+    scale = norm(state.amplitudes.values())
+    if scale == 0.0:
         raise ValidationError("cannot normalize a fully absorbed state")
-    return PhotonState(
-        n=state.n,
-        amplitudes={k: v / norm for k, v in state.amplitudes.items()},
-    )
+    return PhotonState(n=state.n, amplitudes={k: v / scale for k, v in state.amplitudes.items()})

@@ -140,8 +140,18 @@ def basis_response(netlist):
         if offenders:
             raise LeakageError(offenders)
         return effective, survival
-    norms = np.linalg.norm(effective, axis=0)
-    absorbed = np.flatnonzero(norms == 0.0)
+    return unit_columns(effective), survival
+
+
+def unit_columns(effective):
+    """``effective`` with each column divided by its norm; raises if a
+    column is all zeros.  The magnitudes are scaled by each column's
+    largest before the norm is taken, and the parts divided as reals:
+    ``np.linalg.norm`` loses a norm below about 1e-154 to underflow, and
+    numpy's complex division by a subnormal real gives NaN."""
+    peak = np.abs(effective).max(axis=0)
+    absorbed = np.flatnonzero(peak == 0.0)
     if absorbed.size:
         raise ValidationError(f"basis input {absorbed[0]} was fully absorbed")
-    return effective / norms, survival
+    norms = peak * np.linalg.norm(np.abs(effective) / peak, axis=0)
+    return effective.real / norms + 1j * (effective.imag / norms)

@@ -314,11 +314,14 @@ class TestRejectsBadInput:
          "validation"),
         ({"elements": [{"type": "ps", "mode": 0, "phi": 1.0, "theta": 2.0}]}, {}, [],
          "validation"),
+        # A magnitude beyond the largest double, finite or not, is refused.
+        ({}, {"re": 1.5e308, "im": 1.5e308}, [], "validation"),
+        ({}, {"re": 1e308, "im": 1e308}, [], "validation"),
     ], ids=["bool-stages", "nan-phase", "inf-angle", "nan-amplitude", "negative-runs",
             "float-width", "float-modes", "float-filter-m", "float-stages",
             "float-state-width", "bool-mode", "float-l", "bool-re", "string-im",
             "negative-seed", "huge-runs", "runs-above-max-stages", "extra-key",
-            "foreign-field"])
+            "foreign-field", "overflowing-magnitude", "overflowing-square"])
     def test_bad_simulate_input(self, tmp_path, netlist, state, extra, kind):
         entry = {"mode": 0, "l": 1, "re": 1.0, "im": 0.0, **state}
         width = entry.pop("n", 1)
@@ -661,6 +664,17 @@ class TestReadout:
         assert result.exit_code == 0, result.stderr
         out = json.loads((tmp_path / "r.json").read_text())
         assert sorted(out["amplitudes"]) == ["00", "01", "10", "11"]
+
+    @pytest.mark.parametrize("strategy", ["sorter", "repeat", "demux"])
+    def test_overflowing_magnitude_is_refused(self, tmp_path, strategy):
+        write_json(tmp_path / "s.json", {
+            "n": 1, "amplitudes": [{"mode": 0, "l": 0, "re": 1.5e308, "im": 1.5e308}],
+        })
+        result = invoke_cli(["readout", "--input", str(tmp_path / "s.json"),
+                             "--strategy", strategy])
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert error == {"type": "validation", "message": "squared norm inf exceeds 1 + eps"}
 
     def test_demux_leakage_error(self, tmp_path):
         write_json(tmp_path / "s.json", {

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oamcomp.compiler import (
     TwoLevelFactor,
+    basis_response,
     check_unitary,
     compile_unitary,
     decompose_two_level,
@@ -17,7 +19,9 @@ from oamcomp.compiler import (
     u2_to_optics,
     unitary_from_json,
 )
-from oamcomp.elements import Mirror, Netlist, check_reflection_parity, run_netlist
+from oamcomp.elements import (
+    ExtractGate, Mirror, Netlist, ReintegrateGate, check_reflection_parity, run_netlist,
+)
 from oamcomp.errors import LeakageError, ValidationError
 from oamcomp.state import basis_state, survival_probability
 
@@ -25,6 +29,17 @@ from conftest import unitary_to_json
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def response_columns(U, stages) -> list[list[complex]]:
+    """The unnormalized basis response of ``U``'s netlist at ``stages``,
+    column by column: each basis input of mode 0 run on its own."""
+    n = qubit_count_for(len(U))
+    elements = [el for factor in decompose_two_level(U)
+                for el in lower_two_level(factor, (0, 1, 2), stages)]
+    netlist = Netlist(n=n, mode_count=3, elements=tuple(elements))
+    outs = (run_netlist(basis_state(0, l, n), netlist) for l in range(len(U)))
+    return [[out.amplitude(0, l) for l in range(len(U))] for out in outs]
 
 
 def embed_factor(factor: TwoLevelFactor, d: int) -> np.ndarray:
@@ -259,9 +274,10 @@ class TestCompileUnitary:
         run of ``|0>`` on its own: equal within rounding, not bit-equal."""
         rng = np.random.default_rng(1000 * d + stages)
         for U in (haar_random_unitary(d, rng) for _ in range(3)):
-            if stages == 1 and d > 2:
+            if stages == 1 and any(not any(col) for col in response_columns(U, stages)):
                 # A one-stage gate keeps cos(pi/2) = 6e-17 of every component
-                # it does not extract, so some basis input is absorbed.
+                # it does not extract: a basis input whose column is all
+                # zeros is fully absorbed, and any other is renormalized.
                 with pytest.raises(ValidationError, match="fully absorbed"):
                     compile_unitary(U, spec_stages=stages)
                 continue
@@ -276,6 +292,20 @@ class TestCompileUnitary:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValidationError):
             qubit_count_for(7)
+
+
+class TestBasisResponse:
+    @pytest.mark.parametrize("pairs", [260, 270])
+    def test_renormalizes_a_tiny_column(self, pairs):
+        """Each two-stage gate halves basis input 1, which it does not
+        extract: after 520 gates its column has norm 0.5**520 (3e-157), whose
+        square is subnormal, after 540 gates 0.5**540 (3e-163), whose square
+        is 0.  Renormalized by ``hypot``, the column has unit norm."""
+        pair = (ExtractGate(m=0, src=0, dst=1, stages=2),
+                ReintegrateGate(m=0, src=0, dst=1, stages=2))
+        columns = list(zip(*basis_response(Netlist(n=1, mode_count=2, elements=pair * pairs))[0]))
+        norm2 = sum(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in columns[1])
+        assert abs(math.sqrt(norm2) - 1.0) <= 1e-15
 
 
 class TestReconstructAndVerify:

@@ -1,11 +1,17 @@
+import cmath
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from oamcomp.elements import Rows
 from oamcomp.errors import ValidationError
+from oamcomp.readout import born_distribution
 from oamcomp.state import (
     PhotonState,
     basis_state,
+    checked_norm2,
     from_amplitudes,
     normalized,
     survival_probability,
@@ -69,6 +75,13 @@ class TestFromAmplitudes:
         with pytest.raises(ValidationError):
             from_amplitudes(0, [1e308, 0.0], 1)
 
+    @pytest.mark.parametrize("amp", [1.5e308 + 1.5e308j, 1e308 + 1e308j])
+    def test_rejects_a_magnitude_beyond_the_largest_double(self, amp):
+        """``abs`` of the first raises ``OverflowError``; the second's
+        magnitude is finite but its square is not."""
+        with pytest.raises(ValidationError, match="squared norm inf exceeds 1 \\+ eps"):
+            PhotonState(n=1, amplitudes={(0, 0): amp})
+
     def test_rejects_nan_amplitude(self):
         with pytest.raises(ValidationError):
             from_amplitudes(0, [float("nan"), 0.0], 1)
@@ -85,6 +98,35 @@ class TestSurvivalProbability:
     def test_subnormalized(self):
         s = PhotonState(n=1, amplitudes={(0, 0): 0.5})
         assert survival_probability(s) == pytest.approx(0.25)
+
+
+def correctly_rounded_weight(z: complex) -> float:
+    return float(Fraction(abs(z)) ** 2)
+
+
+magnitudes = st.floats(1e-160, 1.0)
+phases = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(magnitude=magnitudes, phase=phases, other=magnitudes)
+# libm's ``pow`` rounds this magnitude's square up: 0.9928113146342529.
+@example(magnitude=0.9963991743444255, phase=0.0, other=0.05)
+def test_every_weight_is_correctly_rounded(magnitude, phase, other):
+    """The survival, the scalar norm guard, the row engine's total and the
+    Born rule square each magnitude as exactly rounded arithmetic does."""
+    z = cmath.rect(magnitude, phase)
+    weight = correctly_rounded_weight(z)
+    state = PhotonState(n=1, amplitudes={(0, 0): z})
+    assert survival_probability(state) == weight
+    assert checked_norm2({(0, 0): z}) == weight
+    rows = Rows.from_state(state)
+    rows.check()
+    assert rows.norm2 == [weight]
+    w1 = correctly_rounded_weight(other)
+    assume(weight + w1 <= 1.0)
+    pair = PhotonState(n=1, amplitudes={(0, 0): z, (0, 1): other})
+    assert born_distribution(pair, 0) == {0: weight / (weight + w1), 1: w1 / (weight + w1)}
 
 
 def test_normalized_restores_unit_norm():
