@@ -234,8 +234,8 @@ def _parser() -> _Parser:
     option("--spec-n", type=_stages, default="ideal", metavar="INT|ideal",
            help="Zeno stages per extraction gate (default: %(default)s). A gate of 1 "
                 "stage absorbs all but 6e-17 of each component it does not extract: a "
-                "general unitary at d = 4 compiles with survival 0.0 unless a column is "
-                "exactly zero, and at d >= 8 fails as fully absorbed.")
+                "general unitary at d = 4 compiles with survival 0.0 unless a column's norm "
+                "is below the smallest normal double, and at d >= 8 fails as fully absorbed.")
     option = command("simulate", cmd_simulate)
     option("--netlist", required=True)
     option("--input", required=True)

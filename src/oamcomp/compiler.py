@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -199,7 +200,7 @@ def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
             if abs(b) <= 1e-14:
                 continue
             a = top[col]
-            r = math.hypot(abs(a), abs(b))
+            r = norm((a, b))
             g00, g01, g10, g11 = a.conjugate() / r, b.conjugate() / r, b / r, -a / r
             # The rotation touches rows col and row; their entries left of
             # col are already eliminated, and no later step reads them.
@@ -274,7 +275,7 @@ def basis_response(netlist: Netlist) -> tuple[list[list[complex]], list[float]]:
     is its norm guard's last value (all ones for an empty netlist).
     Lossless netlists are checked for leakage outside the computational
     subspace of mode 0; the columns of lossy (finite-stage) netlists are
-    renormalized to their conditional states.
+    renormalized to their conditional states, if above the smallest normal double.
     """
     d = 1 << netlist.n
     rows = Rows(d, {(0, l): [1 + 0j if i == l else 0j for i in range(d)] for l in range(d)})
@@ -288,8 +289,9 @@ def basis_response(netlist: Netlist) -> tuple[list[list[complex]], list[float]]:
             raise LeakageError(offenders)
         return effective, rows.norm2
     norms = [norm(column) for column in zip(*effective)]
-    if 0.0 in norms:
-        raise ValidationError(f"basis input {norms.index(0.0)} was fully absorbed")
+    tiny = [r < sys.float_info.min for r in norms]  # too few bits left to renormalize
+    if any(tiny):
+        raise ValidationError(f"basis input {tiny.index(True)} was fully absorbed")
     return [[z / r for z, r in zip(row, norms)] for row in effective], rows.norm2
 
 

@@ -302,7 +302,7 @@ class Rows:
             row = list(map(truediv, row, repeat(self.scale[mode])))
         rows[l] = row
         kept = self.row_weights[mode]
-        new, old = weights(row), kept.get(l)
+        new, old = weights(row), kept.get(l)  # |entry| <= 1 / RESCALE_BELOW: finite
         kept[l] = new
         self._account(mode, new if old is None else list(map(sub, new, old)))
 
@@ -354,7 +354,7 @@ class Rows:
             self._reweigh(mode)
 
     def _reweigh(self, mode: int) -> dict[int, list[float]]:
-        """Recompute the row weights of ``mode`` from its rows."""
+        """Recompute the row weights of ``mode`` from its rows, finite as in :meth:`put`."""
         kept = self.row_weights[mode] = {l: weights(row) for l, row in self.rows[mode].items()}
         return kept
 

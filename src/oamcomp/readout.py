@@ -15,9 +15,8 @@ from typing import Mapping
 
 from .errors import LeakageError, ValidationError
 from .rng import Generator
-from .state import (
-    RESIDUE_TOL, PhotonState, Record, checked_norm2, normalized, register_size, weights,
-)
+from .state import (RESIDUE_TOL, PhotonState, Record, checked_norm2, normalized,
+                    register_size, weights)
 
 #: Sorter arm count above which plans are flagged as exponentially large.
 DEFAULT_ARM_BUDGET = 512

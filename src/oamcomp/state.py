@@ -53,7 +53,8 @@ def check_norm2(norm2: float) -> float:
 
 def weights(values: Iterable[complex]) -> list[float]:
     """``|z|^2`` of each complex ``z``, as ``x * x`` of ``x = abs(z)``: correctly
-    rounded, where libm's ``x ** 2`` misrounds some, and inf on overflow."""
+    rounded, where libm's ``x ** 2`` misrounds some.  ``abs`` raises ``OverflowError``
+    past the largest double; only a square overflows, to inf."""
     return [x * x for x in map(abs, values)]
 
 

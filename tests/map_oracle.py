@@ -145,13 +145,12 @@ def basis_response(netlist):
 
 def unit_columns(effective):
     """``effective`` with each column divided by its norm; raises if a
-    column is all zeros.  The magnitudes are scaled by each column's
-    largest before the norm is taken, and the parts divided as reals:
-    ``np.linalg.norm`` loses a norm below about 1e-154 to underflow, and
-    numpy's complex division by a subnormal real gives NaN."""
+    column's norm is below the smallest normal double.  The magnitudes are
+    scaled by each column's largest before the norm is taken:
+    ``np.linalg.norm`` loses a norm below about 1e-154 to underflow."""
     peak = np.abs(effective).max(axis=0)
-    absorbed = np.flatnonzero(peak == 0.0)
+    norms = peak * np.linalg.norm(np.abs(effective) / np.where(peak > 0.0, peak, 1.0), axis=0)
+    absorbed = np.flatnonzero(norms < np.finfo(float).tiny)
     if absorbed.size:
         raise ValidationError(f"basis input {absorbed[0]} was fully absorbed")
-    norms = peak * np.linalg.norm(np.abs(effective) / peak, axis=0)
-    return effective.real / norms + 1j * (effective.imag / norms)
+    return effective / norms

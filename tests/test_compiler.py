@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -31,15 +32,15 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def response_columns(U, stages) -> list[list[complex]]:
-    """The unnormalized basis response of ``U``'s netlist at ``stages``,
-    column by column: each basis input of mode 0 run on its own."""
+def column_norms(U, stages) -> list[float]:
+    """The norm of each column of the unnormalized basis response of ``U``'s
+    netlist at ``stages``: each basis input of mode 0 run on its own."""
     n = qubit_count_for(len(U))
     elements = [el for factor in decompose_two_level(U)
                 for el in lower_two_level(factor, (0, 1, 2), stages)]
     netlist = Netlist(n=n, mode_count=3, elements=tuple(elements))
     outs = (run_netlist(basis_state(0, l, n), netlist) for l in range(len(U)))
-    return [[out.amplitude(0, l) for l in range(len(U))] for out in outs]
+    return [math.hypot(*(abs(out.amplitude(0, l)) for l in range(len(U)))) for out in outs]
 
 
 def embed_factor(factor: TwoLevelFactor, d: int) -> np.ndarray:
@@ -274,10 +275,11 @@ class TestCompileUnitary:
         run of ``|0>`` on its own: equal within rounding, not bit-equal."""
         rng = np.random.default_rng(1000 * d + stages)
         for U in (haar_random_unitary(d, rng) for _ in range(3)):
-            if stages == 1 and any(not any(col) for col in response_columns(U, stages)):
+            if stages == 1 and min(column_norms(U, stages)) < sys.float_info.min:
                 # A one-stage gate keeps cos(pi/2) = 6e-17 of every component
-                # it does not extract: a basis input whose column is all
-                # zeros is fully absorbed, and any other is renormalized.
+                # it does not extract: a basis input whose column's norm is
+                # below the smallest normal double is fully absorbed, and any
+                # other is renormalized.
                 with pytest.raises(ValidationError, match="fully absorbed"):
                     compile_unitary(U, spec_stages=stages)
                 continue
@@ -306,6 +308,18 @@ class TestBasisResponse:
         columns = list(zip(*basis_response(Netlist(n=1, mode_count=2, elements=pair * pairs))[0]))
         norm2 = sum(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in columns[1])
         assert abs(math.sqrt(norm2) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("pairs", [515, 537])
+    def test_absorbs_a_subnormal_column(self, pairs):
+        """After 1,030 and 1,074 gates basis input 1's column is not zero
+        but subnormal (9e-311 and 5e-324), with too few bits left to be
+        renormalized: it counts as fully absorbed."""
+        pair = (ExtractGate(m=0, src=0, dst=1, stages=2),
+                ReintegrateGate(m=0, src=0, dst=1, stages=2))
+        netlist = Netlist(n=1, mode_count=2, elements=pair * pairs)
+        assert 0.0 < abs(run_netlist(basis_state(0, 1, 1), netlist).amplitude(0, 1)) < sys.float_info.min
+        with pytest.raises(ValidationError, match="basis input 1 was fully absorbed"):
+            basis_response(netlist)
 
 
 class TestReconstructAndVerify:
