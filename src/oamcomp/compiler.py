@@ -1,11 +1,13 @@
 """Lowering of arbitrary unitaries to optical netlists.
 
 A ``d x d`` unitary (``d = 2**n``) is factored into two-level unitaries by
-column-wise Givens elimination, each factor is expressed as pre/post phase
-shifters around a single beamsplitter rotation, and the pair of affected OAM
-levels is routed through extraction gates into two auxiliary spatial modes
-where that 2x2 stage acts.  Three spatial modes suffice for any circuit: one
-primary register mode plus two reusable aux modes.
+column-wise Givens elimination in Reck's form: each factor is one
+beamsplitter rotation followed by one phase shifter, and the leftover
+diagonal phase of each level is folded into the first factor that touches
+that level.  The pair of affected OAM levels is routed through extraction
+gates into two auxiliary spatial modes where that 2x2 stage acts.  Three
+spatial modes suffice for any circuit: one primary register mode plus two
+reusable aux modes.
 """
 
 from __future__ import annotations
@@ -185,13 +187,17 @@ def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
     """Factor ``U`` into two-level unitaries, listed in application order.
 
     The product ``F_k @ ... @ F_1`` of the embedded factors reconstructs
-    ``U``; the first list entry is applied first.  Residual diagonal phases
-    come out as degenerate ``diag(exp(i phi), 1)`` factors.  Raises unless
-    ``U`` is unitary.
+    ``U``; the first list entry is applied first.  Each entry below the
+    diagonal is nulled by ``G = R(theta)^T diag(exp(-i phi), 1)``, so each
+    factor ``G^dagger = diag(exp(i phi), 1) R(theta)`` is one beamsplitter
+    and one phase.  The residual diagonal acts first: each level's phase is
+    folded into the first factor, in application order, that touches the
+    level, and a level that no factor touches keeps a degenerate
+    ``diag(exp(i phi), 1)`` factor.  Raises unless ``U`` is unitary.
     """
     working = check_unitary(U)
     d = len(working)
-    eliminations: list[tuple[int, int, tuple]] = []
+    eliminations: list[tuple[int, int, float, float, complex]] = []
     for col in range(d - 1):
         top = working[col]
         for row in range(col + 1, d):
@@ -201,26 +207,31 @@ def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
                 continue
             a = top[col]
             r = norm((a, b))
-            g00, g01, g10, g11 = a.conjugate() / r, b.conjugate() / r, b / r, -a / r
+            c, s = abs(a) / r, abs(b) / r
+            e = -(b / abs(b)) * (a.conjugate() / abs(a)) if a else 1 + 0j  # exp(-i phi)
+            ce, se = c * e, s * e
             # The rotation touches rows col and row; their entries left of
             # col are already eliminated, and no later step reads them.
             pairs = list(zip(top[col:], low[col:]))
-            top[col:] = [g00 * x + g01 * y for x, y in pairs]
-            low[col:] = [g10 * x + g11 * y for x, y in pairs]
-            eliminations.append((col, row, (g00, g01, g10, g11)))
+            top[col:] = [ce * x - s * y for x, y in pairs]
+            low[col:] = [se * x + c * y for x, y in pairs]
+            eliminations.append((col, row, c, s, e))
 
-    factors: list[TwoLevelFactor] = []
     # working is now diagonal (phases); U = G_1^† ... G_K^† D, applied D first.
+    pending: dict[int, complex] = {}
     for level in range(d):
         phase = working[level][level]
         phase = phase / abs(phase)  # magnitude drift inherits U's unitarity slack
         if abs(phase - 1.0) > 1e-13:
-            partner = (level + 1) % d
-            factors.append(TwoLevelFactor(m=level, n_idx=partner, u2=((phase, 0j), (0j, 1 + 0j))))
-    for col, row, (g00, g01, g10, g11) in reversed(eliminations):
-        u2 = ((g00.conjugate(), g10.conjugate()), (g01.conjugate(), g11.conjugate()))
-        factors.append(TwoLevelFactor(m=col, n_idx=row, u2=u2))
-    return factors
+            pending[level] = phase
+    folded: list[TwoLevelFactor] = []
+    for col, row, c, s, e in reversed(eliminations):
+        p, q = pending.pop(col, 1.0), pending.pop(row, 1.0)
+        ei = e.conjugate()  # exp(i phi)
+        u2 = ((c * ei * p, s * ei * q), (-s * p, c * q))  # G^† diag(p, q)
+        folded.append(TwoLevelFactor(m=col, n_idx=row, u2=u2))
+    return [TwoLevelFactor(m=level, n_idx=(level + 1) % d, u2=((phase, 0j), (0j, 1 + 0j)))
+            for level, phase in pending.items()] + folded
 
 
 def lower_two_level(
@@ -235,6 +246,11 @@ def lower_two_level(
     beamsplitter, and both components are folded back into the source mode.
     The determinant phase ``delta`` is applied to both aux modes: in the
     full space it is a physical phase relative to the untouched components.
+    On ``aux_b`` it merges with ``phi_pre`` into one phase shifter, as
+    ``exp(i delta) diag(exp(i phi_pre), 1) = diag(exp(i (phi_pre + delta)),
+    exp(i delta))``.  So a factor of :func:`decompose_two_level` lowers to
+    one beamsplitter and one phase shifter, plus ``phi_post`` and the
+    ``aux_c`` phase where level phases were folded into it.
     """
     src, aux_b, aux_c = mode_plan
     if len({src, aux_b, aux_c}) != 3:
@@ -248,10 +264,9 @@ def lower_two_level(
         seq.append(PhaseShifter(mode=aux_b, phi=params.phi_post))
     if params.theta != 0.0:
         seq.append(BeamSplitter(mode_a=aux_b, mode_b=aux_c, theta=params.theta))
-    if params.phi_pre != 0.0:
-        seq.append(PhaseShifter(mode=aux_b, phi=params.phi_pre))
+    if params.phi_pre + params.delta != 0.0:
+        seq.append(PhaseShifter(mode=aux_b, phi=params.phi_pre + params.delta))
     if params.delta != 0.0:
-        seq.append(PhaseShifter(mode=aux_b, phi=params.delta))
         seq.append(PhaseShifter(mode=aux_c, phi=params.delta))
     seq.append(ReintegrateGate(m=factor.n_idx, src=src, dst=aux_c, stages=spec_stages))
     seq.append(ReintegrateGate(m=factor.m, src=src, dst=aux_b, stages=spec_stages))

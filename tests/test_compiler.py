@@ -21,7 +21,7 @@ from oamcomp.compiler import (
     unitary_from_json,
 )
 from oamcomp.elements import (
-    ExtractGate, Mirror, Netlist, ReintegrateGate, check_reflection_parity, run_netlist,
+    IDEAL, ExtractGate, Mirror, Netlist, ReintegrateGate, check_reflection_parity, run_netlist,
 )
 from oamcomp.errors import LeakageError, ValidationError
 from oamcomp.state import basis_state, survival_probability
@@ -106,9 +106,47 @@ class TestDecompose:
 
 
 def full_matrix_decompose(U):
-    """The elimination with every Givens rotation applied as a full ``d x d``
-    product, O(d^5): the oracle of the two-row rotation.  Factors as
-    ``(m, n_idx, u2)`` in application order."""
+    """The elimination with every rotation ``G = R(theta)^T diag(exp(-i phi),
+    1)`` applied as a full ``d x d`` product, O(d^5), and each level's phase
+    folded into the first factor that touches it by a scan of the whole
+    list: the oracle of the two-row rotation and the one-pass fold.  Factors
+    as ``(m, n_idx, u2)`` in application order."""
+    d = U.shape[0]
+    working, eliminations = U.copy(), []
+    for col in range(d - 1):
+        for row in range(col + 1, d):
+            b = working[row, col]
+            if abs(b) <= 1e-14:
+                continue
+            a = working[col, col]
+            theta = math.atan2(abs(b), abs(a))
+            e = -(b / abs(b)) * (a.conjugate() / abs(a)) if a != 0 else 1.0
+            rot = np.array([[math.cos(theta), math.sin(theta)],
+                            [-math.sin(theta), math.cos(theta)]])
+            g2 = rot.T @ np.diag([e, 1.0])
+            full = np.eye(d, dtype=complex)
+            full[np.ix_([col, row], [col, row])] = g2
+            working = full @ working
+            eliminations.append((col, row, g2))
+    factors = [[col, row, g2.conj().T] for col, row, g2 in reversed(eliminations)]
+    untouched = []
+    for level in range(d):
+        phase = working[level, level] / abs(working[level, level])
+        if abs(phase - 1.0) <= 1e-13:
+            continue
+        first = next((f for f in factors if level in f[:2]), None)
+        if first is None:
+            untouched.append((level, (level + 1) % d, np.diag([phase, 1.0])))
+        else:
+            first[2] = first[2] @ np.diag([phase, 1.0] if first[0] == level else [1.0, phase])
+    return untouched + [tuple(f) for f in factors]
+
+
+def four_parameter_decompose(U):
+    """The unoptimised elimination: each entry nulled by the four-parameter
+    rotation ``[[a*, b*], [b, -a]] / r`` as a full ``d x d`` product, and the
+    residual phases as degenerate ``diag(exp(i phi), 1)`` factors applied
+    first.  Factors as ``(m, n_idx, u2)`` in application order."""
     d = U.shape[0]
     working, eliminations = U.copy(), []
     for col in range(d - 1):
@@ -142,6 +180,24 @@ def test_two_row_rotation_matches_full_matrix_oracle(d, seed):
     for f, (_, _, u2) in zip(factors, oracle):
         assert np.max(np.abs(f.u2 - u2)) <= 1e-12
     assert np.linalg.norm(product_of_factors(factors, d) - U) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
+def test_two_parameter_rotation_matches_four_parameter_elimination(d, seed):
+    """The two forms null the same entries in the same order, with rotations
+    of the same magnitudes; only the old residual-phase factors go, as the
+    new form folds every phase of a Haar draw into a factor."""
+    U = haar_random_unitary(d, np.random.default_rng(seed))
+    factors = decompose_two_level(U)
+    old = four_parameter_decompose(U)
+    eliminated = [(m, n, u2) for m, n, u2 in old if u2[0, 1] != 0]
+    assert [(f.m, f.n_idx) for f in factors] == [(m, n) for m, n, _ in eliminated]
+    for f, (_, _, u2) in zip(factors, eliminated):
+        assert np.max(np.abs(np.abs(f.u2) - np.abs(u2))) <= 1e-12
+    assert np.linalg.norm(product_of_factors(factors, d) - U) <= 1e-12
+    old_factors = [TwoLevelFactor(m=m, n_idx=n, u2=u2) for m, n, u2 in old]
+    assert np.linalg.norm(product_of_factors(old_factors, d) - U) <= 1e-12
 
 
 class TestEmbedFactor:
@@ -294,6 +350,47 @@ class TestCompileUnitary:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValidationError):
             qubit_count_for(7)
+
+
+class TestElementBudget:
+    """Each factor of a Haar draw costs one beamsplitter, one phase shifter
+    and four gates, and each level's phase at most one more phase shifter."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_haar_budget(self, n, seed):
+        d = 1 << n
+        _, report = compile_unitary(haar_random_unitary(d, np.random.default_rng(seed)))
+        assert report.factor_count == d * (d - 1) // 2
+        assert report.element_count <= 6 * report.factor_count + d
+
+    @pytest.mark.parametrize("name, U, before", [
+        ("X", PAULI_X, 6),
+        ("CNOT", np.eye(4, dtype=complex)[[0, 1, 3, 2]], 6),
+        ("diagonal", np.diag(np.exp(1j * np.array([0.1, 0.2, 0.3, 0.4]))), 20),
+        ("reversal of 8 levels", np.eye(8, dtype=complex)[::-1], 24),
+        ("i*I", 1j * np.eye(4), 20),
+        ("H+diag(i,-1)", np.block([[HADAMARD, np.zeros((2, 2))],
+                                   [np.zeros((2, 2)), np.diag([1j, -1])]]), 18),
+        ("QFT8", np.array([[cmath.exp(2j * math.pi * j * k / 8) for k in range(8)]
+                           for j in range(8)]) / math.sqrt(8), 250),
+    ])
+    def test_structured_unitaries_do_not_grow(self, name, U, before):
+        """``before`` is the count of the four-parameter elimination."""
+        _, report = compile_unitary(U)
+        assert report.verification_residual <= 1e-12
+        assert report.element_count <= before
+
+
+@pytest.mark.parametrize("stages", [IDEAL, 100])
+def test_compile_is_the_factorwise_lowering(stages, rng):
+    """``compile_unitary``'s netlist is ``lower_two_level`` of each factor of
+    ``decompose_two_level``, element for element: the benchmark's traced
+    compile replays it that way and requires the same bytes."""
+    U = haar_random_unitary(8, rng)
+    seq = [el for f in decompose_two_level(U) for el in lower_two_level(f, (0, 1, 2), stages)]
+    replay = Netlist(n=3, mode_count=3, elements=tuple(seq))
+    assert compile_unitary(U, stages)[0].to_json_dict() == replay.to_json_dict()
 
 
 class TestBasisResponse:
