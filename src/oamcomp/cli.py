@@ -7,24 +7,24 @@ check on the program's own result failed, such as the ideal-mode residual
 guard; no output is written); 2 bad input, whether a bad option (error type
 ``usage``) or a bad file (``validation``); 3 I/O failure (``io``).  Every
 failure prints one JSON object ``{"error": {"type": ..., "message": ...}}``
-on stderr.  Options are parsed by ``argparse``, and each command imports
-only the modules it runs: ``--help`` loads no ``oamcomp`` module but
-``errors``, and no command loads numpy: ``simulate --monte-carlo`` and
-``readout`` draw from :mod:`oamcomp.rng`, which reproduces the stream of
-numpy's ``default_rng(seed)`` in plain Python.  The process
-entry point :func:`run` freezes the heap before teardown; :func:`main`, the
-in-process entry, leaves the garbage collector alone.
+on stderr.  Options are read from one table, ``_COMMANDS``, and each
+command imports only the modules it runs: ``--help`` loads no ``oamcomp``
+module but ``errors``, and no command loads numpy or a parser library:
+``simulate --monte-carlo`` and ``readout`` draw from :mod:`oamcomp.rng`,
+which reproduces the stream of numpy's ``default_rng(seed)`` in plain
+Python.  The process entry point :func:`run` freezes the heap before
+teardown; :func:`main`, the in-process entry, leaves the collector alone.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import json
 import os
 import sys
 import tempfile
+import types
 
 from .errors import InternalError, ValidationError
 
@@ -77,33 +77,16 @@ def _fail(kind: str, message: str, code: int) -> None:
     sys.exit(code)
 
 
-class _Parser(argparse.ArgumentParser):
-    """``argparse`` as ``oamc`` uses it, for the program and each command:
-    whole option names only (``--mon`` is unknown, not ``--monte-carlo``),
-    ``--help`` as the one help option, a help text that opens with
-    ``Usage:``, and every parse error a JSON ``usage`` error with exit 2."""
-
-    def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
-        self.add_argument("--help", action="help", help="Show this message and exit.")
-
-    def format_help(self) -> str:
-        return "Usage:" + super().format_help().removeprefix("usage:")
-
-    def error(self, message: str) -> None:
-        _fail("usage", message, EXIT_VALIDATION)
-
-
 def _integer(text: str, low: int = 0, high: int | None = None) -> int:
     """``text`` as an integer in ``[low, high]``; the type of a count option."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        raise ValueError(f"{text!r} is not an integer") from None
     if value < low:
-        raise argparse.ArgumentTypeError(f"must be >= {low}, not {value}")
+        raise ValueError(f"must be >= {low}, not {value}")
     if high is not None and value > high:
-        raise argparse.ArgumentTypeError(f"must be <= {high}, not {value}")
+        raise ValueError(f"must be <= {high}, not {value}")
     return value
 
 
@@ -216,64 +199,111 @@ def cmd_readout(args) -> None:
     _write((args.output, _json(payload)))
 
 
-def _parser() -> _Parser:
-    parser = _Parser(prog="oamc", description=(
-        "Compiler and simulator for OAM-encoded single-photon computing."))
-    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+#: Every command: its function and its options, each ``name: (type, default,
+#: help)``.  A type raises ``ValueError`` on a bad value, or is a tuple of the
+#: values the option takes.  The default ``_REQUIRED`` marks an option that
+#: must be given; any other but None is read through the type.
+_REQUIRED = object()
+_SEED = (_integer, "0", "Random seed >= 0.")
+_OUTPUT = (str, None, "File to write (default: stdout).")
+_COMMANDS = {
+    "compile": (cmd_compile, {
+        "--input": (str, _REQUIRED, "Unitary JSON file to compile."),
+        "--output": (str, _REQUIRED, "Netlist JSON file to write."),
+        "--report": (str, None, "Compile report JSON file to write."),
+        "--spec-n": (_stages, "ideal", "Zeno stages per extraction gate, an integer or "
+                     "ideal. A gate of 1 stage absorbs all but 6e-17 of each component it "
+                     "does not extract: most unitaries then compile with survival 0.0 (at "
+                     "d = 4) or fail as fully absorbed (at d >= 8).")}),
+    "simulate": (cmd_simulate, {
+        "--netlist": (str, _REQUIRED, "Netlist JSON file to run."),
+        "--input": (str, _REQUIRED, "State JSON file to evolve."),
+        "--output": _OUTPUT, "--seed": _SEED,
+        "--monte-carlo": (_runs, "0", "Also sample this many absorption-event runs.")}),
+    "verify": (cmd_verify, {
+        "--netlist": (str, _REQUIRED, "Netlist JSON file to check."),
+        "--input": (str, _REQUIRED, "Target unitary the netlist should implement."),
+        "--output": _OUTPUT}),
+    "zeno-sweep": (cmd_zeno_sweep, {
+        "--m": (int, "0", "OAM index the gate extracts."),
+        "--n-list": (_stage_list, "1,3,10,100,1000", "Comma-separated stage counts."),
+        "--output": _OUTPUT}),
+    "readout": (cmd_readout, {
+        "--input": (str, _REQUIRED, "State JSON file to read out."),
+        "--strategy": (("sorter", "repeat", "demux"), _REQUIRED, "Readout strategy."),
+        "--mode": (_integer, "0", "Spatial mode to read out."),
+        "--seed": _SEED, "--output": _OUTPUT}),
+}
 
-    def command(name, fn):
-        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__)
-        sub.set_defaults(run=fn)
-        return sub.add_argument
 
-    seed = dict(type=_integer, default=0, help="Random seed >= 0 (default: %(default)s).")
-    option = command("compile", cmd_compile)
-    option("--input", required=True)
-    option("--output", required=True)
-    option("--report")
-    option("--spec-n", type=_stages, default="ideal", metavar="INT|ideal",
-           help="Zeno stages per extraction gate (default: %(default)s). A gate of 1 "
-                "stage absorbs all but 6e-17 of each component it does not extract: a "
-                "general unitary at d = 4 compiles with survival 0.0 unless a column's norm "
-                "is below the smallest normal double, and at d >= 8 fails as fully absorbed.")
-    option = command("simulate", cmd_simulate)
-    option("--netlist", required=True)
-    option("--input", required=True)
-    option("--output")
-    option("--seed", **seed)
-    option("--monte-carlo", type=_runs, default=0, metavar="RUNS",
-           help="Also sample this many absorption-event runs.")
-    option = command("verify", cmd_verify)
-    option("--netlist", required=True)
-    option("--input", required=True, help="Target unitary the netlist should implement.")
-    option("--output")
-    option = command("zeno-sweep", cmd_zeno_sweep)
-    option("--m", type=int, default=0,
-           help="OAM index the gate extracts (default: %(default)s).")
-    option("--n-list", type=_stage_list, default="1,3,10,100,1000",
-           help="Comma-separated stage counts (default: %(default)s).")
-    option("--output")
-    option = command("readout", cmd_readout)
-    option("--input", required=True)
-    option("--strategy", choices=["sorter", "repeat", "demux"], required=True)
-    option("--mode", type=_integer, default=0,
-           help="Spatial mode to read out (default: %(default)s).")
-    option("--seed", **seed)
-    option("--output")
-    return parser
+def _help(command: str | None = None) -> str:
+    """The help of ``oamc`` (its commands) or of one command (its options)."""
+    if command is None:
+        head = "Usage: oamc COMMAND [OPTIONS]\n\nCompile and run OAM netlists.\n\nCommands:\n"
+        rows = [(name, run.__doc__) for name, (run, _) in _COMMANDS.items()]
+    else:
+        run, options = _COMMANDS[command]
+        head = f"Usage: oamc {command} [OPTIONS]\n\n{run.__doc__}\n\nOptions:\n"
+        rows = [(f"{name} {'|'.join(kind) if isinstance(kind, tuple) else 'VALUE'}",
+                 text + (" (required)" if default is _REQUIRED else
+                         f" (default: {default})" if default is not None else ""))
+                for name, (kind, default, text) in options.items()]
+    rows.append(("--help", "Show this message and exit."))
+    width = max(len(left) for left, _ in rows) + 2
+    return head + "".join(f"  {left:<{width}}{text}\n" for left, text in rows)
+
+
+def _value(kind, name: str, text: str):
+    """Option ``name`` given as ``text``, read through its type ``kind``."""
+    try:
+        if isinstance(kind, tuple) and text not in kind:
+            raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(kind)})")
+        return text if isinstance(kind, tuple) else kind(text)
+    except ValueError as exc:
+        raise ValueError(f"argument {name}: {exc}") from None
+
+
+def _parse(argv: list[str]):
+    """The command ``argv`` names and its options: a value follows ``=`` or is
+    the next token unless that begins with ``--``, and a repeated option keeps
+    its last value.  ``--help`` prints help and exits; a fault is a ``ValueError``."""
+    command, *tokens = argv
+    if command == "--help" or command in _COMMANDS and "--help" in tokens:
+        sys.stdout.write(_help(None if command == "--help" else command))
+        sys.exit(0)
+    if command not in _COMMANDS:
+        raise ValueError(f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
+    run, options = _COMMANDS[command]
+    given, tokens = {}, iter(tokens)
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        if name not in options:
+            raise ValueError(f"{command}: unrecognized argument {name!r}")
+        if not eq and (text := next(tokens, "--")).startswith("--"):
+            raise ValueError(f"argument {name}: expected one argument")
+        given[name] = _value(options[name][0], name, text)
+    for name, (kind, default, _) in options.items():
+        if name not in given:
+            if default is _REQUIRED:
+                raise ValueError(f"{command}: option {name} is required")
+            given[name] = default if default is None else _value(kind, name, default)
+    return run, types.SimpleNamespace(**{name[2:].replace("-", "_"): value
+                                         for name, value in given.items()})
 
 
 def main(argv: list[str] | None = None) -> None:
     """Run one ``oamc`` command, given its arguments (``sys.argv[1:]`` by
     default).  Without arguments, print the help on stderr and exit 2."""
-    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv:
-        parser.print_help(sys.stderr)
+        sys.stderr.write(_help())
         sys.exit(EXIT_VALIDATION)
-    args = parser.parse_args(argv)
     try:
-        args.run(args)
+        command, args = _parse(argv)
+    except ValueError as exc:
+        _fail("usage", str(exc), EXIT_VALIDATION)
+    try:
+        command(args)
     except ValidationError as exc:
         _fail("validation", str(exc), EXIT_VALIDATION)
     except OSError as exc:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oamcomp
-from oamcomp import compiler, elements
+from oamcomp import cli, compiler, elements
 from oamcomp.compiler import haar_random_unitary
 from oamcomp.state import basis_state, from_amplitudes
 
@@ -432,6 +432,91 @@ class TestRejectsBadInput:
         assert "residual 1.000e+00" in error["message"]
         assert not (tmp_path / "net.json").exists()
         assert not (tmp_path / "rep.json").exists()
+
+
+class TestOptionTable:
+    """The reader's rules, for every command in ``cli._COMMANDS``, so that
+    the help and the table cannot drift apart."""
+
+    #: A valid invocation of each command that sets every option it takes,
+    #: as (option, value) pairs; a value ending in ``.json`` is a file in
+    #: tmp_path.  ``--m -2`` is a value, though it begins with a dash.
+    INVOCATIONS = {
+        "compile": [("--input", "u.json"), ("--output", "out.json"),
+                    ("--report", "rep.json"), ("--spec-n", "3")],
+        "simulate": [("--netlist", "net.json"), ("--input", "s.json"),
+                     ("--output", "out.json"), ("--seed", "4"), ("--monte-carlo", "9")],
+        "verify": [("--netlist", "id.json"), ("--input", "u.json"), ("--output", "out.json")],
+        "zeno-sweep": [("--m", "-2"), ("--n-list", "1,3"), ("--output", "out.json")],
+        "readout": [("--input", "s.json"), ("--strategy", "repeat"), ("--mode", "0"),
+                    ("--seed", "7"), ("--output", "out.json")],
+    }
+
+    @classmethod
+    def pairs(cls, tmp_path, command):
+        """The invocation of ``command``, its input files written to tmp_path."""
+        write_json(tmp_path / "u.json", unitary_to_json(np.eye(2, dtype=complex)))
+        write_json(tmp_path / "s.json", basis_state(0, 1, 1).to_json_dict())
+        write_json(tmp_path / "id.json", {"n": 1, "modes": 3, "elements": []})
+        write_json(tmp_path / "net.json", {"n": 1, "modes": 2, "elements": [
+            {"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": 3}]})
+        return [(name, str(tmp_path / value) if value.endswith(".json") else value)
+                for name, value in cls.INVOCATIONS[command]]
+
+    @staticmethod
+    def outputs(tmp_path, args):
+        """stdout and every file in tmp_path after ``oamc args``; the files
+        are removed."""
+        result = invoke(args)
+        assert result.exit_code == 0, result.stderr
+        files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        for path in tmp_path.iterdir():
+            path.unlink()
+        return result.stdout, files
+
+    def test_every_command_has_an_invocation(self):
+        assert list(self.INVOCATIONS) == list(cli._COMMANDS)
+        for command, pairs in self.INVOCATIONS.items():
+            assert sorted(name for name, _ in pairs) == sorted(cli._COMMANDS[command][1])
+
+    def test_program_help_lists_every_command(self):
+        result = invoke(["--help"])
+        assert result.exit_code == 0 and result.stdout.startswith("Usage:")
+        for name, (run, _) in cli._COMMANDS.items():
+            assert f"{name}  " in result.stdout and run.__doc__ in result.stdout
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_names_every_option(self, command):
+        result = invoke([command, "--help"])
+        assert result.exit_code == 0 and result.stdout.startswith("Usage:")
+        for name, (_, default, text) in cli._COMMANDS[command][1].items():
+            [line] = [line for line in result.stdout.splitlines()
+                      if line.split()[:1] == [name]]
+            assert text in line
+            assert ("(required)" in line) == (default is cli._REQUIRED)
+
+    def test_compile_help_keeps_the_one_stage_caveat(self):
+        assert "6e-17" in invoke(["compile", "--help"]).stdout
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_equals_form_and_repeated_option(self, tmp_path, command):
+        spaced = [token for pair in self.pairs(tmp_path, command) for token in pair]
+        expected = self.outputs(tmp_path, [command, *spaced])
+        joined = [f"{name}={value}" for name, value in self.pairs(tmp_path, command)]
+        assert self.outputs(tmp_path, [command, *joined]) == expected
+        # The first --output is overridden, so no file first.txt is written.
+        self.pairs(tmp_path, command)
+        repeated = [command, "--output", str(tmp_path / "first.txt"), *spaced]
+        assert self.outputs(tmp_path, repeated) == expected
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_output_without_value(self, tmp_path, command):
+        tokens = [token for pair in self.pairs(tmp_path, command) for token in pair
+                  if pair[0] != "--output"]
+        result = invoke_cli([command, *tokens, "--output"])
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "usage" and "--output" in error["message"]
 
 
 class TestProcessLifecycle:

@@ -106,6 +106,25 @@ def test_light_commands_import_no_numpy(tmp_path, command):
         assert "oamcomp.compiler" in names
 
 
+@pytest.mark.parametrize("command", ["help", "compile", "simulate", "monte-carlo", "verify",
+                                     "zeno-sweep", "readout"])
+def test_no_command_imports_an_option_parser(tmp_path, command):
+    """The options are read from the table in ``cli``, so no command loads
+    ``argparse`` or the ``gettext`` that it imports."""
+    args = {"help": ["--help"], "compile": compile_verify_args(tmp_path, "compile"),
+            "simulate": simulate_args(tmp_path),
+            "monte-carlo": simulate_args(tmp_path, "--monte-carlo", "3"),
+            "verify": compile_verify_args(tmp_path, "verify"),
+            "zeno-sweep": ["zeno-sweep", "--n-list", "1,3"],
+            # simulate_args wrote the state file s.json.
+            "readout": ["readout", "--input", str(tmp_path / "s.json"),
+                        "--strategy", "repeat"]}[command]
+    code, names = imported_modules(*args)
+    assert code == 0
+    assert "oamcomp.errors" in names  # the log was read
+    assert not {"argparse", "gettext"} & names
+
+
 def test_monte_carlo_samples_without_extraction(tmp_path):
     """``simulate --monte-carlo`` samples from the state it computed, with the
     plain-Python generator: it loads neither numpy nor the sampler's module."""
