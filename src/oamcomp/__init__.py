@@ -18,9 +18,8 @@ _EXPORTS = {
     ),
     "extraction": ("ExtractionSpec", "component_survival", "survival_lower_bound"),
     "compiler": (
-        "CompileReport", "TwoLevelFactor", "U2Params", "compile_unitary",
-        "decompose_two_level", "haar_random_unitary", "lower_two_level",
-        "reconstruct_and_verify", "u2_to_optics",
+        "CompileReport", "TwoLevelFactor", "compile_unitary", "decompose_two_level",
+        "haar_random_unitary", "lower_two_level", "reconstruct_and_verify",
     ),
     "readout": (
         "PathQubitState", "ReadoutCost", "demux", "measure_bit", "repeated_run_readout",

@@ -112,6 +112,8 @@ def _runs(text: str) -> int:
 
 def cmd_compile(args) -> None:
     """Lower a unitary (JSON matrix) to an optical netlist plus report."""
+    if args.report is not None and os.path.realpath(args.report) == os.path.realpath(args.output):
+        _fail("usage", f"--output and --report name one file, {args.output!r}", EXIT_VALIDATION)
     from . import compiler
     U = compiler.unitary_from_json(_read_json(args.input))
     netlist, report = compiler.compile_unitary(U, args.spec_n)

@@ -42,7 +42,6 @@ if TYPE_CHECKING:
 Matrix = Sequence[Sequence[complex]]
 
 UNITARITY_TOL = 1e-9
-FACTOR_TOL = 1e-10
 #: Residual above which an IDEAL-mode compile is treated as an internal bug.
 IDEAL_RESIDUAL_GUARD = 1e-6
 
@@ -67,10 +66,11 @@ def _frobenius2(entries) -> float:
     return sum(z.real * z.real + z.imag * z.imag for z in entries)
 
 
-def check_unitary(matrix: Matrix, tol: float = UNITARITY_TOL) -> list[list[complex]]:
+def check_unitary(matrix: Matrix) -> list[list[complex]]:
     """``matrix`` as a list of rows of ``complex``; raises unless it is
-    unitary within ``tol``: the Frobenius norm of ``U^dagger U - I``, summed
-    from the upper triangle of the Hermitian product."""
+    unitary within ``UNITARITY_TOL``: the Frobenius norm of
+    ``U^dagger U - I``, summed from the upper triangle of the Hermitian
+    product."""
     rows = _square(matrix)
     columns = list(zip(*rows))
     total = 0.0
@@ -80,9 +80,9 @@ def check_unitary(matrix: Matrix, tol: float = UNITARITY_TOL) -> list[list[compl
         gram[0] -= 1.0
         total += 2.0 * _frobenius2(gram) - _frobenius2(gram[:1])
     residual = math.sqrt(total)
-    if not residual <= tol:
+    if not residual <= UNITARITY_TOL:
         raise ValidationError(
-            f"matrix is not unitary: residual {residual:.3e} exceeds {tol:.1e}"
+            f"matrix is not unitary: residual {residual:.3e} exceeds {UNITARITY_TOL:.1e}"
         )
     return rows
 
@@ -112,75 +112,28 @@ def unitary_from_json(data: dict) -> list[list[complex]]:
 
 
 class TwoLevelFactor(Record):
-    """2x2 unitary acting on OAM levels ``m`` and ``n_idx`` only; ``u2`` is
-    stored as a tuple of two rows, each a tuple of two ``complex``."""
+    """Two-level unitary on OAM levels ``m`` and ``n_idx``, held as its
+    optical angles: it acts there as
+    ``exp(i delta) * diag(exp(i phi_pre), 1) @ R(theta) @ diag(exp(i phi_post), 1)``
+    with ``R(theta) = [[cos, sin], [-sin, cos]]`` (the beamsplitter rotation).
+    It is unitary by construction; :func:`decompose_two_level` checks its
+    input once."""
 
     m: int
     n_idx: int
-    u2: Matrix
-
-    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity
+    theta: float
+    phi_pre: float
+    phi_post: float
+    delta: float
 
     def __post_init__(self) -> None:
         if self.m == self.n_idx or self.m < 0 or self.n_idx < 0:
             raise ValidationError(
                 f"factor needs two distinct non-negative levels, got ({self.m}, {self.n_idx})"
             )
-        u2 = check_unitary(self.u2, FACTOR_TOL)
-        if len(u2) != 2:
-            raise ValidationError(f"factor matrix must be 2x2, got {len(u2)}x{len(u2)}")
-        object.__setattr__(self, "u2", tuple(map(tuple, u2)))
-
-
-class U2Params(Record):
-    """Phases and rotation angle realizing a 2x2 unitary optically.
-
-    Reconstruction:
-    ``exp(i delta) * diag(exp(i phi_pre), 1) @ R(theta) @ diag(exp(i phi_post), 1)``
-    with ``R(theta) = [[cos, sin], [-sin, cos]]`` (the beamsplitter rotation).
-    """
-
-    theta: float
-    phi_pre: float
-    phi_post: float
-    delta: float
-
-
-def u2_to_optics(u2: Matrix) -> U2Params:
-    """Solve the four optical parameters for an arbitrary 2x2 unitary."""
-    return _optics(check_unitary(u2, tol=FACTOR_TOL))
-
-
-def _optics(u2) -> U2Params:
-    """:func:`u2_to_optics` of ``u2``, two rows of two ``complex`` already
-    checked unitary."""
-    (u_mm, u_mn), (u_nm, u_nn) = u2
-    if abs(u_mn) == 0.0:
-        # Diagonal: no beamsplitter needed.
-        delta = cmath.phase(u_nn)
-        return U2Params(
-            theta=0.0,
-            phi_pre=cmath.phase(u_mm) - delta,
-            phi_post=0.0,
-            delta=delta,
-        )
-    if abs(u_mm) == 0.0:
-        # Anti-diagonal: full transfer; phi_pre fixed to 0 by convention.
-        delta = cmath.phase(u_mn)
-        return U2Params(
-            theta=math.pi / 2,
-            phi_pre=0.0,
-            phi_post=cmath.phase(-u_nm) - delta,
-            delta=delta,
-        )
-    theta = math.atan2(abs(u_mn), abs(u_mm))
-    delta = cmath.phase(u_nn)
-    return U2Params(
-        theta=theta,
-        phi_pre=cmath.phase(u_mn) - delta,
-        phi_post=cmath.phase(-u_nm) - delta,
-        delta=delta,
-    )
+        angles = (self.theta, self.phi_pre, self.phi_post, self.delta)
+        if not all(map(math.isfinite, angles)):
+            raise ValidationError(f"factor angles must be finite, got {angles}")
 
 
 def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
@@ -190,14 +143,17 @@ def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
     ``U``; the first list entry is applied first.  Each entry below the
     diagonal is nulled by ``G = R(theta)^T diag(exp(-i phi), 1)``, so each
     factor ``G^dagger = diag(exp(i phi), 1) R(theta)`` is one beamsplitter
-    and one phase.  The residual diagonal acts first: each level's phase is
-    folded into the first factor, in application order, that touches the
-    level, and a level that no factor touches keeps a degenerate
-    ``diag(exp(i phi), 1)`` factor.  Raises unless ``U`` is unitary.
+    (``theta``) and one phase (``phi_pre = phi``).  The residual diagonal
+    acts first: the phases ``p`` and ``q`` of the two levels are folded into
+    the first factor, in application order, that touches them, as
+    ``G^dagger diag(exp(i p), exp(i q)) = exp(i q) G^dagger diag(exp(i (p -
+    q)), 1)`` (``delta = q``, ``phi_post = p - q``), and a level that no
+    factor touches keeps a phase-only factor ``diag(exp(i phi_pre), 1)``.
+    Raises unless ``U`` is unitary.
     """
     working = check_unitary(U)
     d = len(working)
-    eliminations: list[tuple[int, int, float, float, complex]] = []
+    eliminations: list[tuple[int, int, float, float]] = []
     for col in range(d - 1):
         top = working[col]
         for row in range(col + 1, d):
@@ -215,23 +171,23 @@ def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
             pairs = list(zip(top[col:], low[col:]))
             top[col:] = [ce * x - s * y for x, y in pairs]
             low[col:] = [se * x + c * y for x, y in pairs]
-            eliminations.append((col, row, c, s, e))
+            eliminations.append((col, row, math.atan2(abs(b), abs(a)), -cmath.phase(e)))
 
     # working is now diagonal (phases); U = G_1^† ... G_K^† D, applied D first.
-    pending: dict[int, complex] = {}
+    pending: dict[int, float] = {}
     for level in range(d):
         phase = working[level][level]
         phase = phase / abs(phase)  # magnitude drift inherits U's unitarity slack
         if abs(phase - 1.0) > 1e-13:
-            pending[level] = phase
+            pending[level] = cmath.phase(phase)
     folded: list[TwoLevelFactor] = []
-    for col, row, c, s, e in reversed(eliminations):
-        p, q = pending.pop(col, 1.0), pending.pop(row, 1.0)
-        ei = e.conjugate()  # exp(i phi)
-        u2 = ((c * ei * p, s * ei * q), (-s * p, c * q))  # G^† diag(p, q)
-        folded.append(TwoLevelFactor(m=col, n_idx=row, u2=u2))
-    return [TwoLevelFactor(m=level, n_idx=(level + 1) % d, u2=((phase, 0j), (0j, 1 + 0j)))
-            for level, phase in pending.items()] + folded
+    for col, row, theta, phi in reversed(eliminations):
+        p, q = pending.pop(col, 0.0), pending.pop(row, 0.0)
+        folded.append(TwoLevelFactor(m=col, n_idx=row, theta=theta, phi_pre=phi,
+                                     phi_post=p - q, delta=q))
+    return [TwoLevelFactor(m=level, n_idx=(level + 1) % d, theta=0.0, phi_pre=phi,
+                           phi_post=0.0, delta=0.0)
+            for level, phi in pending.items()] + folded
 
 
 def lower_two_level(
@@ -255,19 +211,18 @@ def lower_two_level(
     src, aux_b, aux_c = mode_plan
     if len({src, aux_b, aux_c}) != 3:
         raise ValidationError("mode plan needs three distinct modes")
-    params = _optics(factor.u2)  # checked unitary when the factor was built
     seq: list[Element] = [
         ExtractGate(m=factor.m, src=src, dst=aux_b, stages=spec_stages),
         ExtractGate(m=factor.n_idx, src=src, dst=aux_c, stages=spec_stages),
     ]
-    if params.phi_post != 0.0:
-        seq.append(PhaseShifter(mode=aux_b, phi=params.phi_post))
-    if params.theta != 0.0:
-        seq.append(BeamSplitter(mode_a=aux_b, mode_b=aux_c, theta=params.theta))
-    if params.phi_pre + params.delta != 0.0:
-        seq.append(PhaseShifter(mode=aux_b, phi=params.phi_pre + params.delta))
-    if params.delta != 0.0:
-        seq.append(PhaseShifter(mode=aux_c, phi=params.delta))
+    if factor.phi_post != 0.0:
+        seq.append(PhaseShifter(mode=aux_b, phi=factor.phi_post))
+    if factor.theta != 0.0:
+        seq.append(BeamSplitter(mode_a=aux_b, mode_b=aux_c, theta=factor.theta))
+    if factor.phi_pre + factor.delta != 0.0:
+        seq.append(PhaseShifter(mode=aux_b, phi=factor.phi_pre + factor.delta))
+    if factor.delta != 0.0:
+        seq.append(PhaseShifter(mode=aux_c, phi=factor.delta))
     seq.append(ReintegrateGate(m=factor.n_idx, src=src, dst=aux_c, stages=spec_stages))
     seq.append(ReintegrateGate(m=factor.m, src=src, dst=aux_b, stages=spec_stages))
     return seq

@@ -92,6 +92,21 @@ class TestCompile:
         assert json.loads(result.stderr)["error"]["type"] == "io"
         assert [path.name for path in tmp_path.iterdir()] == ["u.json"]
 
+    @pytest.mark.parametrize("report", ["same.json", "./same.json"])
+    def test_output_and_report_in_one_file_is_refused(self, tmp_path, report):
+        """Written one after the other, the report would replace the netlist:
+        a usage error before anything is written."""
+        write_json(tmp_path / "u.json", unitary_to_json(np.eye(2, dtype=complex)))
+        result = invoke_cli([
+            "compile", "--input", str(tmp_path / "u.json"),
+            "--output", str(tmp_path / "same.json"), "--report", str(tmp_path / report),
+        ])
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "usage"
+        assert "--output" in error["message"] and "--report" in error["message"]
+        assert [path.name for path in tmp_path.iterdir()] == ["u.json"]
+
 
 class TestSimulate:
     def test_empty_netlist_echoes_input(self, tmp_path):
@@ -893,7 +908,7 @@ def test_fuzzed_inputs_fail_cleanly(tmp_path, unitary, netlist, state):
         (tmp_path / name).write_bytes(data)
     out = str(tmp_path / "out.json")
     for args in (
-        ["compile", "--input", "u.json", "--output", out, "--report", out],
+        ["compile", "--input", "u.json", "--output", out, "--report", "rep.json"],
         ["simulate", "--netlist", "net.json", "--input", "s.json", "--output", out,
          "--monte-carlo", "3"],
         ["verify", "--netlist", "net.json", "--input", "u.json", "--output", out],

@@ -17,7 +17,6 @@ from oamcomp.compiler import (
     lower_two_level,
     qubit_count_for,
     reconstruct_and_verify,
-    u2_to_optics,
     unitary_from_json,
 )
 from oamcomp.elements import (
@@ -43,34 +42,52 @@ def column_norms(U, stages) -> list[float]:
     return [math.hypot(*(abs(out.amplitude(0, l)) for l in range(len(U)))) for out in outs]
 
 
+def optics_matrix(f: TwoLevelFactor) -> np.ndarray:
+    """The 2x2 unitary that the angles of factor ``f`` realize:
+    ``exp(i delta) diag(exp(i phi_pre), 1) R(theta) diag(exp(i phi_post), 1)``."""
+    c, s = math.cos(f.theta), math.sin(f.theta)
+    rot = np.array([[c, s], [-s, c]], dtype=complex)
+    pre = np.diag([cmath.exp(1j * f.phi_pre), 1.0])
+    post = np.diag([cmath.exp(1j * f.phi_post), 1.0])
+    return cmath.exp(1j * f.delta) * (pre @ rot @ post)
+
+
+def factor_of(u2, m: int = 0, n_idx: int = 1) -> TwoLevelFactor:
+    """The one factor that :func:`decompose_two_level` finds for the 2x2
+    unitary ``u2``, moved to the levels ``(m, n_idx)``."""
+    (f,) = decompose_two_level(u2)
+    return TwoLevelFactor(**dict(f.asdict(), m=m, n_idx=n_idx))
+
+
+def embed(m: int, n_idx: int, u2, d: int) -> np.ndarray:
+    """Full-dimension matrix: identity except the 2x2 block ``u2`` on (m, n_idx)."""
+    matrix = np.eye(d, dtype=complex)
+    matrix[np.ix_([m, n_idx], [m, n_idx])] = u2
+    return matrix
+
+
 def embed_factor(factor: TwoLevelFactor, d: int) -> np.ndarray:
-    """Full-dimension matrix: identity except the 2x2 block on (m, n_idx)."""
+    """:func:`embed` of the factor's :func:`optics_matrix`."""
     if factor.m >= d or factor.n_idx >= d:
         raise ValidationError(
             f"factor levels ({factor.m}, {factor.n_idx}) out of range for d={d}"
         )
-    matrix = np.eye(d, dtype=complex)
-    matrix[np.ix_([factor.m, factor.n_idx], [factor.m, factor.n_idx])] = factor.u2
-    return matrix
+    return embed(factor.m, factor.n_idx, optics_matrix(factor), d)
+
+
+def product(blocks, d: int) -> np.ndarray:
+    """Matrix product of the embedded blocks ``(m, n_idx, u2)`` in
+    application order."""
+    result = np.eye(d, dtype=complex)
+    for m, n_idx, u2 in blocks:
+        result = embed(m, n_idx, u2, d) @ result
+    return result
 
 
 def product_of_factors(factors: list[TwoLevelFactor], d: int) -> np.ndarray:
     """Matrix product of the embedded factors in application order: the
     oracle of the decomposition."""
-    result = np.eye(d, dtype=complex)
-    for factor in factors:
-        result = embed_factor(factor, d) @ result
-    return result
-
-
-def optics_matrix(p) -> np.ndarray:
-    """The 2x2 unitary that :class:`U2Params` ``p`` realizes:
-    ``exp(i delta) diag(exp(i phi_pre), 1) R(theta) diag(exp(i phi_post), 1)``."""
-    c, s = math.cos(p.theta), math.sin(p.theta)
-    rot = np.array([[c, s], [-s, c]], dtype=complex)
-    pre = np.diag([cmath.exp(1j * p.phi_pre), 1.0])
-    post = np.diag([cmath.exp(1j * p.phi_post), 1.0])
-    return cmath.exp(1j * p.delta) * (pre @ rot @ post)
+    return product([(f.m, f.n_idx, optics_matrix(f)) for f in factors], d)
 
 
 class TestDecompose:
@@ -94,10 +111,9 @@ class TestDecompose:
 
     def test_d4_random_factor_budget(self, rng):
         U = haar_random_unitary(4, rng)
-        nontrivial = [
-            f for f in decompose_two_level(U)
-            if np.linalg.norm(np.subtract(f.u2, np.eye(2))) > 1e-12 and abs(f.u2[0][1]) > 1e-12
-        ]
+        u2s = map(optics_matrix, decompose_two_level(U))
+        nontrivial = [u2 for u2 in u2s
+                      if np.linalg.norm(u2 - np.eye(2)) > 1e-12 and abs(u2[0][1]) > 1e-12]
         assert len(nontrivial) <= 6
 
     def test_rejects_non_unitary(self):
@@ -178,7 +194,7 @@ def test_two_row_rotation_matches_full_matrix_oracle(d, seed):
     oracle = full_matrix_decompose(U)
     assert [(f.m, f.n_idx) for f in factors] == [(m, n) for m, n, _ in oracle]
     for f, (_, _, u2) in zip(factors, oracle):
-        assert np.max(np.abs(f.u2 - u2)) <= 1e-12
+        assert np.max(np.abs(optics_matrix(f) - u2)) <= 1e-12
     assert np.linalg.norm(product_of_factors(factors, d) - U) <= 1e-12
 
 
@@ -194,24 +210,39 @@ def test_two_parameter_rotation_matches_four_parameter_elimination(d, seed):
     eliminated = [(m, n, u2) for m, n, u2 in old if u2[0, 1] != 0]
     assert [(f.m, f.n_idx) for f in factors] == [(m, n) for m, n, _ in eliminated]
     for f, (_, _, u2) in zip(factors, eliminated):
-        assert np.max(np.abs(np.abs(f.u2) - np.abs(u2))) <= 1e-12
+        assert np.max(np.abs(np.abs(optics_matrix(f)) - np.abs(u2))) <= 1e-12
     assert np.linalg.norm(product_of_factors(factors, d) - U) <= 1e-12
-    old_factors = [TwoLevelFactor(m=m, n_idx=n, u2=u2) for m, n, u2 in old]
-    assert np.linalg.norm(product_of_factors(old_factors, d) - U) <= 1e-12
+    assert np.linalg.norm(product(old, d) - U) <= 1e-12
+
+
+#: The identity on levels (0, 1), from explicit angles: no factor of
+#: :func:`decompose_two_level` is one.
+IDENTITY_FACTOR = TwoLevelFactor(m=0, n_idx=1, theta=0.0, phi_pre=0.0, phi_post=0.0, delta=0.0)
+ANGLES = ("theta", "phi_pre", "phi_post", "delta")
+
+
+class TestTwoLevelFactor:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_rejects_a_non_finite_angle(self, angle, value):
+        with pytest.raises(ValidationError, match="factor angles must be finite"):
+            TwoLevelFactor(**dict(IDENTITY_FACTOR.asdict(), **{angle: value}))
+
+    @pytest.mark.parametrize("m, n_idx", [(1, 1), (0, 0), (-1, 1), (0, -2)])
+    def test_rejects_equal_or_negative_levels(self, m, n_idx):
+        with pytest.raises(ValidationError, match="two distinct non-negative levels"):
+            TwoLevelFactor(**dict(IDENTITY_FACTOR.asdict(), m=m, n_idx=n_idx))
 
 
 class TestEmbedFactor:
     def test_identity_block(self):
-        f = TwoLevelFactor(m=0, n_idx=1, u2=np.eye(2, dtype=complex))
-        assert np.array_equal(embed_factor(f, 4), np.eye(4))
+        assert np.array_equal(embed_factor(IDENTITY_FACTOR, 4), np.eye(4))
 
     def test_pauli_x_full_dim(self):
-        f = TwoLevelFactor(m=0, n_idx=1, u2=PAULI_X)
-        assert np.array_equal(embed_factor(f, 2), PAULI_X)
+        assert np.linalg.norm(embed_factor(factor_of(PAULI_X), 2) - PAULI_X) < 1e-15
 
     def test_offdiagonal_placement(self):
-        f = TwoLevelFactor(m=1, n_idx=3, u2=HADAMARD)
-        M = embed_factor(f, 4)
+        M = embed_factor(factor_of(HADAMARD, 1, 3), 4)
         assert M[0, 0] == 1 and M[2, 2] == 1
         assert M[1, 1] == pytest.approx(HADAMARD[0, 0])
         assert M[1, 3] == pytest.approx(HADAMARD[0, 1])
@@ -219,75 +250,74 @@ class TestEmbedFactor:
         assert np.linalg.norm(M.conj().T @ M - np.eye(4)) < 1e-12
 
     def test_rejects_out_of_range(self):
-        f = TwoLevelFactor(m=1, n_idx=3, u2=np.eye(2, dtype=complex))
+        f = TwoLevelFactor(**dict(IDENTITY_FACTOR.asdict(), m=1, n_idx=3))
         with pytest.raises(ValidationError):
             embed_factor(f, 2)
 
 
 class TestU2ToOptics:
+    """The optical angles of a 2x2 unitary, as :func:`decompose_two_level`
+    finds them."""
+
     def test_identity_canonical(self):
-        p = u2_to_optics(np.eye(2, dtype=complex))
-        assert (p.theta, p.phi_pre, p.phi_post, p.delta) == (0.0, 0.0, 0.0, 0.0)
+        assert decompose_two_level(np.eye(2, dtype=complex)) == []
 
     def test_real_rotation(self):
         c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
-        rot = np.array([[c, s], [-s, c]], dtype=complex)
-        p = u2_to_optics(rot)
-        assert p.theta == pytest.approx(math.pi / 4)
-        assert (p.phi_pre, p.phi_post, p.delta) == (0.0, 0.0, 0.0)
+        f = factor_of(np.array([[c, s], [-s, c]], dtype=complex))
+        assert f.theta == pytest.approx(math.pi / 4)
+        assert (f.phi_pre, f.phi_post, f.delta) == (0.0, 0.0, 0.0)
 
     def test_antidiagonal(self):
         u2 = np.array([[0, 1j], [1j, 0]], dtype=complex)
-        p = u2_to_optics(u2)
-        assert p.theta == pytest.approx(math.pi / 2)
-        assert p.phi_pre == 0.0
-        assert np.linalg.norm(optics_matrix(p) - u2) < 1e-12
+        f = factor_of(u2)
+        assert f.theta == pytest.approx(math.pi / 2)
+        assert f.phi_pre == 0.0
+        assert np.linalg.norm(optics_matrix(f) - u2) < 1e-12
 
     def test_reconstruction_on_random_unitaries(self, rng):
         for _ in range(1000):
             u2 = haar_random_unitary(2, rng)
-            p = u2_to_optics(u2)
-            assert 0 <= p.theta <= math.pi / 2
-            assert np.linalg.norm(optics_matrix(p) - u2) < 1e-12
+            f = factor_of(u2)
+            assert 0 <= f.theta <= math.pi / 2
+            assert np.linalg.norm(optics_matrix(f) - u2) < 1e-12
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
-            u2_to_optics(np.array([[1, 1], [0, 1]], dtype=complex))
+            decompose_two_level(np.array([[1, 1], [0, 1]], dtype=complex))
 
 
 class TestLowerTwoLevel:
     def test_identity_factor_roundtrip(self):
-        f = TwoLevelFactor(m=0, n_idx=1, u2=np.eye(2, dtype=complex))
-        net = Netlist(n=2, mode_count=3, elements=tuple(lower_two_level(f)))
+        net = Netlist(n=2, mode_count=3, elements=tuple(lower_two_level(IDENTITY_FACTOR)))
         for l in range(4):
             out = run_netlist(basis_state(0, l, 2), net)
             assert out.amplitude(0, l) == pytest.approx(1, abs=1e-12)
 
     def test_pauli_x_swaps_basis(self):
-        f = TwoLevelFactor(m=0, n_idx=1, u2=PAULI_X)
+        f = TwoLevelFactor(m=0, n_idx=1, theta=math.pi / 2, phi_pre=0.0, phi_post=math.pi,
+                           delta=0.0)
         net = Netlist(n=2, mode_count=3, elements=tuple(lower_two_level(f)))
         out = run_netlist(basis_state(0, 0, 2), net)
         assert abs(out.amplitude(0, 1)) == pytest.approx(1, abs=1e-12)
 
     def test_hadamard_on_inner_levels(self):
-        f = TwoLevelFactor(m=1, n_idx=2, u2=HADAMARD)
+        f = factor_of(HADAMARD, 1, 2)
         net = Netlist(n=2, mode_count=3, elements=tuple(lower_two_level(f)))
         out = run_netlist(basis_state(0, 1, 2), net)
         assert out.amplitude(0, 1) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert out.amplitude(0, 2) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_untouched_components_exact(self, rng):
-        U = haar_random_unitary(2, rng)
-        f = TwoLevelFactor(m=1, n_idx=2, u2=U)
+        f = factor_of(haar_random_unitary(2, rng), 1, 2)
         net = Netlist(n=2, mode_count=3, elements=tuple(lower_two_level(f)))
         for l in (0, 3):
             out = run_netlist(basis_state(0, l, 2), net)
             assert out.amplitude(0, l) == pytest.approx(1, abs=1e-12)
 
     def test_rejects_degenerate_mode_plan(self):
-        f = TwoLevelFactor(m=0, n_idx=1, u2=PAULI_X)
         with pytest.raises(ValidationError):
-            lower_two_level(f, mode_plan=(0, 0, 1))
+            lower_two_level(factor_of(PAULI_X), mode_plan=(0, 0, 1))
 
 
 class TestCompileUnitary:

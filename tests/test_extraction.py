@@ -329,9 +329,13 @@ class TestMonteCarlo:
     def test_output_norm_above_the_input_norm_passes(self, tmp_path):
         """Rounding in an ideal netlist can leave the output a bit heavier than
         the input; a run still passes with probability 1, not above it."""
-        # Seed 2, input |1>: survival 1 + 4e-16 (seed 18 no longer rounds up).
-        net, _ = compile_unitary(haar_random_unitary(4, np.random.default_rng(2)), "ideal")
-        s = basis_state(0, 1, 2)
+        # An ideal two-level stage on levels 0 and 1 around one beamsplitter:
+        # cos(0.08)**2 + sin(0.08)**2 rounds to 1 + 2.2e-16.
+        net = Netlist(n=1, mode_count=3, elements=(
+            ExtractGate(m=0, src=0, dst=1), ExtractGate(m=1, src=0, dst=2),
+            BeamSplitter(mode_a=1, mode_b=2, theta=0.08),
+            ReintegrateGate(m=1, src=0, dst=2), ReintegrateGate(m=0, src=0, dst=1)))
+        s = basis_state(0, 0, 1)
         assert survival_probability(run_netlist(s, net)) > 1.0
         assert sample_cli(tmp_path, s, net, runs=10)["successes"] == 10
 

@@ -29,8 +29,7 @@ DECLARED = {
     elements.ReintegrateGate: GATE,
     elements.Netlist: ["n", "mode_count", ("elements", dataclasses.field(default=()))],
     extraction.MonteCarloResult: ["success", "state", "absorbed_at"],
-    compiler.TwoLevelFactor: ["m", "n_idx", "u2"],
-    compiler.U2Params: ["theta", "phi_pre", "phi_post", "delta"],
+    compiler.TwoLevelFactor: ["m", "n_idx", "theta", "phi_pre", "phi_post", "delta"],
     compiler.CompileReport: ["factor_count", "element_count", "analytic_survival",
                              "verification_residual"],
     readout.ReadoutCost: [(name, dataclasses.field(default=0))
@@ -41,11 +40,10 @@ DECLARED = {
 
 def twin(cls):
     """A frozen dataclass named as ``cls``, with its declared fields and its
-    ``__post_init__``; ``TwoLevelFactor``'s compares by identity."""
+    ``__post_init__``."""
     fields = [(f[0], object, f[1]) if isinstance(f, tuple) else f for f in DECLARED[cls]]
     return dataclasses.make_dataclass(
-        cls.__name__, fields, namespace={"__post_init__": cls.__post_init__},
-        frozen=True, eq=cls is not TwoLevelFactor)
+        cls.__name__, fields, namespace={"__post_init__": cls.__post_init__}, frozen=True)
 
 
 TWINS = {cls: twin(cls) for cls in DECLARED}
@@ -71,8 +69,7 @@ some_elements = st.lists(
     | st.builds(elements.Mirror, mode=small)
     | st.builds(ExtractGate, m=small, src=st.integers(0, 1), dst=st.integers(2, 3)),
     max_size=3).map(tuple)
-unitaries = st.sampled_from([((1, 0), (0, 1)), ((0, 1j), (1j, 0)), ((1, 1), (0, 1)),
-                             ((1,),), [[0.6, 0.8], [-0.8, 0.6]]])
+angles = reals | st.sampled_from([math.nan, -math.inf, "x"])
 
 #: Keyword arguments of each record class, valid and invalid alike.
 ARGUMENTS = {
@@ -92,9 +89,8 @@ ARGUMENTS = {
         "success": st.booleans(), "state": st.none() | st.just(basis_state(0, 1, 1)),
         "absorbed_at": st.none() | small}),
     compiler.TwoLevelFactor: st.fixed_dictionaries(
-        {"m": small, "n_idx": small, "u2": unitaries}),
-    compiler.U2Params: st.fixed_dictionaries(
-        {"theta": reals, "phi_pre": reals, "phi_post": reals, "delta": reals}),
+        {"m": small, "n_idx": small, "theta": angles, "phi_pre": angles, "phi_post": angles,
+         "delta": angles}),
     compiler.CompileReport: st.fixed_dictionaries(
         {"factor_count": small, "element_count": small, "analytic_survival": reals,
          "verification_residual": reals}),
@@ -177,10 +173,9 @@ def test_equal_fields_of_two_classes_are_unequal(a, b):
                                         twin_a != twin_b) == (False, False, True)
 
 
-def test_two_level_factors_compare_by_identity():
-    u2 = ((0, 1), (1, 0))
-    f, g = TwoLevelFactor(m=0, n_idx=1, u2=u2), TwoLevelFactor(m=0, n_idx=1, u2=u2)
-    assert f.asdict() == g.asdict()
-    assert f == f and f != g
-    assert hash(f) == object.__hash__(f)
-    assert len({f, g}) == 2
+def test_two_level_factors_compare_by_value():
+    angles = {"theta": math.pi / 2, "phi_pre": 0.0, "phi_post": math.pi, "delta": 0.0}
+    f, g = TwoLevelFactor(m=0, n_idx=1, **angles), TwoLevelFactor(m=0, n_idx=1, **angles)
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1
+    assert f != TwoLevelFactor(m=1, n_idx=0, **angles)
