@@ -2,8 +2,8 @@
 
 Five primitives (phase shifter, hologram, beamsplitter, OAM filter, mirror)
 plus two macro gates (extract / reintegrate) that the compiler emits.  The
-executor applies a macro gate either ideally or, at a finite stage count, as
-the exact closed form of its Zeno chain; the chain itself, as primitives, is
+executor applies a macro gate as its Zeno chain's exact closed form, or as
+that form's limit, a signed swap, when ideal; the chain of primitives is
 built in :mod:`oamcomp.extraction`.  The executor, :class:`Rows`, runs one
 input state, or many inputs at once as rows of amplitudes, rewrites only the
 rows each element acts on, and guards every input's norm after every
@@ -269,9 +269,8 @@ class Rows:
 
     def occupied(self, mode: int, l: int) -> bool:
         """Whether some input holds more than rounding residue (at most
-        ``RESIDUE_TOL``) at ``(mode, l)``; a NaN counts as weight."""
-        row = self.get(mode, l)
-        return row is not None and not all(abs(z) <= RESIDUE_TOL for z in row)
+        ``RESIDUE_TOL``) in the row at ``(mode, l)``; a NaN counts as weight."""
+        return not all(abs(z) <= RESIDUE_TOL for z in self.get(mode, l))
 
     def _mode(self, mode: int) -> dict[int, list[complex]]:
         rows = self.rows[mode] = {}
@@ -314,20 +313,21 @@ class Rows:
             self._account(mode, list(map(neg, self.row_weights[mode].pop(l))))
         return row
 
-    def move(self, source: ModeOAM, target: ModeOAM) -> None:
-        """Move the row at ``source`` to ``target``, replacing what is there."""
-        self.pop(*target)
+    def swap(self, source: ModeOAM, target: ModeOAM) -> None:
+        """Move the row at ``source`` to ``target``, and the one there, negated, to ``source``."""
         (src, l_src), (dst, l_dst) = source, target
-        if l_src not in self.levels(src):
-            return
-        if self.scale[src] != self.scale.get(dst, 1.0):
-            self.put(dst, l_dst, self.pop(src, l_src))
-            return
-        # Same scale: the row and its weights move, and the total stays.
-        if dst not in self.rows:
-            self._mode(dst)
-        self.rows[dst][l_dst] = self.rows[src].pop(l_src)
-        self.row_weights[dst][l_dst] = self.row_weights[src].pop(l_src)
+        if l_dst in self.levels(dst) or self.scale.get(src, 1.0) != self.scale.get(dst, 1.0):
+            row, back = self.pop(src, l_src), self.pop(dst, l_dst)
+            if row is not None:
+                self.put(dst, l_dst, row)
+            if back is not None:
+                self.put(src, l_src, list(map(neg, back)))
+        elif l_src in self.levels(src):
+            # A vacant target at one scale: the row and its weights move, the totals stay.
+            if dst not in self.rows:
+                self._mode(dst)
+            self.rows[dst][l_dst] = self.rows[src].pop(l_src)
+            self.row_weights[dst][l_dst] = self.row_weights[src].pop(l_src)
 
     def relabel(self, mode: int, sign: int, shift: int) -> None:
         """Move every row of ``mode`` from ``l`` to ``sign * l + shift``."""
@@ -411,11 +411,6 @@ def _mirror(rows: Rows, el: Mirror) -> None:
     rows.relabel(el.mode, -1, 0)
 
 
-def _check_vacant(rows: Rows, slot: ModeOAM, role: str) -> None:
-    if rows.occupied(*slot):
-        raise ValidationError(f"{role} (mode {slot[0]}, OAM {slot[1]}) already occupied")
-
-
 def _zeno_chain(rows: Rows, spec: ExtractionSpec, theta: float) -> None:
     """Exact output of the ``N``-stage chain with beamsplitter angle ``theta``.
 
@@ -448,19 +443,24 @@ def _zeno_chain(rows: Rows, spec: ExtractionSpec, theta: float) -> None:
 
 
 def _macro(rows: Rows, gate: ExtractGate | ReintegrateGate) -> None:
-    """Extract moves ``(src, m)`` to ``(dst, 0)`` and reintegrate moves it
-    back: ideally, or at a finite stage count through the exact Zeno chain,
-    at angle ``+pi/2N`` to extract and ``-pi/2N`` to reintegrate.  The ideal
-    move replaces the target's residue (at most ``RESIDUE_TOL``) even when
-    the source is absent."""
-    source, target, sign, role = (gate.src, gate.m), (gate.dst, 0), 1, "destination"
+    """The Zeno chain at angle ``+pi/2N`` to extract and ``-pi/2N`` to
+    reintegrate, in closed form, or ideally its ``N -> inf`` limit: the pair
+    ``(amp(dst, 0), amp(src, m))`` turns a quarter turn, no ``src`` row decays,
+    and ``dst`` is absorbed off OAM 0, which a lossless gate refuses above residue."""
+    source, target, sign = (gate.src, gate.m), (gate.dst, 0), 1
     if isinstance(gate, ReintegrateGate):
-        source, target, sign, role = target, source, -1, "reintegration target"
-    _check_vacant(rows, target, role)
-    if gate.stages == IDEAL:
-        rows.move(source, target)
-    else:
+        source, target, sign = target, source, -1
+    if gate.stages != IDEAL:
         _zeno_chain(rows, gate, sign * gate.theta)
+        return
+    levels = rows.levels(gate.dst)  # a row off OAM 0 is rare: test for one cheaply
+    absorbed = sorted(l for l in levels if l != 0) if len(levels) > (0 in levels) else ()
+    for l in absorbed:  # every check before any change
+        if rows.occupied(gate.dst, l):
+            raise ValidationError(f"ideal gate would absorb (mode {gate.dst}, OAM {l})")
+    for l in absorbed:  # residue, at most RESIDUE_TOL
+        rows.pop(gate.dst, l)
+    rows.swap(source, target)  # the quarter turn: a swap with one sign
 
 
 _SEMANTICS = {
@@ -524,7 +524,7 @@ def apply_filter(state: PhotonState, mode: int, m: int) -> PhotonState:
 
 
 def apply_macro(state: PhotonState, gate: ExtractGate | ReintegrateGate) -> PhotonState:
-    """The ideal move, or at a finite stage count the exact Zeno chain."""
+    """The exact Zeno chain, or when ideal its limit, a signed swap."""
     return apply_element(state, gate)
 
 

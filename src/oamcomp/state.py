@@ -19,7 +19,7 @@ from .errors import ValidationError
 NORM_EPS = 1e-12
 
 #: Amplitudes of magnitude at most this are rounding residue of a Zeno
-#: chain, not photon weight: a slot holding only residue is vacant, and
+#: chain, not photon weight: an ideal gate absorbs residue but no more, and
 #: residue outside the computational range is not leakage.  Every check is
 #: written ``not (abs(x) <= RESIDUE_TOL)``, so a NaN counts as weight.
 RESIDUE_TOL = 1e-9

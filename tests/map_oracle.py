@@ -54,22 +54,6 @@ def _mirror(amps, el):
     return {((m, -l) if m == el.mode else (m, l)): amp for (m, l), amp in amps.items()}
 
 
-def _check_vacant(amps, slot, role):
-    vacant = abs(amps.get(slot, 0)) <= RESIDUE_TOL  # a numpy array for columns
-    if not (vacant if isinstance(vacant, bool) else vacant.all()):
-        raise ValidationError(f"{role} (mode {slot[0]}, OAM {slot[1]}) already occupied")
-
-
-def _move(amps, source, target):
-    # The move replaces the target's residue (at most RESIDUE_TOL) whether
-    # the source is absent or, as in a column of a batched map, present at 0.
-    out = dict(amps)
-    out.pop(target, None)
-    if source in out:
-        out[target] = out.pop(source)
-    return out
-
-
 def _zeno_chain(amps, spec: ExtractionSpec, theta: float):
     """Exact output of the ``N``-stage chain with beamsplitter angle ``theta``:
     the pair ``(amp(dst, 0), amp(src, m))`` rotates by ``N theta``; at
@@ -89,13 +73,28 @@ def _zeno_chain(amps, spec: ExtractionSpec, theta: float):
     return out
 
 
+def _quarter_turn(amps, gate, sign):
+    """The chain's ``N -> inf`` limit: the pair ``(a, b) = (amp(dst, 0),
+    amp(src, m))`` turns to ``sign * (b, -a)``, every ``src`` amplitude keeps
+    its value, and every ``dst`` amplitude off OAM 0 is absorbed.  An ideal
+    gate is lossless, so absorbing more than residue is refused."""
+    src, dst, m = gate.src, gate.dst, gate.m
+    for l in sorted(l for mode, l in amps if mode == dst and l != 0):
+        if not np.all(np.abs(amps[dst, l]) <= RESIDUE_TOL):  # a NaN is refused
+            raise ValidationError(f"ideal gate would absorb (mode {dst}, OAM {l})")
+    out = {key: amp for key, amp in amps.items() if key[0] != dst}
+    a, b = amps.get((dst, 0)), out.pop((src, m), None)
+    if b is not None:
+        out[dst, 0] = sign * b
+    if a is not None:
+        out[src, m] = -sign * a
+    return out
+
+
 def _macro(amps, gate):
-    source, target, sign, role = (gate.src, gate.m), (gate.dst, 0), 1, "destination"
-    if isinstance(gate, ReintegrateGate):
-        source, target, sign, role = target, source, -1, "reintegration target"
-    _check_vacant(amps, target, role)
+    sign = -1 if isinstance(gate, ReintegrateGate) else 1
     if gate.stages == IDEAL:
-        return _move(amps, source, target)
+        return _quarter_turn(amps, gate, sign)
     return _zeno_chain(amps, gate, sign * gate.theta)
 
 

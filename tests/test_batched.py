@@ -41,8 +41,8 @@ def per_column_response(netlist: Netlist) -> tuple[np.ndarray, np.ndarray]:
     ``run_netlist`` on each basis input.
 
     Every column is run before any output is looked at, as in the batched
-    pass, which finds a fault (norm, occupied slot) in any column before it
-    checks outputs for leakage or absorption.
+    pass, which finds a fault (norm, an ideal gate's refusal) in any column
+    before it checks outputs for leakage or absorption.
     """
     d = 1 << netlist.n
     outs = [run_netlist(basis_state(0, col, netlist.n), netlist) for col in range(d)]
@@ -151,10 +151,10 @@ def states(draw, netlist: Netlist) -> PhotonState:
 
 @settings(max_examples=300, deadline=None)
 @given(netlist=netlists(), faulty=st.booleans())
-# An ideal move whose source is empty for input 0 while its target holds the
+# An ideal gate whose source is empty for input 0 while its target holds the
 # rounding residue (6e-17) of the N=1 rotation: the per-column run, where the
 # source is absent, and the batched one, where it is a zero entry, must both
-# replace that residue, so both find input 0 fully absorbed.
+# swap that residue out of mode 0, so both find input 0 fully absorbed.
 @example(netlist=Netlist(n=1, mode_count=3, elements=(
     ExtractGate(m=0, src=0, dst=1, stages=1),
     ExtractGate(m=1, src=0, dst=2, stages=IDEAL),
@@ -203,7 +203,7 @@ def test_compiled_netlists_match_per_column_runs(d, stages):
      LeakageError, r"\[\(0, 2\), \(0, 3\)\]"),
     (Netlist(n=2, mode_count=2, elements=(
         BeamSplitter(mode_a=0, mode_b=1, theta=0.5), ExtractGate(m=1, src=0, dst=1))),
-     ValidationError, "destination .mode 1, OAM 0. already occupied"),
+     ValidationError, "ideal gate would absorb .mode 1, OAM 1."),
     (Netlist(n=2, mode_count=1, elements=(Filter(mode=0, m=2),)),
      ValidationError, "basis input 0 was fully absorbed"),
     (Netlist(n=1, mode_count=1, elements=(PhaseShifter(mode=0, phi=0.0),)),

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oamcomp.compiler import compile_unitary, haar_random_unitary
 from oamcomp.elements import (
@@ -14,7 +14,9 @@ from oamcomp.elements import (
     Mirror,
     Netlist,
     ReintegrateGate,
+    Rows,
     apply_element,
+    iter_steps,
     run_netlist,
 )
 from oamcomp.errors import ValidationError
@@ -30,6 +32,7 @@ from oamcomp.state import (
     PhotonState,
     basis_state,
     from_amplitudes,
+    norm,
     normalized,
     survival_probability,
 )
@@ -70,10 +73,30 @@ class TestIdealExtract:
         assert out.amplitude(0, 0) == 0.6
         assert out.amplitude(1, 0) == 0.8j
 
-    def test_rejects_occupied_destination(self):
+    def test_swaps_with_occupied_destination(self):
+        """The quarter turn of the pair: ``(src, m)`` goes to ``(dst, 0)``,
+        and what was there comes back to ``(src, m)`` negated."""
         s = PhotonState(n=1, amplitudes={(0, 0): 0.5, (1, 0): 0.5})
-        with pytest.raises(ValidationError, match="destination"):
-            apply_element(s, ExtractGate(m=0, src=0, dst=1))
+        out = apply_element(s, ExtractGate(m=0, src=0, dst=1))
+        assert dict(out.amplitudes) == {(1, 0): 0.5, (0, 0): -0.5}
+
+    def test_refuses_to_absorb_aux_weight(self):
+        """Every finite chain absorbs a ``dst`` amplitude off OAM 0, and so
+        does their limit; an ideal gate is lossless, so it refuses one,
+        before any row changes, and absorbs only residue."""
+        s = PhotonState(n=1, amplitudes={(0, 0): 0.6, (1, 1): 0.8})
+        rows = Rows.from_state(s)
+        with pytest.raises(ValidationError, match=r"ideal gate would absorb \(mode 1, OAM 1\)"):
+            next(iter_steps(rows, [ExtractGate(m=0, src=0, dst=1)]))
+        assert rows.column() == dict(s.amplitudes)
+        for stages, leaked in ((10, 0.01253), (1000, 1.575e-6)):
+            gate = ExtractGate(m=0, src=0, dst=1, stages=stages)
+            out = apply_element(s, gate)
+            assert states_close(out, run_netlist(s, chain(gate)), tol=1e-12)
+            assert abs(out.amplitude(0, 1)) ** 2 == pytest.approx(leaked, rel=1e-3)
+        residue = PhotonState(n=1, amplitudes={(0, 0): 0.6, (1, 1): RESIDUE_TOL})
+        out = apply_element(residue, ExtractGate(m=0, src=0, dst=1))
+        assert dict(out.amplitudes) == {(1, 0): 0.6}
 
     def test_rejects_src_equal_dst(self):
         with pytest.raises(ValidationError):
@@ -96,10 +119,10 @@ class TestIdealReintegrate:
         out = apply_element(s, ReintegrateGate(m=3, src=0, dst=1))
         assert states_close(out, s, tol=0)
 
-    def test_rejects_occupied_target(self):
+    def test_swaps_with_occupied_target(self):
         s = PhotonState(n=1, amplitudes={(0, 1): 0.5, (1, 0): 0.5})
-        with pytest.raises(ValidationError, match="reintegration target"):
-            apply_element(s, ReintegrateGate(m=1, src=0, dst=1))
+        out = apply_element(s, ReintegrateGate(m=1, src=0, dst=1))
+        assert dict(out.amplitudes) == {(0, 1): 0.5, (1, 0): -0.5}
 
 
 class TestLowering:
@@ -358,11 +381,9 @@ def filter_oracle(state, netlist):
     return indices, np.array(after)
 
 
+amplitudes = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
 amplitude_maps = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(-4, 8)),
-    st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False),
-    max_size=10,
-)
+    st.tuples(st.integers(0, 2), st.integers(-4, 8)), amplitudes, max_size=10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,20 +393,43 @@ amplitude_maps = st.dictionaries(
     m=st.integers(-3, 5),
     modes=st.permutations([0, 1, 2]),
     amps=amplitude_maps,
-    residue=st.floats(0, RESIDUE_TOL),
+    pair=st.tuples(amplitudes, amplitudes),
 )
-def test_closed_form_gate_matches_primitive_chain(gate_class, stages, m, modes, amps, residue):
+def test_closed_form_gate_matches_primitive_chain(gate_class, stages, m, modes, amps, pair):
     src, dst = modes[0], modes[1]
     gate = gate_class(m=m, src=src, dst=dst, stages=stages)
-    # Anything anywhere, aux modes included, except in the slot the gate
-    # requires vacant, which holds at most occupancy-tolerance residue.
-    amps = {**amps, ((dst, 0) if gate_class is ExtractGate else (src, m)): residue}
+    # Anything anywhere, aux modes off OAM 0 included, and both slots of the
+    # rotated pair occupied.
+    amps = {**amps, (dst, 0): pair[0], (src, m): pair[1]}
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
     if norm > 1:
         amps = {key: a / norm for key, a in amps.items()}
     state = PhotonState(n=2, amplitudes=amps)
     fused = apply_element(state, gate)
     assert states_close(fused, run_netlist(state, chain(gate, n=2, mode_count=3)), tol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gate_class=st.sampled_from([ExtractGate, ReintegrateGate]),
+    m=st.integers(-3, 5),
+    modes=st.permutations([0, 1, 2]),
+    amps=amplitude_maps,
+)
+def test_ideal_gate_is_the_limit_of_its_chain(gate_class, m, modes, amps):
+    """On a state whose ``dst`` holds nothing off OAM 0, the renormalized
+    output of the ``N``-stage gate is within ``1/N`` of the ideal gate's."""
+    src, dst = modes[0], modes[1]
+    amps = {key: a for key, a in amps.items() if key[0] != dst or key[1] == 0}
+    scale = norm(amps.values())
+    assume(scale > 0)
+    state = PhotonState(n=2, amplitudes={key: a / scale for key, a in amps.items()})
+    ideal = apply_element(state, gate_class(m=m, src=src, dst=dst))
+    for stages in (10, 100, 1000, 10**4):
+        out = normalized(apply_element(state, gate_class(m=m, src=src, dst=dst, stages=stages)))
+        gap = norm(out.amplitude(*k) - ideal.amplitude(*k)
+                   for k in set(out.amplitudes) | set(ideal.amplitudes))
+        assert gap <= 1 / stages
 
 
 def test_monte_carlo_run_matches_expanded_filters(rng):
@@ -415,6 +459,8 @@ def test_monte_carlo_run_matches_expanded_filters(rng):
         # Aux-mode content off OAM 0 leaks into the chains as well.
         amps = {(0, l): complex(*rng.normal(size=2)) for l in range(4)}
         amps.update({(1, 2): 0.4j, (2, -1): 0.3, (1, -2): 0.2})
+        if compiled_stages == "ideal":  # the ideal gate into mode 2 would refuse it
+            del amps[(2, -1)]
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
         s = PhotonState(n=2, amplitudes={key: a / norm for key, a in amps.items()})
         indices, after = filter_oracle(s, net)
