@@ -12,18 +12,17 @@ _EXPORTS = {
         "PhotonState", "basis_state", "from_amplitudes", "normalized", "survival_probability",
     ),
     "elements": (
-        "IDEAL", "BeamSplitter", "ExtractGate", "Filter", "Hologram", "Mirror",
-        "Netlist", "PhaseShifter", "ReintegrateGate", "check_reflection_parity",
-        "run_netlist",
+        "IDEAL", "BeamSplitter", "ExtractGate", "ExtractionSpec", "Filter", "Hologram",
+        "Mirror", "Netlist", "PhaseShifter", "ReintegrateGate", "run_netlist",
     ),
-    "extraction": ("ExtractionSpec", "component_survival", "survival_lower_bound"),
+    "extraction": ("component_survival", "survival_lower_bound"),
     "compiler": (
         "CompileReport", "TwoLevelFactor", "compile_unitary", "decompose_two_level",
         "haar_random_unitary", "lower_two_level", "reconstruct_and_verify",
     ),
     "readout": (
-        "PathQubitState", "ReadoutCost", "demux", "measure_bit", "repeated_run_readout",
-        "sample_full_measurement", "sorter_cost",
+        "ReadoutCost", "demux", "repeated_run_readout", "sample_full_measurement",
+        "sorter_cost",
     ),
 }
 _LAZY = {name: module for module, names in _EXPORTS.items() for name in names}

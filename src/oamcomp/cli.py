@@ -164,10 +164,10 @@ def cmd_zeno_sweep(args) -> None:
     from .state import basis_state, survival_probability
     # No column can hold a comma: an int and three ``repr`` floats.
     rows = ["N,analytic_survival,simulated_survival,bound_1_minus_pi2_over_4N"]
+    # The gate extracts OAM 0; the probe is a single component it does not extract.
+    probe = basis_state(0, 1, n=1)
     for stages in args.n_list:
-        gate = ExtractGate(m=args.m, src=0, dst=1, stages=stages)
-        # Probe with a single component the gate does not extract.
-        probe = basis_state(0, args.m + 1, n=1)
+        gate = ExtractGate(m=0, src=0, dst=1, stages=stages)
         simulated = survival_probability(apply_element(probe, gate))
         rows.append(f"{stages},{extraction.component_survival(stages)!r},{simulated!r},"
                     f"{extraction.survival_lower_bound(stages)!r}")
@@ -190,13 +190,10 @@ def cmd_readout(args) -> None:
     elif args.strategy == "repeat":
         payload["bits"], cost = readout_mod.repeated_run_readout(state, rng, mode=args.mode)
     else:
-        path_state, cost = readout_mod.demux(state, args.mode)
-        payload["amplitudes"] = {
-            bits: [amp.real, amp.imag]
-            for bits, amp in sorted(path_state.amplitudes.items())
-        }
-        if len(path_state.amplitudes) == 1:
-            payload["bits"] = next(iter(path_state.amplitudes))
+        amps, cost = readout_mod.demux(state, args.mode)
+        payload["amplitudes"] = {bits: [amp.real, amp.imag] for bits, amp in sorted(amps.items())}
+        if len(amps) == 1:
+            payload["bits"] = next(iter(amps))
     payload["cost"] = cost.asdict()
     _write((args.output, _json(payload)))
 
@@ -227,7 +224,6 @@ _COMMANDS = {
         "--input": (str, _REQUIRED, "Target unitary the netlist should implement."),
         "--output": _OUTPUT}),
     "zeno-sweep": (cmd_zeno_sweep, {
-        "--m": (int, "0", "OAM index the gate extracts."),
         "--n-list": (_stage_list, "1,3,10,100,1000", "Comma-separated stage counts."),
         "--output": _OUTPUT}),
     "readout": (cmd_readout, {

@@ -552,14 +552,3 @@ def run_netlist(state: PhotonState, netlist: Netlist) -> PhotonState:
     """Apply all elements in order; the result may be sub-normalized."""
     check_state_fits(state, netlist)
     return _run(state, netlist.elements)
-
-
-def check_reflection_parity(netlist: Netlist) -> list[int]:
-    """The modes that hold an odd number of mirrors, sorted.  An odd count
-    flips the OAM signs on that path, so an empty list means the netlist
-    passes."""
-    odd: set[int] = set()
-    for el in netlist.elements:
-        if isinstance(el, Mirror):
-            odd ^= {el.mode}
-    return sorted(odd)

@@ -20,10 +20,10 @@ from __future__ import annotations
 import bisect
 import math
 
-# ``ExtractionSpec`` is re-exported, and oambench/layers.py reads ``apply_macro`` here.
+# ``apply_macro`` is re-exported: oambench/layers.py reads it here.
 from .elements import (  # noqa: F401
-    IDEAL, BeamSplitter, Element, ExtractGate, ExtractionSpec, Filter, Hologram, Netlist,
-    ReintegrateGate, Rows, Stages, apply_macro, check_state_fits, is_lossy, iter_steps,
+    IDEAL, BeamSplitter, Element, ExtractGate, Filter, Hologram, Netlist, ReintegrateGate,
+    Rows, Stages, apply_macro, check_state_fits, is_lossy, iter_steps,
 )
 from .rng import Generator
 from .state import PhotonState, Record, normalized, survival_probability

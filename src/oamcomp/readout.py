@@ -1,22 +1,21 @@
 """Readout strategies for the OAM register and their cost accounting.
 
-Three routes out of the photon: a full branching sorter (exponential arms),
-bitwise readout over repeated runs (one binary decision per run), and an
-ideal demultiplexer into path-encoded qubits (priced at ``2 n - 1`` path
-CNOT gates, annotated rather than simulated).  The samplers take an
+Three routes out of the photon, each reading the register (``mode``'s
+computational range) once and returning plain data: a full branching sorter
+(exponential arms) samples one OAM index from :func:`born_distribution`;
+bitwise readout over repeated runs (one binary decision per run) draws bit
+``k`` from the same distribution's marginal; an ideal demultiplexer
+relabels the amplitudes as path-qubit bit strings (priced at ``2 n - 1``
+path CNOT gates, annotated rather than simulated).  The samplers take an
 :class:`oamcomp.rng.Generator` or a ``numpy.random.Generator``; from the
 same seed both draw the same outcomes.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Mapping
-
 from .errors import LeakageError, ValidationError
 from .rng import Generator
-from .state import (RESIDUE_TOL, PhotonState, Record, checked_norm2, normalized,
-                    register_size, weights)
+from .state import RESIDUE_TOL, PhotonState, Record, register_size, weights
 
 #: Sorter arm count above which plans are flagged as exponentially large.
 DEFAULT_ARM_BUDGET = 512
@@ -29,21 +28,6 @@ class ReadoutCost(Record):
     cnot_count: int = 0
 
 
-class PathQubitState(Record):
-    """Path-encoded register: amplitudes keyed by n-bit strings."""
-
-    n: int
-    amplitudes: Mapping[str, complex]
-
-    def __post_init__(self) -> None:
-        amps = {k: complex(v) for k, v in self.amplitudes.items() if v != 0}
-        for bits in amps:
-            if len(bits) != self.n or set(bits) - {"0", "1"}:
-                raise ValidationError(f"bad bit string key {bits!r} for n={self.n}")
-        checked_norm2(amps)
-        object.__setattr__(self, "amplitudes", MappingProxyType(amps))
-
-
 def sample_full_measurement(
     state: PhotonState, mode: int, rng: Generator
 ) -> int:
@@ -53,49 +37,36 @@ def sample_full_measurement(
     return int(indices[rng.choice(len(indices), p=list(probs.values()))])
 
 
-def measure_bit(
-    state: PhotonState, mode: int, bit_k: int, rng: Generator
-) -> tuple[int, PhotonState]:
-    """Projectively measure one bit of the OAM index; collapse and renormalize."""
-    if not 0 <= bit_k < state.n:
-        raise ValidationError(f"bit index {bit_k} out of range for n={state.n}")
-    probs = born_distribution(state, mode)
-    p_one = sum(p for l, p in probs.items() if (l >> bit_k) & 1)
-    bit = 1 if rng.random() < p_one else 0
-    keep = {
-        key: amp
-        for key, amp in state.amplitudes.items()
-        if key[0] == mode and ((key[1] >> bit_k) & 1) == bit
-    }
-    return bit, normalized(PhotonState(n=state.n, amplitudes=keep))
-
-
 def repeated_run_readout(
     state: PhotonState, rng: Generator, mode: int = 0
 ) -> tuple[str, ReadoutCost]:
     """Read bit ``k`` of ``state`` in run ``k``, for ``k = 0 .. n-1``, each
     run on a fresh copy of the state; the n runs assemble the full value.
+    Run ``k`` draws one uniform and reads 1 if it falls below the
+    probability, under :func:`born_distribution`, that bit ``k`` is 1.
 
     Exact only when the prepared output is (nearly) a single basis state; for
     genuine superpositions the per-run bits are independent samples and the
     assembled string need not describe any single basis state.  The returned
     string is MSB-first (``b_{n-1} ... b_0``).
     """
-    bits = [measure_bit(state, mode, k, rng)[0] for k in range(state.n)]
+    probs = born_distribution(state, mode)
+    bits = [int(rng.random() < sum(p for l, p in probs.items() if l >> k & 1))
+            for k in range(state.n)]
     string = "".join(map(str, reversed(bits)))
     # One binary decision point per run.
     return string, ReadoutCost(decision_points=1, arms=2, runs=state.n, cnot_count=0)
 
 
-def demux(state: PhotonState, mode: int) -> tuple[PathQubitState, ReadoutCost]:
-    """Relabel OAM amplitudes as path-qubit bit strings (ideal demultiplexer).
+def demux(state: PhotonState, mode: int) -> tuple[dict[str, complex], ReadoutCost]:
+    """Relabel OAM amplitudes as path-qubit amplitudes keyed by ``n``-bit
+    strings (ideal demultiplexer).
 
     Amplitudes outside ``mode``'s computational range, in any mode, are
     leakage unless they are rounding residue."""
     register = _register(state.amplitudes.items(), mode, state.dim)
     amps = {format(l, f"0{state.n}b"): amp for l, amp in register.items()}
-    cost = ReadoutCost(cnot_count=2 * state.n - 1, runs=1)
-    return PathQubitState(n=state.n, amplitudes=amps), cost
+    return amps, ReadoutCost(cnot_count=2 * state.n - 1, runs=1)
 
 
 def sorter_cost(n: int) -> tuple[ReadoutCost, bool]:

@@ -455,14 +455,14 @@ class TestOptionTable:
 
     #: A valid invocation of each command that sets every option it takes,
     #: as (option, value) pairs; a value ending in ``.json`` is a file in
-    #: tmp_path.  ``--m -2`` is a value, though it begins with a dash.
+    #: tmp_path.
     INVOCATIONS = {
         "compile": [("--input", "u.json"), ("--output", "out.json"),
                     ("--report", "rep.json"), ("--spec-n", "3")],
         "simulate": [("--netlist", "net.json"), ("--input", "s.json"),
                      ("--output", "out.json"), ("--seed", "4"), ("--monte-carlo", "9")],
         "verify": [("--netlist", "id.json"), ("--input", "u.json"), ("--output", "out.json")],
-        "zeno-sweep": [("--m", "-2"), ("--n-list", "1,3"), ("--output", "out.json")],
+        "zeno-sweep": [("--n-list", "1,3"), ("--output", "out.json")],
         "readout": [("--input", "s.json"), ("--strategy", "repeat"), ("--mode", "0"),
                     ("--seed", "7"), ("--output", "out.json")],
     }
@@ -632,7 +632,7 @@ class TestVerify:
 class TestZenoSweep:
     def test_rows_and_values(self, tmp_path):
         result = invoke([
-            "zeno-sweep", "--m", "0", "--n-list", "1,3,100",
+            "zeno-sweep", "--n-list", "1,3,100",
             "--output", str(tmp_path / "sweep.csv"),
         ])
         assert result.exit_code == 0
@@ -877,7 +877,6 @@ OPTION_COMMANDS = {
                       "--monte-carlo", "{}"],
     "--mode": ["readout", "--input", "s.json", "--strategy", "sorter", "--mode", "{}"],
     "--spec-n": ["compile", "--input", "u.json", "--spec-n", "{}"],
-    "--m": ["zeno-sweep", "--n-list", "1,3", "--m", "{}"],
     "--n-list": ["zeno-sweep", "--n-list", "{}"],
 }
 

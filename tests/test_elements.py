@@ -17,7 +17,6 @@ from oamcomp.elements import (
     apply_element,
     apply_filter,
     apply_phase_shifter,
-    check_reflection_parity,
     run_netlist,
 )
 from oamcomp.errors import ValidationError
@@ -256,20 +255,3 @@ def test_constructors_reject_bad_parameters(make):
     # width outside the bound is refused as such, before 2**n is built.
     with pytest.raises(ValidationError, match=r" must be .*, got \S+$"):
         make()
-
-
-class TestReflectionParity:
-    def test_no_mirrors_passes(self):
-        assert check_reflection_parity(Netlist(n=1, mode_count=2)) == []
-
-    def test_single_mirror_fails(self):
-        net = Netlist(n=1, mode_count=2, elements=(Mirror(0),))
-        assert check_reflection_parity(net) == [0]
-
-    def test_paired_mirrors_pass(self):
-        net = Netlist(n=1, mode_count=2, elements=(Mirror(0), Mirror(0)))
-        assert check_reflection_parity(net) == []
-
-    def test_odd_modes_among_several(self):
-        net = Netlist(n=1, mode_count=3, elements=(Mirror(1), Mirror(0), Mirror(1), Mirror(2)))
-        assert check_reflection_parity(net) == [0, 2]

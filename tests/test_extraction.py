@@ -9,6 +9,7 @@ from oamcomp.compiler import compile_unitary, haar_random_unitary
 from oamcomp.elements import (
     BeamSplitter,
     ExtractGate,
+    ExtractionSpec,
     Filter,
     Hologram,
     Mirror,
@@ -21,7 +22,6 @@ from oamcomp.elements import (
 )
 from oamcomp.errors import ValidationError
 from oamcomp.extraction import (
-    ExtractionSpec,
     component_survival,
     expand_netlist,
     monte_carlo_run,

@@ -25,14 +25,13 @@ EXPORTS = {
     errors: ["LeakageError", "ValidationError"],
     state: ["PhotonState", "basis_state", "from_amplitudes", "normalized",
             "survival_probability"],
-    elements: ["IDEAL", "BeamSplitter", "ExtractGate", "Filter", "Hologram", "Mirror",
-               "Netlist", "PhaseShifter", "ReintegrateGate", "check_reflection_parity",
-               "run_netlist"],
-    extraction: ["ExtractionSpec", "component_survival", "survival_lower_bound"],
+    elements: ["IDEAL", "BeamSplitter", "ExtractGate", "ExtractionSpec", "Filter", "Hologram",
+               "Mirror", "Netlist", "PhaseShifter", "ReintegrateGate", "run_netlist"],
+    extraction: ["component_survival", "survival_lower_bound"],
     compiler: ["CompileReport", "TwoLevelFactor", "compile_unitary", "decompose_two_level",
                "haar_random_unitary", "lower_two_level", "reconstruct_and_verify"],
-    readout: ["PathQubitState", "ReadoutCost", "demux", "measure_bit",
-              "repeated_run_readout", "sample_full_measurement", "sorter_cost"],
+    readout: ["ReadoutCost", "demux", "repeated_run_readout", "sample_full_measurement",
+              "sorter_cost"],
 }
 
 
@@ -140,6 +139,18 @@ def test_extraction_and_readout_import_no_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.stdout.split() == ["False"], proc.stderr
+
+
+def test_extraction_spec_loads_no_sampler():
+    """``oamcomp.ExtractionSpec`` resolves in ``elements``, where it is
+    defined, and loads neither ``extraction`` nor ``rng``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys, oamcomp; oamcomp.ExtractionSpec; "
+            "print(*sorted(name for name in sys.modules if name.startswith('oamcomp.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    loaded = proc.stdout.split()
+    assert loaded == ["oamcomp.elements", "oamcomp.errors", "oamcomp.state"], proc.stderr
 
 
 def test_help_imports_no_simulator():

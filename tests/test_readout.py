@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from oamcomp.compiler import compile_unitary, haar_random_unitary
 from oamcomp.elements import run_netlist
 from oamcomp.errors import LeakageError, ValidationError
 from oamcomp.readout import (
-    PathQubitState,
     born_distribution,
     demux,
-    measure_bit,
     repeated_run_readout,
     sample_full_measurement,
     sorter_cost,
@@ -52,42 +51,37 @@ class TestSampleFullMeasurement:
         assert draws_a == draws_b
 
 
-class TestMeasureBit:
-    def test_deterministic_bits_of_five(self, rng):
-        s = basis_state(0, 5, 3)  # 101
-        for k, expected in [(0, 1), (1, 0), (2, 1)]:
-            bit, collapsed = measure_bit(s, 0, k, rng)
-            assert bit == expected
-            assert states_close(collapsed, s, tol=1e-12)
+@st.composite
+def readout_states(draw) -> PhotonState:
+    """A state of 1-6 qubits whose register (mode 0) holds weight, possibly
+    sparse or subnormalized, plus up to four residue amplitudes (at most
+    ``RESIDUE_TOL``) in other modes or outside mode 0's range."""
+    n = draw(st.integers(1, 6))
+    dim = 1 << n
+    part = st.floats(-1, 1, allow_subnormal=False)
+    levels = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True))
+    amps = {(0, l): complex(draw(part), draw(part)) for l in levels}
+    scale = max(1.0, math.sqrt(sum(abs(a) ** 2 for a in amps.values())))
+    amps = {key: a / scale for key, a in amps.items()}
+    outside = st.tuples(st.integers(0, 3), st.integers(-2, dim + 1)).filter(
+        lambda key: not (key[0] == 0 and 0 <= key[1] < dim))
+    tiny = st.floats(-RESIDUE_TOL / 2, RESIDUE_TOL / 2)
+    for key in draw(st.lists(outside, max_size=4, unique=True)):
+        amps[key] = complex(draw(tiny), draw(tiny))
+    state = PhotonState(n=n, amplitudes=amps)
+    assume(sum(abs(state.amplitude(0, l)) ** 2 for l in range(dim)) > 0.0)
+    return state
 
-    def test_collapse_of_bell_like_state(self):
-        s = from_amplitudes(0, [SQ2, 0, 0, SQ2], 2)
-        rng = np.random.default_rng(21)
-        seen = set()
-        for _ in range(50):
-            bit, collapsed = measure_bit(s, 0, 0, rng)
-            target = 3 if bit else 0
-            assert abs(collapsed.amplitude(0, target)) == pytest.approx(1.0, abs=1e-12)
-            seen.add(bit)
-        assert seen == {0, 1}
 
-    def test_zero_state_any_bit(self, rng):
-        s = basis_state(0, 0, 3)
-        for k in range(3):
-            bit, collapsed = measure_bit(s, 0, k, rng)
-            assert bit == 0
-            assert states_close(collapsed, s, tol=1e-12)
-
-    def test_branch_probabilities_sum_to_one(self, rng):
-        s = random_state(rng, 3)
-        weights = {0: 0.0, 1: 0.0}
-        for l in range(8):
-            weights[(l >> 1) & 1] += abs(s.amplitude(0, l)) ** 2
-        assert weights[0] + weights[1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_bit_out_of_range(self, rng):
-        with pytest.raises(ValidationError):
-            measure_bit(basis_state(0, 0, 2), 0, 2, rng)
+def marginal_oracle(state: PhotonState, rng) -> str:
+    """Run ``k`` reads 1 when its uniform draw falls below the summed
+    probability of the outcomes whose bit string has a 1 at bit ``k``."""
+    probs = born_distribution(state, 0)
+    bits = []
+    for k in range(state.n):
+        p_one = sum(p for l, p in probs.items() if format(l, f"0{state.n}b")[-1 - k] == "1")
+        bits.append("1" if rng.random() < p_one else "0")
+    return "".join(reversed(bits))
 
 
 class TestRepeatedRunReadout:
@@ -118,18 +112,28 @@ class TestRepeatedRunReadout:
         assert strings == ["11", "10", "11", "10", "10", "11", "10", "00"]
         assert rng.random() == 0.28420116374879145
 
+    @settings(max_examples=200, deadline=None)
+    @given(state=readout_states(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_bit_marginal_oracle(self, state, seed):
+        """Bit ``k`` is one uniform draw, in run ``k``, against the marginal
+        of ``born_distribution`` that bit ``k`` is 1, on states of 1-6 qubits
+        with residue outside the register."""
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert repeated_run_readout(state, rng)[0] == marginal_oracle(state, oracle_rng)
+        assert rng.random() == oracle_rng.random()  # one draw per run
+
 
 class TestDemux:
     def test_basis_mapping_and_cost(self):
-        path, cost = demux(basis_state(0, 5, 3), 0)
-        assert dict(path.amplitudes) == {"101": 1 + 0j}
+        amps, cost = demux(basis_state(0, 5, 3), 0)
+        assert amps == {"101": 1 + 0j}
         assert cost.cnot_count == 5
 
     def test_linear_relabeling(self):
         s = from_amplitudes(0, [SQ2, 0, 0, SQ2], 2)
-        path, _ = demux(s, 0)
-        assert path.amplitudes["00"] == pytest.approx(SQ2)
-        assert path.amplitudes["11"] == pytest.approx(SQ2)
+        amps, _ = demux(s, 0)
+        assert amps["00"] == pytest.approx(SQ2)
+        assert amps["11"] == pytest.approx(SQ2)
 
     def test_rejects_out_of_range(self):
         s = PhotonState(n=2, amplitudes={(0, -1): 1.0})
@@ -147,8 +151,8 @@ class TestDemux:
         net, _ = compile_unitary(haar_random_unitary(4, np.random.default_rng(901)), 100)
         out = run_netlist(basis_state(0, 0, 2), net)
         assert out.modes() == {0, 1, 2}
-        path, _ = demux(out, 0)
-        assert dict(path.amplitudes) == {format(l, "02b"): out.amplitude(0, l) for l in range(4)}
+        amps, _ = demux(out, 0)
+        assert amps == {format(l, "02b"): out.amplitude(0, l) for l in range(4)}
 
     def test_rejects_weight_above_the_residue_tolerance(self):
         amps = {(0, 0): 0.5, (1, 0): 2 * RESIDUE_TOL, (0, 2): RESIDUE_TOL}
@@ -160,8 +164,8 @@ class TestDemux:
     def test_remux_inverse(self, rng):
         """Relabeling the path qubits back onto mode 0 gives the state back."""
         s = random_state(rng, 3)
-        path, _ = demux(s, 0)
-        back = {(0, int(bits, 2)): amp for bits, amp in path.amplitudes.items()}
+        amps, _ = demux(s, 0)
+        back = {(0, int(bits, 2)): amp for bits, amp in amps.items()}
         assert states_close(PhotonState(n=3, amplitudes=back), s, tol=0)
 
     @pytest.mark.parametrize("n", range(1, 17))
@@ -195,15 +199,3 @@ def test_born_distribution_normalized(rng):
     s = random_state(rng, 2)
     probs = born_distribution(s, 0)
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_path_qubit_state_validates_keys():
-    with pytest.raises(ValidationError):
-        PathQubitState(n=2, amplitudes={"012": 1.0})
-
-
-@pytest.mark.parametrize("amp", [float("nan"), float("inf"), 1e200])
-def test_path_qubit_state_norm_guard_fails_closed(amp):
-    # A NaN norm must trip the guard, and squaring 1e200 must not overflow.
-    with pytest.raises(ValidationError):
-        PathQubitState(n=1, amplitudes={"0": amp})

@@ -34,7 +34,6 @@ DECLARED = {
                              "verification_residual"],
     readout.ReadoutCost: [(name, dataclasses.field(default=0))
                           for name in ("decision_points", "arms", "runs", "cnot_count")],
-    readout.PathQubitState: ["n", "amplitudes"],
 }
 
 
@@ -96,9 +95,6 @@ ARGUMENTS = {
          "verification_residual": reals}),
     readout.ReadoutCost: st.fixed_dictionaries(
         {"decision_points": small, "arms": small, "runs": small, "cnot_count": small}),
-    readout.PathQubitState: st.fixed_dictionaries({
-        "n": st.integers(0, 3),
-        "amplitudes": st.dictionaries(st.text("01x", max_size=3), amplitude, max_size=3)}),
 }
 for _gate in (elements.ExtractionSpec, ExtractGate, ReintegrateGate):
     ARGUMENTS[_gate] = st.fixed_dictionaries(
