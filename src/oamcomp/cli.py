@@ -57,11 +57,25 @@ def _write(*outputs: tuple[str | None, str]) -> None:
     sys.stdout.write("".join(text for path, text in outputs if path is None))
 
 
-def _json(payload: dict) -> str:
+def _json(payload, indent: int | None = 2, separators: tuple[str, str] | None = None) -> str:
     try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(payload, indent=indent, separators=separators, sort_keys=True,
+                          allow_nan=False) + "\n"
     except ValueError as exc:
         raise ValidationError(f"refusing to write a non-finite value: {exc}") from exc
+
+
+def _netlist_json(netlist: dict) -> str:
+    """``_json(netlist)`` of a netlist's dict, byte for byte, from json's C encoder,
+    which any ``indent`` turns off.  The separators indent each flat element's
+    keys; an encoded string holds no raw newline, so ``},\\n      {`` occurs only
+    between elements, and their braces are then put on lines of their own."""
+    elements = _json(netlist["elements"], None, (",\n      ", ": "))[:-1]
+    if elements != "[]":
+        keys = elements[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+        elements = "[\n    {\n      " + keys + "\n    }\n  ]"
+    head = _json({**netlist, "elements": []})
+    return head.replace('"elements": []', '"elements": ' + elements, 1)
 
 
 def _read_json(path: str) -> dict:
@@ -117,7 +131,8 @@ def cmd_compile(args) -> None:
     from . import compiler
     U = compiler.unitary_from_json(_read_json(args.input))
     netlist, report = compiler.compile_unitary(U, args.spec_n)
-    _write((args.output, _json(netlist.to_json_dict())), (args.report, _json(report.asdict())))
+    _write((args.output, _netlist_json(netlist.to_json_dict())),
+           (args.report, _json(report.asdict())))
 
 
 def cmd_simulate(args) -> None:

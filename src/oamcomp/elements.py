@@ -223,7 +223,9 @@ class Rows:
     Each row's weights are kept beside it, in stored units (before the
     scale).  ``norm2`` is an upper bound on each input's squared norm: every
     row written adds its change of weight, and a decay, which only removes
-    weight, leaves it as it is.  :meth:`check` makes it exact again.
+    weight, leaves it as it is.  :meth:`check` makes it exact again.  Every
+    change to the totals assigns a new list, never an edit in place, so a
+    list that passed the norm guard holds until ``norm2`` is another object.
     """
 
     __slots__ = ("k", "rows", "row_weights", "scale", "norm2")
@@ -482,16 +484,19 @@ def iter_steps(rows: Rows, elements):
     recomputes them from the rows and raises only if the recomputed value
     does too, so neither rounding nor an absorbed loss in the totals trips
     it; at the end it recomputes them and checks once more, leaving
-    ``rows.norm2`` exact.
+    ``rows.norm2`` exact.  It skips totals that passed and no element replaced.
     """
+    passed = None
     for el in elements:
         semantics = _SEMANTICS.get(type(el))
         if semantics is None:
             raise ValidationError(f"unknown element {el!r}")
         semantics(rows, el)
-        total = sum(rows.norm2)  # NaN if any total is
-        if not (max(rows.norm2) <= _NORM_LIMIT and total == total):
-            rows.check()
+        if rows.norm2 is not passed:
+            total = sum(rows.norm2)  # NaN if any total is
+            if not (max(rows.norm2) <= _NORM_LIMIT and total == total):
+                rows.check()
+            passed = rows.norm2
         yield el
     rows.check()
 

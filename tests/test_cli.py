@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import oamcomp
 from oamcomp import cli, compiler, elements
 from oamcomp.compiler import haar_random_unitary
+from oamcomp.errors import ValidationError
 from oamcomp.state import basis_state, from_amplitudes
 
 from conftest import invoke_cli, unitary_to_json
@@ -812,6 +813,60 @@ class TestDeterminism:
             ]).exit_code == 0
             outputs.append(tuple(p.read_bytes() for p in (net, rep, out, rd)))
         assert outputs[0] == outputs[1]
+        netlist_text = outputs[0][0].decode()
+        assert netlist_text == json.dumps(json.loads(netlist_text), indent=2, sort_keys=True) + "\n"
+
+
+#: Ints and finite floats at JSON's edges: negative, past 2**64, a negative
+#: zero, the smallest subnormal, near the largest double, and 0.1.
+json_ints = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+json_reals = st.one_of(st.sampled_from([-0.0, 5e-324, 1e308, -1e308, 0.1]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def edge_netlists(draw):
+    """A netlist of up to six elements of all seven kinds, ideal and finite
+    gates, on up to ``2**40`` modes."""
+    mode_count = draw(st.integers(2, 2**40))
+    mode = st.integers(0, mode_count - 1)
+    pair = st.lists(mode, min_size=2, max_size=2, unique=True)
+    stages = st.one_of(st.just(elements.IDEAL), st.integers(1, elements.MAX_STAGES))
+    gates = [pair.flatmap(lambda p, cls=cls: st.builds(cls, m=json_ints, src=st.just(p[0]),
+                                                       dst=st.just(p[1]), stages=stages))
+             for cls in (elements.ExtractGate, elements.ReintegrateGate)]
+    element = st.one_of(
+        st.builds(elements.PhaseShifter, mode, json_reals),
+        st.builds(elements.Hologram, mode, json_ints),
+        pair.flatmap(lambda p: st.builds(elements.BeamSplitter, st.just(p[0]), st.just(p[1]),
+                                         json_reals)),
+        st.builds(elements.Filter, mode, json_ints),
+        st.builds(elements.Mirror, mode),
+        *gates,
+    )
+    return elements.Netlist(n=draw(st.integers(1, 53)), mode_count=mode_count,
+                            elements=draw(st.lists(element, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(netlist=edge_netlists())
+@example(netlist=elements.Netlist(n=1, mode_count=1))
+@example(netlist=elements.Netlist(n=2, mode_count=2, elements=(
+    elements.BeamSplitter(mode_a=1, mode_b=0, theta=-0.0),)))
+def test_netlist_writer_matches_indented_json(netlist):
+    """The netlist writer, through json's C encoder, writes the text of
+    ``json.dumps(indent=2, sort_keys=True)`` byte for byte, and that text
+    reads back to the same netlist."""
+    data = netlist.to_json_dict()
+    text = cli._netlist_json(data)
+    assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert elements.Netlist.from_json_dict(json.loads(text)) == netlist
+
+
+def test_netlist_writer_refuses_non_finite_values():
+    data = {"n": 1, "modes": 1, "elements": [{"type": "phase", "mode": 0, "phi": math.inf}]}
+    with pytest.raises(ValidationError, match="non-finite"):
+        cli._netlist_json(data)
 
 
 json_values = st.one_of(
