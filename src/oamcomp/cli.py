@@ -10,10 +10,11 @@ failure prints one JSON object ``{"error": {"type": ..., "message": ...}}``
 on stderr.  Options are read from one table, ``_COMMANDS``, and each
 command imports only the modules it runs: ``--help`` loads no ``oamcomp``
 module but ``errors``, and no command loads numpy or a parser library:
-``simulate --monte-carlo`` and ``readout`` draw from :mod:`oamcomp.rng`,
-which reproduces the stream of numpy's ``default_rng(seed)`` in plain
-Python.  The process entry point :func:`run` freezes the heap before
-teardown; :func:`main`, the in-process entry, leaves the collector alone.
+``simulate --monte-carlo`` and ``readout`` draw from ``random.Random(seed)``,
+whose stream CPython keeps across releases, and the successes of
+``--monte-carlo`` are numpy's binomial algorithm on it (:mod:`oamcomp.rng`).
+The process entry point :func:`run` freezes the heap before teardown;
+:func:`main`, the in-process entry, leaves the collector alone.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import atexit
 import gc
 import json
 import os
+import random
 import sys
 import tempfile
 import types
@@ -147,13 +149,13 @@ def cmd_simulate(args) -> None:
         # A run passes every filter with the output's share of the input's
         # norm (rounding can push it past 1); an input of norm 0 passes only
         # a netlist that absorbs nothing.
-        from .rng import default_rng
+        from .rng import binomial
         initial = survival_probability(state)
         if initial:
             p = min(survival, initial) / initial
         else:
             p = float(not any(map(is_lossy, netlist.elements)))
-        successes = default_rng(args.seed).binomial(runs, p)
+        successes = binomial(random.Random(args.seed), runs, p)
         payload["monte_carlo"] = {
             "runs": runs, "successes": successes, "success_rate": successes / runs,
             "seed": args.seed,
@@ -192,12 +194,11 @@ def cmd_zeno_sweep(args) -> None:
 def cmd_readout(args) -> None:
     """Plan or sample a readout of the final OAM state."""
     from . import readout as readout_mod
-    from .rng import default_rng
     from .state import PhotonState
     state = PhotonState.from_json_dict(_read_json(args.input))
     if args.mode not in state.modes():
         raise ValidationError(f"--mode {args.mode} holds no amplitude in {args.input}")
-    rng = default_rng(args.seed)
+    rng = random.Random(args.seed)
     payload: dict = {"strategy": args.strategy, "n": state.n, "seed": args.seed}
     if args.strategy == "sorter":
         cost, payload["exponential_warning"] = readout_mod.sorter_cost(state.n)

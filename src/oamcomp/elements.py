@@ -135,14 +135,13 @@ class Netlist(Record):
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
         register_size(self.n)
-        if self.mode_count < 1:
-            raise ValidationError("mode_count must be >= 1")
+        if type(self.mode_count) is not int or self.mode_count < 1:
+            raise ValidationError(f"mode_count must be an integer >= 1, got {self.mode_count!r}")
         for el in self.elements:
             for mode in _element_modes(el):
-                if not 0 <= mode < self.mode_count:
-                    raise ValidationError(
-                        f"element {el!r} references mode {mode} outside [0, {self.mode_count})"
-                    )
+                if type(mode) is not int or not 0 <= mode < self.mode_count:
+                    raise ValidationError(f"element {el!r} references mode {mode!r}, "
+                                          f"not an integer in [0, {self.mode_count})")
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import bisect
 import math
+from random import Random
 
 # ``apply_macro`` is re-exported: oambench/layers.py reads it here.
 from .elements import (  # noqa: F401
     IDEAL, BeamSplitter, Element, ExtractGate, Filter, Hologram, Netlist, ReintegrateGate,
     Rows, Stages, apply_macro, check_state_fits, is_lossy, iter_steps,
 )
-from .rng import Generator
 from .state import PhotonState, Record, normalized, survival_probability
 
 
@@ -80,7 +80,7 @@ class MonteCarloResult(Record):
 
 
 def monte_carlo_run(
-    state: PhotonState, netlist: Netlist, rng: Generator
+    state: PhotonState, netlist: Netlist, rng: Random
 ) -> MonteCarloResult:
     """Sample one physical run: the photon is absorbed at one filter or passes all.
 
@@ -93,8 +93,9 @@ def monte_carlo_run(
     passes it as it is.
 
     The survivals come off one pass of :func:`run_netlist`'s stepping loop,
-    summed from the engine's row weights at each lossy element.  ``rng`` is
-    an :class:`oamcomp.rng.Generator` or a ``numpy.random.Generator``.
+    summed from the engine's row weights at each lossy element.  Only
+    ``rng.random()`` is called: ``rng`` is a ``random.Random`` or a
+    ``numpy.random.Generator``.
     Inside a finite gate (hologram, ``N`` times beamsplitter and filter,
     hologram) only the ``l != m`` components of ``src`` lose weight, by
     ``cos^2 theta`` per filter after the first, and they hold all of their

@@ -6,15 +6,19 @@ computational range) once and returning plain data: a full branching sorter
 bitwise readout over repeated runs (one binary decision per run) draws bit
 ``k`` from the same distribution's marginal; an ideal demultiplexer
 relabels the amplitudes as path-qubit bit strings (priced at ``2 n - 1``
-path CNOT gates, annotated rather than simulated).  The samplers take an
-:class:`oamcomp.rng.Generator` or a ``numpy.random.Generator``; from the
-same seed both draw the same outcomes.
+path CNOT gates, annotated rather than simulated).  The samplers call only
+``rng.random()``, so they take a ``random.Random``, as the CLI seeds it, or a
+``numpy.random.Generator``, from which the sorter draws what its ``choice``
+draws.
 """
 
 from __future__ import annotations
 
+import bisect
+from itertools import accumulate
+from random import Random
+
 from .errors import LeakageError, ValidationError
-from .rng import Generator
 from .state import RESIDUE_TOL, PhotonState, Record, register_size, weights
 
 #: Sorter arm count above which plans are flagged as exponentially large.
@@ -28,17 +32,17 @@ class ReadoutCost(Record):
     cnot_count: int = 0
 
 
-def sample_full_measurement(
-    state: PhotonState, mode: int, rng: Generator
-) -> int:
-    """Sample an OAM index from :func:`born_distribution`."""
+def sample_full_measurement(state: PhotonState, mode: int, rng: Random) -> int:
+    """Sample an OAM index from :func:`born_distribution` with one
+    ``rng.random()``, as ``numpy.random.Generator.choice`` samples weights:
+    ``bisect_right`` in the cumulative sums divided by the last."""
     probs = born_distribution(state, mode)
-    indices = list(probs)
-    return int(indices[rng.choice(len(indices), p=list(probs.values()))])
+    cdf = list(accumulate(probs.values()))
+    return list(probs)[bisect.bisect_right([x / cdf[-1] for x in cdf], rng.random())]
 
 
 def repeated_run_readout(
-    state: PhotonState, rng: Generator, mode: int = 0
+    state: PhotonState, rng: Random, mode: int = 0
 ) -> tuple[str, ReadoutCost]:
     """Read bit ``k`` of ``state`` in run ``k``, for ``k = 0 .. n-1``, each
     run on a fresh copy of the state; the n runs assemble the full value.

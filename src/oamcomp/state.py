@@ -149,6 +149,8 @@ class PhotonState(Record):
         register_size(self.n)
         amps = {k: complex(v) for k, v in self.amplitudes.items() if v != 0}
         for mode, l in amps:
+            if type(mode) is not int or type(l) is not int:
+                raise ValidationError(f"amplitude key must be two integers, got {(mode, l)!r}")
             if mode < 0:
                 raise ValidationError(f"negative spatial mode index {mode}")
         checked_norm2(amps)

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,8 @@ import oamcomp
 from oamcomp import cli, compiler, elements
 from oamcomp.compiler import haar_random_unitary
 from oamcomp.errors import ValidationError
+from oamcomp.readout import repeated_run_readout, sample_full_measurement
+from oamcomp.rng import binomial
 from oamcomp.state import basis_state, from_amplitudes
 
 from conftest import invoke_cli, unitary_to_json
@@ -192,8 +195,9 @@ class TestSimulate:
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
     @pytest.mark.parametrize("runs", [1, 20, 61, 10**6, 2**53])
     def test_monte_carlo_draws_numpy_successes(self, tmp_path, runs, seed):
-        """The successes are the draw of numpy's ``default_rng(seed)``, for run
-        counts on both of ``binomial``'s algorithms and the largest one."""
+        """The successes are numpy's binomial algorithm on the uniforms of
+        ``random.Random(seed)``, for run counts on both of its algorithms and
+        the largest one."""
         write_json(tmp_path / "s.json", basis_state(0, 1, 1).to_json_dict())
         write_json(tmp_path / "net.json", {
             "n": 1, "modes": 2,
@@ -207,7 +211,7 @@ class TestSimulate:
         out = json.loads((tmp_path / "out.json").read_text())
         p = min(out["survival"], 1.0)  # the input's norm is 1
         assert 0.0 < p < 1.0
-        expected = int(np.random.default_rng(seed).binomial(runs, p))
+        expected = binomial(random.Random(seed), runs, p)
         assert out["monte_carlo"]["successes"] == expected
 
     def test_monte_carlo_on_ideal_netlist(self, tmp_path):
@@ -229,7 +233,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("strategy", [None, "repeat", "sorter"])
     def test_seed_above_2_64(self, tmp_path, strategy):
-        """Any seed >= 0 is taken, as ``default_rng`` takes it, and so is the
+        """Any seed >= 0 is taken, as ``random.Random`` takes it, and so is the
         largest run count."""
         write_json(tmp_path / "s.json", basis_state(0, 1, 1).to_json_dict())
         write_json(tmp_path / "net.json", {
@@ -669,6 +673,23 @@ class TestReadout:
             "bits": "110", "n": 3, "seed": 0, "strategy": "repeat",
             "cost": {"arms": 2, "cnot_count": 0, "decision_points": 1, "runs": 3},
         }
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
+    def test_samples_draw_from_the_seeded_stream(self, tmp_path, seed):
+        """``--seed`` seeds ``random.Random(seed)``, which the sorter and the
+        repeated-run readout sample from."""
+        state = from_amplitudes(0, [0.6, 0, 0.48j, 0.64], 2)
+        write_json(tmp_path / "s.json", state.to_json_dict())
+        outputs = {}
+        for strategy in ("sorter", "repeat"):
+            assert invoke(["readout", "--input", str(tmp_path / "s.json"),
+                           "--strategy", strategy, "--seed", str(seed),
+                           "--output", str(tmp_path / "r.json")]).exit_code == 0
+            outputs[strategy] = json.loads((tmp_path / "r.json").read_text())
+        assert outputs["sorter"]["sampled_l"] == sample_full_measurement(
+            state, 0, random.Random(seed))
+        assert outputs["repeat"]["bits"] == repeated_run_readout(
+            state, random.Random(seed))[0]
 
     def test_demux_strategy(self, tmp_path):
         write_json(tmp_path / "s.json", basis_state(0, 5, 3).to_json_dict())

@@ -217,6 +217,11 @@ class TestNetlist:
         with pytest.raises(ValidationError):
             Netlist(n=1, mode_count=2, elements=(PhaseShifter(mode=9, phi=0.0),))
 
+    @pytest.mark.parametrize("mode", [0.5, True, 1.0])
+    def test_rejects_element_mode_that_is_not_an_int(self, mode):
+        with pytest.raises(ValidationError, match=r"not an integer in \[0, 2\)$"):
+            Netlist(n=1, mode_count=2, elements=(Filter(mode=mode, m=0),))
+
     def test_json_roundtrip(self):
         net = Netlist(
             n=2,
@@ -249,6 +254,9 @@ class TestNetlist:
     lambda: PhotonState(n=54),
     lambda: from_amplitudes(0, [1], 54),
     lambda: from_amplitudes(0, [1], 10**12),
+    lambda: Netlist(n=1, mode_count=2.5),
+    lambda: Netlist(n=1, mode_count=True),
+    lambda: Netlist(n=1, mode_count=math.nan),
 ])
 def test_constructors_reject_bad_parameters(make):
     # Each message states the rule broken and the value that broke it: a

@@ -16,7 +16,7 @@ from oamcomp.readout import (
 )
 from oamcomp.state import RESIDUE_TOL, PhotonState, basis_state, from_amplitudes
 
-from conftest import random_state, states_close
+from conftest import Draws, random_state, states_close
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -39,6 +39,18 @@ class TestSampleFullMeasurement:
     def test_rejects_zero_survival(self, rng):
         with pytest.raises(ValidationError):
             sample_full_measurement(PhotonState(n=1), 0, rng)
+
+    def test_draw_just_below_one_picks_the_last_outcome(self):
+        # The cumulative weights sum to 1 - 2**-53 here; divided by their
+        # last, as numpy's ``choice`` divides them, they end at exactly 1.
+        s = PhotonState(n=2, amplitudes={(0, 0): 0.1, (0, 1): 0.1, (0, 2): 0.5})
+        assert sample_full_measurement(s, 0, Draws(1.0 - 2**-53)) == 2
+
+    def test_never_picks_an_outcome_of_weight_zero(self):
+        # 1e-170 squared underflows to a Born weight of 0.0.
+        s = PhotonState(n=1, amplitudes={(0, 0): 1e-170, (0, 1): 1.0})
+        assert born_distribution(s, 0) == {0: 0.0, 1: 1.0}
+        assert sample_full_measurement(s, 0, Draws(0.0)) == 1
 
     def test_seeded_reproducibility(self):
         s = from_amplitudes(0, [0.5] * 4, 2)
@@ -71,6 +83,19 @@ def readout_states(draw) -> PhotonState:
     state = PhotonState(n=n, amplitudes=amps)
     assume(sum(abs(state.amplitude(0, l)) ** 2 for l in range(dim)) > 0.0)
     return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=readout_states(), seed=st.integers(0, 2**70))
+def test_sorter_matches_numpy_choice(state, seed):
+    """The sorter picks, with one uniform, the outcome that numpy's ``choice``
+    picks from the same stream with the Born weights, three times running."""
+    probs = born_distribution(state, 0)
+    ours, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        want = list(probs)[numpy_rng.choice(len(probs), p=list(probs.values()))]
+        assert sample_full_measurement(state, 0, ours) == want
+    assert ours.random() == numpy_rng.random()
 
 
 def marginal_oracle(state: PhotonState, rng) -> str:

@@ -48,6 +48,13 @@ class TestBasisState:
         with pytest.raises(ValidationError, match="qubit count must be an integer"):
             build()
 
+    @pytest.mark.parametrize("key", [(0.5, 0), (0, "x"), (True, 0), (0, 1.0)],
+                             ids=["float-mode", "str-oam", "bool-mode", "float-oam"])
+    def test_rejects_a_key_that_is_not_two_ints(self, key):
+        # (True, 0) would be written as "mode": true, which the reader refuses.
+        with pytest.raises(ValidationError, match="amplitude key must be two integers"):
+            PhotonState(n=1, amplitudes={key: 1.0})
+
 
 class TestFromAmplitudes:
     def test_equal_superposition(self):
