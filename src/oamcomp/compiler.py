@@ -31,7 +31,7 @@ from .elements import (
     Stages,
     is_lossy,
 )
-from .state import Record, _json_int, _json_real, norm
+from .state import Record, _int_field, _real_field, norm
 from . import elements as _elements
 
 if TYPE_CHECKING:
@@ -96,13 +96,11 @@ def qubit_count_for(d: int) -> int:
 
 def unitary_from_json(data: dict) -> list[list[complex]]:
     try:
-        d = _json_int(data["d"])
-        matrix = [[complex(_json_real(re), _json_real(im)) for re, im in row]
+        d = _int_field("d", data["d"])
+        matrix = [[complex(_real_field("entry", re), _real_field("entry", im)) for re, im in row]
                   for row in data["rows"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed unitary JSON: {exc}") from exc
-    if not all(map(cmath.isfinite, (z for row in matrix for z in row))):
-        raise ValidationError("unitary JSON holds a non-finite entry")
     if len(matrix) != d or any(len(row) != d for row in matrix):
         lengths = sorted({len(row) for row in matrix})
         raise ValidationError(
@@ -131,9 +129,6 @@ class TwoLevelFactor(Record):
             raise ValidationError(
                 f"factor needs two distinct non-negative levels, got ({self.m}, {self.n_idx})"
             )
-        angles = (self.theta, self.phi_pre, self.phi_post, self.delta)
-        if not all(map(math.isfinite, angles)):
-            raise ValidationError(f"factor angles must be finite, got {angles}")
 
 
 def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:

@@ -8,8 +8,8 @@ cumulative absorption probability.  All operations return new states.
 
 from __future__ import annotations
 
-import cmath
 import math
+import numbers
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -74,25 +74,37 @@ def checked_norm2(amps: Mapping) -> float:
     return check_norm2(norm2)
 
 
-def _json_int(value) -> int:
-    """A JSON integer field: a bool or a float such as ``1.9`` is refused."""
+def _int_field(name: str, value) -> int:
+    """``value`` of the integer field ``name``; a bool or a float is refused."""
     if type(value) is not int:
-        raise ValidationError(f"expected an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     return value
 
 
-def _json_real(value) -> float:
-    """A JSON real field: any JSON number, but not a bool or a string."""
-    if not isinstance(value, (float, int)) or isinstance(value, bool):
-        raise ValidationError(f"expected a number, got {value!r}")
-    return float(value)
+def _real_field(name: str, value) -> float:
+    """``value`` of the real field ``name``, as a ``float``: a finite real
+    number, but not a bool (nor a string, which is no number)."""
+    real = math.nan
+    try:
+        if type(value) is float or isinstance(value, numbers.Real) and type(value) is not bool:
+            real = float(value)
+    except OverflowError:  # an int beyond the largest double
+        pass
+    if math.isfinite(real):
+        return real
+    raise ValidationError(f"{name} must be a finite number, got {value!r}")
+
+
+#: The rule of each field annotation that has one.
+_FIELD_RULES = {"int": _int_field, "float": _real_field}
 
 
 class Record:
     """A frozen record, as ``@dataclass(frozen=True)`` makes one but without
     generated code: the fields are the annotations, after the bases', and a
-    class attribute is a default.  ``__post_init__`` runs last; only it may
-    set a field, with ``object.__setattr__``."""
+    class attribute is a default.  A field annotated ``int`` or ``float`` is
+    held to its rule in ``_FIELD_RULES``, and ``__post_init__`` runs last;
+    only it may set a field, with ``object.__setattr__``."""
 
     _fields: dict = {}  # field name -> annotation, a string
     _required: frozenset = frozenset()  # the fields without a default
@@ -102,6 +114,8 @@ class Record:
         cls._required = frozenset(name for name in cls._fields if not hasattr(cls, name))
         # Every field with its default, in order: an instance's __dict__ starts as a copy.
         cls._defaults = {name: getattr(cls, name, None) for name in cls._fields}
+        cls._rules = tuple((name, _FIELD_RULES[kind]) for name, kind in cls._fields.items()
+                           if kind in _FIELD_RULES)
 
     def __init__(self, *args, **kwargs) -> None:
         values = dict(zip(self._fields, args), **kwargs) if args else kwargs
@@ -109,7 +123,10 @@ class Record:
         if len(values) < len(args) + len(kwargs) or not (
                 self._required <= values.keys() <= self._fields.keys()):
             raise TypeError(f"{type(self).__name__} takes the fields {list(self._fields)}")
-        self.__dict__.update(self._defaults, **values)
+        fields = self.__dict__
+        fields.update(self._defaults, **values)
+        for name, rule in self._rules:
+            fields[name] = rule(name, fields[name])
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -148,11 +165,11 @@ class PhotonState(Record):
     def __post_init__(self) -> None:
         register_size(self.n)
         amps = {k: complex(v) for k, v in self.amplitudes.items() if v != 0}
-        for mode, l in amps:
-            if type(mode) is not int or type(l) is not int:
-                raise ValidationError(f"amplitude key must be two integers, got {(mode, l)!r}")
-            if mode < 0:
-                raise ValidationError(f"negative spatial mode index {mode}")
+        for key in amps:
+            if type(key) is not tuple or [*map(type, key)] != [int, int]:
+                raise ValidationError(f"amplitude key must be two integers, got {key!r}")
+            if key[0] < 0:
+                raise ValidationError(f"negative spatial mode index {key[0]}")
         checked_norm2(amps)
         object.__setattr__(self, "amplitudes", MappingProxyType(amps))
 
@@ -177,15 +194,13 @@ class PhotonState(Record):
     @classmethod
     def from_json_dict(cls, data: dict) -> "PhotonState":
         try:
-            n = _json_int(data["n"])
+            n = _int_field("n", data["n"])
             amps: dict[ModeOAM, complex] = {}
             for entry in data["amplitudes"]:
-                key = (_json_int(entry["mode"]), _json_int(entry["l"]))
-                amp = complex(_json_real(entry["re"]), _json_real(entry["im"]))
-                if not cmath.isfinite(amp):
-                    raise ValueError(f"non-finite amplitude at {key}")
+                key = (_int_field("mode", entry["mode"]), _int_field("l", entry["l"]))
+                amp = complex(_real_field("re", entry["re"]), _real_field("im", entry["im"]))
                 amps[key] = amps.get(key, 0j) + amp
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed state JSON: {exc}") from exc
         return cls(n=n, amplitudes=amps)
 

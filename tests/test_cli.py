@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -364,7 +365,8 @@ class TestRejectsBadInput:
             "netlist": {"n": 1, "modes": 1, "elements": []},
             "unitary": unitary_to_json(np.eye(2, dtype=complex)),
         }
-        files[kind]["d" if kind == "unitary" else "n"] = True
+        field = "d" if kind == "unitary" else "n"
+        files[kind][field] = True
         for name, payload in files.items():
             write_json(tmp_path / f"{name}.json", payload)
         # simulate reads the netlist, then the state; verify the netlist, then the unitary.
@@ -374,7 +376,7 @@ class TestRejectsBadInput:
         assert result.exit_code == 2
         error = json.loads(result.stderr)["error"]
         assert error == {"type": "validation",
-                         "message": f"malformed {kind} JSON: expected an integer, got True"}
+                         "message": f"malformed {kind} JSON: {field} must be an integer, got True"}
 
     @pytest.mark.parametrize("data", [
         {"d": 2.0, "rows": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
@@ -888,6 +890,31 @@ def test_netlist_writer_refuses_non_finite_values():
     data = {"n": 1, "modes": 1, "elements": [{"type": "phase", "mode": 0, "phi": math.inf}]}
     with pytest.raises(ValidationError, match="non-finite"):
         cli._netlist_json(data)
+
+
+#: A value of each kind a caller may give an element field, valid or not.
+field_values = st.one_of(
+    st.integers(0, 3), st.integers(-2**70, 2**70), st.booleans(),
+    st.sampled_from([0.5, math.nan, math.inf, -math.inf, "x", elements.IDEAL]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.sampled_from(typing.get_args(elements.Element)).flatmap(
+    lambda cls: st.tuples(st.just(cls), st.fixed_dictionaries(
+        {name: field_values for name in cls._fields}))))
+@example(drawn=(elements.Filter, {"mode": 0, "m": 0.5}))
+@example(drawn=(elements.PhaseShifter, {"mode": 1, "phi": 2}))
+def test_an_element_is_refused_or_read_back_equal(drawn):
+    """An element, as a library caller builds it, is refused with a
+    ``ValidationError``, or its one-element netlist is written and read back
+    equal: the constructor and the netlist reader hold a field to one rule."""
+    cls, fields = drawn
+    try:
+        netlist = elements.Netlist(n=1, mode_count=2**71, elements=(cls(**fields),))
+    except ValidationError:
+        return
+    text = cli._netlist_json(netlist.to_json_dict())
+    assert elements.Netlist.from_json_dict(json.loads(text)) == netlist
 
 
 json_values = st.one_of(

@@ -225,7 +225,7 @@ class TestTwoLevelFactor:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("angle", ANGLES)
     def test_rejects_a_non_finite_angle(self, angle, value):
-        with pytest.raises(ValidationError, match="factor angles must be finite"):
+        with pytest.raises(ValidationError, match=f"^{angle} must be a finite number, got "):
             TwoLevelFactor(**dict(IDENTITY_FACTOR.asdict(), **{angle: value}))
 
     @pytest.mark.parametrize("m, n_idx", [(1, 1), (0, 0), (-1, 1), (0, -2)])

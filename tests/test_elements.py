@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oamcomp.compiler import TwoLevelFactor
 from oamcomp.elements import (
     BeamSplitter,
     ExtractGate,
@@ -219,7 +220,7 @@ class TestNetlist:
 
     @pytest.mark.parametrize("mode", [0.5, True, 1.0])
     def test_rejects_element_mode_that_is_not_an_int(self, mode):
-        with pytest.raises(ValidationError, match=r"not an integer in \[0, 2\)$"):
+        with pytest.raises(ValidationError, match=r"^mode must be an integer, got \S+$"):
             Netlist(n=1, mode_count=2, elements=(Filter(mode=mode, m=0),))
 
     def test_json_roundtrip(self):
@@ -257,6 +258,14 @@ class TestNetlist:
     lambda: Netlist(n=1, mode_count=2.5),
     lambda: Netlist(n=1, mode_count=True),
     lambda: Netlist(n=1, mode_count=math.nan),
+    lambda: Filter(mode=0, m=0.5),
+    lambda: Hologram(mode=0, k=0.5),
+    lambda: Mirror(mode=True),
+    lambda: ExtractGate(m=1.0, src=0, dst=1),
+    lambda: ExtractGate(m=0, src=0.0, dst=1),
+    lambda: PhaseShifter(mode=0, phi=True),
+    lambda: BeamSplitter(mode_a=0, mode_b=1, theta="x"),
+    lambda: TwoLevelFactor(m=True, n_idx=1, theta=0.0, phi_pre=0.0, phi_post=0.0, delta=0.0),
 ])
 def test_constructors_reject_bad_parameters(make):
     # Each message states the rule broken and the value that broke it: a

@@ -1,6 +1,7 @@
 """The record base ``state.Record`` held to ``dataclasses``: every record
 class behaves as a frozen dataclass twin that is declared with the same
-fields and defaults and runs the same ``__post_init__``."""
+fields and defaults, holds the same fields to the same rules and runs the
+same ``__post_init__``."""
 
 import dataclasses
 import math
@@ -38,11 +39,20 @@ DECLARED = {
 
 
 def twin(cls):
-    """A frozen dataclass named as ``cls``, with its declared fields and its
-    ``__post_init__``."""
+    """A frozen dataclass named as ``cls``, with its declared fields, that
+    holds each field annotated ``int`` or ``float`` to its rule and then runs
+    ``cls.__post_init__``."""
     fields = [(f[0], object, f[1]) if isinstance(f, tuple) else f for f in DECLARED[cls]]
+    rules = [(name, state._FIELD_RULES[kind]) for name, kind in cls._fields.items()
+             if kind in state._FIELD_RULES]
+
+    def __post_init__(self):
+        for name, rule in rules:
+            object.__setattr__(self, name, rule(name, getattr(self, name)))
+        cls.__post_init__(self)
+
     return dataclasses.make_dataclass(
-        cls.__name__, fields, namespace={"__post_init__": cls.__post_init__}, frozen=True)
+        cls.__name__, fields, namespace={"__post_init__": __post_init__}, frozen=True)
 
 
 TWINS = {cls: twin(cls) for cls in DECLARED}
@@ -59,7 +69,9 @@ def test_every_record_has_a_twin():
 
 
 small = st.integers(-2, 5)
-reals = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 0.5, math.inf])
+#: An int field's value: mostly an int, else a bool, a whole float or a string.
+ints = small | st.sampled_from([3, True, 1.0, "x"])
+reals = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 0.5, math.inf, 2, True])
 amplitude = st.sampled_from([0j, 0.5, -0.5j]) | st.complex_numbers(
     max_magnitude=0.8, allow_nan=False)
 stages = st.just(IDEAL) | st.integers(-1, 4) | st.sampled_from([True, 2.0, "x"])
@@ -76,29 +88,29 @@ ARGUMENTS = {
         "n": st.integers(-1, 3) | st.just(True),
         "amplitudes": st.dictionaries(st.tuples(st.integers(-1, 2), small), amplitude,
                                       max_size=3)}),
-    elements.PhaseShifter: st.fixed_dictionaries({"mode": small, "phi": reals}),
-    elements.Hologram: st.fixed_dictionaries({"mode": small, "k": small}),
+    elements.PhaseShifter: st.fixed_dictionaries({"mode": ints, "phi": reals}),
+    elements.Hologram: st.fixed_dictionaries({"mode": small, "k": ints}),
     elements.BeamSplitter: st.fixed_dictionaries(
-        {"mode_a": small, "mode_b": small, "theta": reals}),
-    elements.Filter: st.fixed_dictionaries({"mode": small, "m": small}),
-    elements.Mirror: st.fixed_dictionaries({"mode": small}),
+        {"mode_a": ints, "mode_b": small, "theta": reals}),
+    elements.Filter: st.fixed_dictionaries({"mode": small, "m": ints}),
+    elements.Mirror: st.fixed_dictionaries({"mode": ints}),
     elements.Netlist: st.fixed_dictionaries(
-        {"n": st.integers(0, 3), "mode_count": st.integers(0, 4), "elements": some_elements}),
+        {"n": st.integers(0, 3), "mode_count": ints, "elements": some_elements}),
     extraction.MonteCarloResult: st.fixed_dictionaries({
         "success": st.booleans(), "state": st.none() | st.just(basis_state(0, 1, 1)),
         "absorbed_at": st.none() | small}),
     compiler.TwoLevelFactor: st.fixed_dictionaries(
-        {"m": small, "n_idx": small, "theta": angles, "phi_pre": angles, "phi_post": angles,
+        {"m": small, "n_idx": ints, "theta": angles, "phi_pre": angles, "phi_post": angles,
          "delta": angles}),
     compiler.CompileReport: st.fixed_dictionaries(
-        {"factor_count": small, "element_count": small, "analytic_survival": reals,
+        {"factor_count": small, "element_count": ints, "analytic_survival": reals,
          "verification_residual": reals}),
     readout.ReadoutCost: st.fixed_dictionaries(
-        {"decision_points": small, "arms": small, "runs": small, "cnot_count": small}),
+        {"decision_points": small, "arms": small, "runs": ints, "cnot_count": small}),
 }
 for _gate in (elements.ExtractionSpec, ExtractGate, ReintegrateGate):
     ARGUMENTS[_gate] = st.fixed_dictionaries(
-        {"m": small, "src": small, "dst": small, "stages": stages})
+        {"m": ints, "src": small, "dst": small, "stages": stages})
 
 
 def outcome(fn):

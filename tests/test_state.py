@@ -45,11 +45,12 @@ class TestBasisState:
         lambda: from_amplitudes(0, [1, 0], True),
     ], ids=["bool-state", "float-state", "bool-amplitudes"])
     def test_rejects_a_width_that_is_not_an_int(self, build):
-        with pytest.raises(ValidationError, match="qubit count must be an integer"):
+        with pytest.raises(ValidationError, match="^(n|qubit count) must be an integer"):
             build()
 
-    @pytest.mark.parametrize("key", [(0.5, 0), (0, "x"), (True, 0), (0, 1.0)],
-                             ids=["float-mode", "str-oam", "bool-mode", "float-oam"])
+    @pytest.mark.parametrize("key", [(0.5, 0), (0, "x"), (True, 0), (0, 1.0), 0, (0, 0, 0)],
+                             ids=["float-mode", "str-oam", "bool-mode", "float-oam", "int",
+                                  "triple"])
     def test_rejects_a_key_that_is_not_two_ints(self, key):
         # (True, 0) would be written as "mode": true, which the reader refuses.
         with pytest.raises(ValidationError, match="amplitude key must be two integers"):
