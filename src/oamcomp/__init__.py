@@ -18,8 +18,9 @@ _EXPORTS = {
     "extraction": ("component_survival", "survival_lower_bound"),
     "compiler": (
         "CompileReport", "TwoLevelFactor", "compile_unitary", "decompose_two_level",
-        "haar_random_unitary", "lower_two_level", "reconstruct_and_verify",
+        "haar_random_unitary", "lower_two_level",
     ),
+    "verification": ("reconstruct_and_verify",),
     "readout": (
         "ReadoutCost", "demux", "repeated_run_readout", "sample_full_measurement",
         "sorter_cost",

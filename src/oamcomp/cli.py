@@ -130,8 +130,8 @@ def cmd_compile(args) -> None:
     """Lower a unitary (JSON matrix) to an optical netlist plus report."""
     if args.report is not None and os.path.realpath(args.report) == os.path.realpath(args.output):
         _fail("usage", f"--output and --report name one file, {args.output!r}", EXIT_VALIDATION)
-    from . import compiler
-    U = compiler.unitary_from_json(_read_json(args.input))
+    from . import compiler, verification
+    U = verification.unitary_from_json(_read_json(args.input))
     netlist, report = compiler.compile_unitary(U, args.spec_n)
     _write((args.output, _netlist_json(netlist.to_json_dict())),
            (args.report, _json(report.asdict())))
@@ -166,11 +166,11 @@ def cmd_simulate(args) -> None:
 
 def cmd_verify(args) -> None:
     """Compare a netlist's basis response against a target unitary."""
-    from . import compiler
+    from . import verification
     from .elements import Netlist
     netlist = Netlist.from_json_dict(_read_json(args.netlist))
-    U = compiler.unitary_from_json(_read_json(args.input))
-    residual = compiler.reconstruct_and_verify(netlist, U)
+    U = verification.unitary_from_json(_read_json(args.input))
+    residual = verification.reconstruct_and_verify(netlist, U)
     _write((args.output, _json({"verification_residual": residual})))
 
 

@@ -25,7 +25,7 @@ from typing import Mapping, Union
 
 from .errors import ValidationError
 from .state import (
-    NORM_EPS, RESIDUE_TOL, ModeOAM, PhotonState, Record, _int_field, check_norm2,
+    NORM_EPS, RESIDUE_TOL, Mode, ModeOAM, PhotonState, Record, _int_field, check_norm2,
     register_size, weights,
 )
 
@@ -40,18 +40,18 @@ MAX_STAGES = 2**53
 
 
 class PhaseShifter(Record):
-    mode: int
+    mode: Mode
     phi: float
 
 
 class Hologram(Record):
-    mode: int
+    mode: Mode
     k: int
 
 
 class BeamSplitter(Record):
-    mode_a: int
-    mode_b: int
+    mode_a: Mode
+    mode_b: Mode
     theta: float
 
     def __post_init__(self) -> None:
@@ -62,12 +62,12 @@ class BeamSplitter(Record):
 class Filter(Record):
     """Absorbing projector: passes OAM index ``m`` in ``mode``, absorbs the rest."""
 
-    mode: int
+    mode: Mode
     m: int
 
 
 class Mirror(Record):
-    mode: int
+    mode: Mode
 
 
 class ExtractionSpec(Record):
@@ -78,8 +78,8 @@ class ExtractionSpec(Record):
     """
 
     m: int
-    src: int
-    dst: int
+    src: Mode
+    dst: Mode
     stages: Stages = IDEAL
 
     def __post_init__(self) -> None:
@@ -133,7 +133,7 @@ class Netlist(Record):
             raise ValidationError(f"mode_count must be an integer >= 1, got {self.mode_count!r}")
         for el in self.elements:
             for mode in _element_modes(el):
-                if not 0 <= mode < self.mode_count:
+                if mode >= self.mode_count:  # each element refuses a negative mode
                     raise ValidationError(f"element {el!r} references mode {mode!r}, "
                                           f"not an integer in [0, {self.mode_count})")
 

@@ -31,6 +31,10 @@ MAX_QUBITS = 53
 
 ModeOAM = tuple[int, int]
 
+#: A spatial mode index: the annotation of every element field that names a
+#: mode, held to :func:`_mode_field`.
+Mode = int
+
 
 def register_size(n: int) -> int:
     """``2**n``, the size of an ``n``-qubit register's computational range.
@@ -81,6 +85,15 @@ def _int_field(name: str, value) -> int:
     return value
 
 
+def _mode_field(name: str, value) -> int:
+    """``value`` of the spatial-mode field ``name``: an integer, as
+    :func:`_int_field` holds it, and ``>= 0``."""
+    if type(value) is not int or value < 0:
+        _int_field(name, value)  # raises unless an integer
+        raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
+
+
 def _real_field(name: str, value) -> float:
     """``value`` of the real field ``name``, as a ``float``: a finite real
     number, but not a bool (nor a string, which is no number)."""
@@ -96,15 +109,15 @@ def _real_field(name: str, value) -> float:
 
 
 #: The rule of each field annotation that has one.
-_FIELD_RULES = {"int": _int_field, "float": _real_field}
+_FIELD_RULES = {"int": _int_field, "float": _real_field, "Mode": _mode_field}
 
 
 class Record:
     """A frozen record, as ``@dataclass(frozen=True)`` makes one but without
     generated code: the fields are the annotations, after the bases', and a
-    class attribute is a default.  A field annotated ``int`` or ``float`` is
-    held to its rule in ``_FIELD_RULES``, and ``__post_init__`` runs last;
-    only it may set a field, with ``object.__setattr__``."""
+    class attribute is a default.  A field annotated ``int``, ``float`` or
+    ``Mode`` is held to its rule in ``_FIELD_RULES``, and ``__post_init__``
+    runs last; only it may set a field, with ``object.__setattr__``."""
 
     _fields: dict = {}  # field name -> annotation, a string
     _required: frozenset = frozenset()  # the fields without a default
@@ -164,12 +177,11 @@ class PhotonState(Record):
 
     def __post_init__(self) -> None:
         register_size(self.n)
-        amps = {k: complex(v) for k, v in self.amplitudes.items() if v != 0}
-        for key in amps:
+        for key in self.amplitudes:  # every key, before zeros are dropped
             if type(key) is not tuple or [*map(type, key)] != [int, int]:
                 raise ValidationError(f"amplitude key must be two integers, got {key!r}")
-            if key[0] < 0:
-                raise ValidationError(f"negative spatial mode index {key[0]}")
+            _mode_field("mode", key[0])
+        amps = {k: complex(v) for k, v in self.amplitudes.items() if v != 0}
         checked_norm2(amps)
         object.__setattr__(self, "amplitudes", MappingProxyType(amps))
 
@@ -197,7 +209,7 @@ class PhotonState(Record):
             n = _int_field("n", data["n"])
             amps: dict[ModeOAM, complex] = {}
             for entry in data["amplitudes"]:
-                key = (_int_field("mode", entry["mode"]), _int_field("l", entry["l"]))
+                key = (_mode_field("mode", entry["mode"]), _int_field("l", entry["l"]))
                 amp = complex(_real_field("re", entry["re"]), _real_field("im", entry["im"]))
                 amps[key] = amps.get(key, 0j) + amp
         except (KeyError, TypeError, ValueError) as exc:

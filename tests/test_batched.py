@@ -10,12 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oamcomp import elements
-from oamcomp.compiler import (
-    basis_response,
-    compile_unitary,
-    haar_random_unitary,
-    reconstruct_and_verify,
-)
+from oamcomp.compiler import compile_unitary, haar_random_unitary
 from oamcomp.elements import (
     IDEAL,
     BeamSplitter,
@@ -31,6 +26,7 @@ from oamcomp.elements import (
 from oamcomp.errors import LeakageError, ValidationError
 from oamcomp.extraction import monte_carlo_run
 from oamcomp.state import PhotonState, basis_state, normalized, survival_probability
+from oamcomp.verification import basis_response, reconstruct_and_verify
 
 import map_oracle
 from conftest import Draws, coefficients

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oamcomp
-from oamcomp import cli, compiler, elements
+from oamcomp import cli, elements, verification
 from oamcomp.compiler import haar_random_unitary
 from oamcomp.errors import ValidationError
 from oamcomp.readout import repeated_run_readout, sample_full_measurement
@@ -378,6 +378,21 @@ class TestRejectsBadInput:
         assert error == {"type": "validation",
                          "message": f"malformed {kind} JSON: {field} must be an integer, got True"}
 
+    @pytest.mark.parametrize("kind", ["state", "netlist"])
+    def test_negative_mode_is_malformed_json(self, tmp_path, kind):
+        """Both readers hold a mode to the one mode rule."""
+        state = {"n": 1, "amplitudes": [{"mode": 0, "l": 0, "re": 1.0, "im": 0.0}]}
+        netlist = {"n": 1, "modes": 2, "elements": [{"type": "filter", "mode": 0, "m": 0}]}
+        (state["amplitudes"] if kind == "state" else netlist["elements"])[0]["mode"] = -1
+        write_json(tmp_path / "s.json", state)
+        write_json(tmp_path / "net.json", netlist)
+        result = invoke_cli(["simulate", "--netlist", str(tmp_path / "net.json"),
+                             "--input", str(tmp_path / "s.json")])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"] == {
+            "type": "validation",
+            "message": f"malformed {kind} JSON: mode must be an integer >= 0, got -1"}
+
     @pytest.mark.parametrize("data", [
         {"d": 2.0, "rows": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
         {"d": 2, "rows": [[[True, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
@@ -440,7 +455,7 @@ class TestRejectsBadInput:
     def test_residual_guard_is_an_internal_error(self, tmp_path, monkeypatch):
         H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
         # A response one unit off H in Frobenius norm: the residual is 1.
-        monkeypatch.setattr(compiler, "basis_response",
+        monkeypatch.setattr(verification, "basis_response",
                             lambda netlist: (H + np.diag([1, 0]), np.ones(2)))
         write_json(tmp_path / "u.json", unitary_to_json(H))
         result = invoke_cli([

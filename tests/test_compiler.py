@@ -9,21 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from oamcomp.compiler import (
     TwoLevelFactor,
-    basis_response,
     check_unitary,
     compile_unitary,
     decompose_two_level,
     haar_random_unitary,
     lower_two_level,
     qubit_count_for,
-    reconstruct_and_verify,
-    unitary_from_json,
 )
 from oamcomp.elements import (
     IDEAL, ExtractGate, Mirror, Netlist, ReintegrateGate, run_netlist,
 )
 from oamcomp.errors import LeakageError, ValidationError
 from oamcomp.state import basis_state, survival_probability
+from oamcomp.verification import basis_response, reconstruct_and_verify, unitary_from_json
 
 from conftest import unitary_to_json
 

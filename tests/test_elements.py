@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oamcomp.compiler import TwoLevelFactor
 from oamcomp.elements import (
+    _ELEMENT_TYPES,
     BeamSplitter,
     ExtractGate,
     Filter,
@@ -272,3 +273,31 @@ def test_constructors_reject_bad_parameters(make):
     # width outside the bound is refused as such, before 2**n is built.
     with pytest.raises(ValidationError, match=r" must be .*, got \S+$"):
         make()
+
+
+#: Valid fields of each element class, by its netlist tag.
+VALID_FIELDS = {
+    "ps": {"mode": 0, "phi": 0.0}, "holo": {"mode": 0, "k": -2},
+    "bs": {"mode_a": 0, "mode_b": 1, "theta": 0.1}, "filter": {"mode": 0, "m": -1},
+    "mirror": {"mode": 0}, "extract": {"m": -1, "src": 0, "dst": 1},
+    "reintegrate": {"m": 3, "src": 1, "dst": 0},
+}
+
+
+@pytest.mark.parametrize("tag", list(_ELEMENT_TYPES))
+def test_every_element_refuses_a_negative_mode(tag):
+    """Each field that names a spatial mode holds an integer >= 0 on
+    construction, not only inside a ``Netlist``; an OAM index (``m``, ``k``)
+    may be any integer."""
+    cls, fields = _ELEMENT_TYPES[tag], VALID_FIELDS[tag]
+    assert fields.items() <= cls(**fields).asdict().items()
+    modes = [name for name in cls._fields if name in ("mode", "mode_a", "mode_b", "src", "dst")]
+    assert modes
+    for name in modes:
+        with pytest.raises(ValidationError, match=rf"^{name} must be an integer >= 0, got -1$"):
+            cls(**{**fields, name: -1})
+
+
+def test_a_negative_mode_is_refused_before_it_is_applied():
+    with pytest.raises(ValidationError, match=r"^mode must be an integer >= 0, got -1$"):
+        apply_element(basis_state(0, 0, 1), Filter(mode=-1, m=0))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oamcomp
-from oamcomp import compiler, elements, errors, extraction, readout, state
+from oamcomp import compiler, elements, errors, extraction, readout, state, verification
 from oamcomp.state import basis_state
 
 from conftest import unitary_to_json
@@ -29,7 +29,8 @@ EXPORTS = {
                "Mirror", "Netlist", "PhaseShifter", "ReintegrateGate", "run_netlist"],
     extraction: ["component_survival", "survival_lower_bound"],
     compiler: ["CompileReport", "TwoLevelFactor", "compile_unitary", "decompose_two_level",
-               "haar_random_unitary", "lower_two_level", "reconstruct_and_verify"],
+               "haar_random_unitary", "lower_two_level"],
+    verification: ["reconstruct_and_verify"],
     readout: ["ReadoutCost", "demux", "repeated_run_readout", "sample_full_measurement",
               "sorter_cost"],
 }
@@ -102,8 +103,13 @@ def test_light_commands_import_no_numpy(tmp_path, command):
         assert not {"oamcomp.extraction", "oamcomp.rng"} & names
     else:
         assert not HEAVY & names
-    if command in ("compile", "verify"):
-        assert "oamcomp.compiler" in names
+    # ``verify`` loads the verification pass without the compiler, which
+    # ``compile`` runs the pass from.
+    if command == "verify":
+        assert "oamcomp.verification" in names
+        assert "oamcomp.compiler" not in names
+    elif command == "compile":
+        assert {"oamcomp.compiler", "oamcomp.verification"} <= names
 
 
 @pytest.mark.parametrize("command", ["help", "compile", "simulate", "monte-carlo", "verify",
@@ -154,6 +160,19 @@ def test_extraction_spec_loads_no_sampler():
                           text=True, timeout=60)
     loaded = proc.stdout.split()
     assert loaded == ["oamcomp.elements", "oamcomp.errors", "oamcomp.state"], proc.stderr
+
+
+def test_verification_export_loads_no_compiler():
+    """``oamcomp.reconstruct_and_verify`` resolves in ``verification`` and
+    loads only the modules that it imports, not ``compiler``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys, oamcomp; oamcomp.reconstruct_and_verify; "
+            "print(*sorted(name for name in sys.modules if name.startswith('oamcomp.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    loaded = proc.stdout.split()
+    assert loaded == ["oamcomp.elements", "oamcomp.errors", "oamcomp.state",
+                      "oamcomp.verification"], proc.stderr
 
 
 def test_help_imports_no_simulator():

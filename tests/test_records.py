@@ -77,7 +77,7 @@ amplitude = st.sampled_from([0j, 0.5, -0.5j]) | st.complex_numbers(
 stages = st.just(IDEAL) | st.integers(-1, 4) | st.sampled_from([True, 2.0, "x"])
 some_elements = st.lists(
     st.builds(Filter, mode=st.integers(0, 3), m=small)
-    | st.builds(elements.Mirror, mode=small)
+    | st.builds(elements.Mirror, mode=st.integers(0, 5))
     | st.builds(ExtractGate, m=small, src=st.integers(0, 1), dst=st.integers(2, 3)),
     max_size=3).map(tuple)
 angles = reals | st.sampled_from([math.nan, -math.inf, "x"])

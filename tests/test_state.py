@@ -56,6 +56,16 @@ class TestBasisState:
         with pytest.raises(ValidationError, match="amplitude key must be two integers"):
             PhotonState(n=1, amplitudes={key: 1.0})
 
+    @pytest.mark.parametrize("key, message", [
+        ("x", "^amplitude key must be two integers, got 'x'$"),
+        ((-1, 0), r"^mode must be an integer >= 0, got -1$"),
+    ], ids=["str", "negative-mode"])
+    def test_checks_every_key_before_dropping_zeros(self, key, message):
+        """A bad key is refused even where its amplitude is 0, which the
+        state drops."""
+        with pytest.raises(ValidationError, match=message):
+            PhotonState(n=1, amplitudes={key: 0, (0, 0): 1})
+
 
 class TestFromAmplitudes:
     def test_equal_superposition(self):
