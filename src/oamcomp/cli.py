@@ -13,15 +13,14 @@ module but ``errors``, and no command loads numpy or a parser library:
 ``simulate --monte-carlo`` and ``readout`` draw from ``random.Random(seed)``,
 whose stream CPython keeps across releases, and the successes of
 ``--monte-carlo`` are numpy's binomial algorithm on it (:mod:`oamcomp.rng`).
-The process entry point :func:`run` freezes the heap before teardown;
-:func:`main`, the in-process entry, leaves the collector alone.
+``--help`` loads no ``json`` either.  The process entry point :func:`run`
+ends the process with ``os._exit``, skipping interpreter teardown; :func:`main`,
+the in-process entry, neither ends the process nor touches the collector.
 """
 
 from __future__ import annotations
 
 import atexit
-import gc
-import json
 import os
 import random
 import sys
@@ -60,6 +59,7 @@ def _write(*outputs: tuple[str | None, str]) -> None:
 
 
 def _json(payload, indent: int | None = 2, separators: tuple[str, str] | None = None) -> str:
+    import json
     try:
         return json.dumps(payload, indent=indent, separators=separators, sort_keys=True,
                           allow_nan=False) + "\n"
@@ -81,6 +81,7 @@ def _netlist_json(netlist: dict) -> str:
 
 
 def _read_json(path: str) -> dict:
+    import json
     with open(path) as handle:
         try:
             return json.load(handle)
@@ -89,6 +90,7 @@ def _read_json(path: str) -> dict:
 
 
 def _fail(kind: str, message: str, code: int) -> None:
+    import json
     print(json.dumps({"error": {"type": kind, "message": message}}), file=sys.stderr)
     sys.exit(code)
 
@@ -327,11 +329,23 @@ def main(argv: list[str] | None = None) -> None:
 
 
 def run() -> None:
-    """Entry point of the ``oamc`` process: run one command, then freeze the
-    heap at exit, so that the collections of interpreter teardown skip the
-    objects the command left instead of walking them all."""
-    atexit.register(gc.freeze)
-    main()
+    """Entry point of the ``oamc`` process: run :func:`main`, then the exit
+    handlers, flush the standard streams and end with ``os._exit``, skipping
+    teardown.  A failed flush (a closed pipe) exits normally, so that the
+    interpreter reports it as ever; any other exception propagates."""
+    try:
+        main()
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started without it
+                stream.flush()
+    except OSError:
+        raise SystemExit(code) from None
+    os._exit(code)
 
 
 if __name__ == "__main__":

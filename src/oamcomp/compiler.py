@@ -12,7 +12,6 @@ reusable aux modes.
 
 from __future__ import annotations
 
-import cmath
 import math
 from operator import mul
 from typing import TYPE_CHECKING
@@ -128,7 +127,9 @@ def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
             pairs = list(zip(top[col:], low[col:]))
             top[col:] = [ce * x - s * y for x, y in pairs]
             low[col:] = [se * x + c * y for x, y in pairs]
-            eliminations.append((col, row, math.atan2(abs(b), abs(a)), -cmath.phase(e)))
+            # math.atan2(z.imag, z.real) is cmath.phase(z), bit for bit.
+            phi = -math.atan2(e.imag, e.real)
+            eliminations.append((col, row, math.atan2(abs(b), abs(a)), phi))
 
     # working is now diagonal (phases); U = G_1^† ... G_K^† D, applied D first.
     pending: dict[int, float] = {}
@@ -136,7 +137,7 @@ def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
         phase = working[level][level]
         phase = phase / abs(phase)  # magnitude drift inherits U's unitarity slack
         if abs(phase - 1.0) > 1e-13:
-            pending[level] = cmath.phase(phase)
+            pending[level] = math.atan2(phase.imag, phase.real)
     folded: list[TwoLevelFactor] = []
     for col, row, theta, phi in reversed(eliminations):
         p, q = pending.pop(col, 0.0), pending.pop(row, 0.0)

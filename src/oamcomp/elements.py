@@ -17,7 +17,6 @@ OAM indices never mix.
 
 from __future__ import annotations
 
-import cmath
 import math
 from itertools import repeat
 from operator import add, mul, neg, sub, truediv
@@ -368,7 +367,9 @@ class Rows:
 
 def _phase_shift(rows: Rows, el: PhaseShifter) -> None:
     """Multiply every amplitude in ``el.mode`` by ``exp(i * phi)``."""
-    factor = cmath.exp(1j * el.phi)
+    # cmath.exp(1j * phi) bit for bit, as Python <= 3.13 computes it, without
+    # cmath: there 1j * -0.0 has imaginary part +0.0, so sin takes -0.0 + 0.0.
+    factor = complex(math.cos(el.phi), math.sin(el.phi + 0.0))
     for l in list(rows.levels(el.mode)):
         rows.put(el.mode, l, list(map(mul, rows.get(el.mode, l), repeat(factor))))
 

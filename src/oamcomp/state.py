@@ -9,7 +9,6 @@ cumulative absorption probability.  All operations return new states.
 from __future__ import annotations
 
 import math
-import numbers
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -99,8 +98,12 @@ def _real_field(name: str, value) -> float:
     number, but not a bool (nor a string, which is no number)."""
     real = math.nan
     try:
-        if type(value) is float or isinstance(value, numbers.Real) and type(value) is not bool:
+        if type(value) is float or type(value) is int:
             real = float(value)
+        elif type(value) is not bool:
+            import numbers  # here, not at the top: a JSON number never gets here
+            if isinstance(value, numbers.Real):
+                real = float(value)
     except OverflowError:  # an int beyond the largest double
         pass
     if math.isfinite(real):

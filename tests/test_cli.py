@@ -558,20 +558,31 @@ class TestOptionTable:
 
 class TestProcessLifecycle:
     """``python -m oamcomp.cli`` runs one command through ``run``: exit codes
-    and JSON errors as from ``main``, and the heap frozen before teardown.
-    ``main`` itself leaves the collector as it found it."""
+    and JSON errors as from ``main``, the exit handlers run, and the process
+    ends without interpreter teardown.  ``main`` itself leaves the collector
+    as it found it."""
 
-    #: Runs the CLI as ``__main__`` with an exit hook registered first, so
-    #: that it runs last and sees the collector as teardown will.
-    PROBE = ("import atexit, gc, runpy, sys; "
-             "atexit.register(lambda: print('freeze_count', gc.get_freeze_count(), "
-             "file=sys.stderr)); "
+    #: Runs the CLI as ``__main__`` after registering an exit hook and storing
+    #: a sentinel on a module: teardown would clear the module and so write
+    #: ``teardown`` from the sentinel's ``__del__``.
+    PROBE = ("import atexit, os, runpy, sys; "
+             "atexit.register(lambda: os.write(2, b'hook\\n')); "
+             "sys.modules['atexit'].sentinel = type('Sentinel', (), {'__del__': "
+             "lambda self, write=os.write: write(2, b'teardown\\n')})(); "
              "runpy.run_module('oamcomp.cli', run_name='__main__', alter_sys=True)")
+
+    @staticmethod
+    def env():
+        """The environment of a child that imports this ``oamcomp``, with the
+        buffered stdout of a plain ``oamc`` process."""
+        env = dict(os.environ, PYTHONPATH=str(Path(oamcomp.__file__).parent.parent))
+        env.pop("PYTHONUNBUFFERED", None)
+        return env
 
     @pytest.mark.parametrize("case, code", [
         ("ok", 0), ("validation", 2), ("usage", 2), ("io", 3),
     ])
-    def test_exit_codes_and_frozen_heap(self, tmp_path, case, code):
+    def test_exit_codes_without_teardown(self, tmp_path, case, code):
         write_json(tmp_path / "s.json", basis_state(0, 1, 1).to_json_dict())
         write_json(tmp_path / "net.json", {"n": 1, "modes": 2, "elements": []})
         (tmp_path / "bad.json").write_text("{")
@@ -580,18 +591,61 @@ class TestProcessLifecycle:
                 "--input", str(tmp_path / "s.json"), "--output", str(tmp_path / "out.json")]
         if case == "usage":
             args += ["--monte-carlo", "-5"]
-        env = dict(os.environ, PYTHONPATH=str(Path(oamcomp.__file__).parent.parent))
-        proc = subprocess.run([sys.executable, "-c", self.PROBE, *args], env=env,
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *args], env=self.env(),
                               capture_output=True, text=True, timeout=60)
-        *errors, probe = proc.stderr.splitlines()
+        lines = proc.stderr.splitlines()
+        assert "teardown" not in lines
+        *errors, hook = lines
         assert proc.returncode == code
-        assert int(probe.removeprefix("freeze_count ")) > 0
+        assert hook == "hook"
         if code:
             [line] = errors
             assert json.loads(line)["error"]["type"] == case
         else:
             assert errors == []
             assert (tmp_path / "out.json").exists()
+
+    def test_stdout_reaches_a_pipe(self):
+        """A command's output to a buffered stdout is flushed before the
+        process ends, so it arrives whole, as from ``main``."""
+        args = ["zeno-sweep", "--n-list", "1,3,100"]
+        proc = subprocess.run([sys.executable, "-m", "oamcomp.cli", *args],
+                              capture_output=True, text=True, env=self.env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == invoke(args).stdout
+
+    def test_a_process_without_stderr_exits_cleanly(self):
+        """Started with its stderr closed (``2>&-``), the process has no
+        ``sys.stderr`` to flush and still exits 0 with its output."""
+        args = ["zeno-sweep", "--n-list", "3"]
+        proc = subprocess.run([sys.executable, "-m", "oamcomp.cli", *args],
+                              stdout=subprocess.PIPE, text=True, env=self.env(),
+                              preexec_fn=lambda: os.close(2), timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, invoke(args).stdout)
+
+    def test_an_internal_error_propagates(self):
+        """An exception other than ``SystemExit`` leaves ``run`` as it leaves
+        ``main``: a traceback and exit 1."""
+        code = "import oamcomp.cli as cli; cli.main = lambda: 1 / 0; cli.run()"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=self.env(), timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("Traceback")
+        assert proc.stderr.splitlines()[-1].startswith("ZeroDivisionError")
+
+    def test_a_closed_pipe_exits_as_the_interpreter_reports_it(self):
+        """Output that cannot be flushed into a pipe whose reader has gone
+        ends the process as interpreter teardown reports it: exit 120."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "oamcomp.cli", "zeno-sweep",
+                                   "--n-list", "3"], stdout=write, stderr=subprocess.PIPE,
+                                  env=self.env(), timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 120
+        assert proc.stderr.startswith(b"Exception ignored")
 
     def test_main_leaves_the_collector_alone(self):
         before = gc.isenabled(), gc.get_freeze_count()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oamcomp.compiler import (
     TwoLevelFactor,
@@ -217,6 +217,24 @@ def test_two_parameter_rotation_matches_four_parameter_elimination(d, seed):
 #: :func:`decompose_two_level` is one.
 IDENTITY_FACTOR = TwoLevelFactor(m=0, n_idx=1, theta=0.0, phi_pre=0.0, phi_post=0.0, delta=0.0)
 ANGLES = ("theta", "phi_pre", "phi_post", "delta")
+
+
+@given(z=st.complex_numbers(allow_nan=False, allow_infinity=False))
+@example(z=complex(-0.0, -0.0))
+@example(z=complex(-1.0, -0.0))
+@example(z=complex(5e-324, -5e-324))
+@example(z=complex(2.0**52, 2.0**-1023))
+def test_atan2_is_cmath_phase_bit_for_bit(z):
+    """``decompose_two_level`` reads a phase as ``math.atan2(z.imag, z.real)``,
+    which is ``cmath.phase(z)``, signed zeros and subnormals included.  Only
+    where the phase underflows to zero, which needs ``|z.real|`` about 2**1074
+    times ``|z.imag|`` and so no phase of a unit number, does ``cmath`` raise."""
+    try:
+        want = cmath.phase(z)
+    except OverflowError:
+        assert math.atan2(z.imag, z.real) == 0.0
+    else:
+        assert repr(math.atan2(z.imag, z.real)) == repr(want)
 
 
 class TestTwoLevelFactor:

@@ -1,7 +1,8 @@
+import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oamcomp.compiler import TwoLevelFactor
@@ -15,6 +16,8 @@ from oamcomp.elements import (
     Netlist,
     PhaseShifter,
     ReintegrateGate,
+    Rows,
+    _phase_shift,
     apply_beamsplitter,
     apply_element,
     apply_filter,
@@ -57,6 +60,21 @@ class TestPhaseShifter:
         s = PhotonState(n=1, amplitudes={(0, 0): 0.5, (1, 0): 0.5})
         out = apply_phase_shifter(s, 0, 1.0)
         assert out.amplitude(1, 0) == 0.5
+
+    @given(phi=st.floats(allow_nan=False, allow_infinity=False),
+           amp=st.sampled_from([1 + 0j, complex(1, -0.0), complex(-0.0, 1), complex(-1, -0.0)]))
+    @example(phi=-0.0, amp=complex(1, -0.0))
+    @example(phi=5e-324, amp=complex(1, -0.0))
+    def test_factor_is_cmath_exp_bit_for_bit(self, phi, amp):
+        """The factor is ``cmath.exp(1j * phi)``, signed zeros included.  The
+        oracle multiplies two complex numbers, as ``1j * phi`` did up to
+        Python 3.13; 3.14 multiplies a complex by a float part by part, which
+        makes the imaginary part of ``1j * -0.0`` -0.0."""
+        rows = Rows(1, {(0, 0): [amp]})
+        _phase_shift(rows, PhaseShifter(mode=0, phi=phi))
+        [got] = rows.get(0, 0)
+        want = amp * cmath.exp(1j * complex(phi))
+        assert (repr(got.real), repr(got.imag)) == (repr(want.real), repr(want.imag))
 
 
 class TestHologram:

@@ -93,6 +93,11 @@ def test_light_commands_import_no_numpy(tmp_path, command):
     # The records derive from ``state.Record``, not from ``dataclasses``,
     # which would import ``inspect``.
     assert not {"dataclasses", "inspect"} & names
+    # Phases come from ``math``, and a field rule loads ``numbers`` only for
+    # a type that no JSON value has; ``--help`` reads and writes no JSON.
+    assert not {"cmath", "numbers"} & names
+    if command == "help":
+        assert "json" not in names
     # The sweep runs the gate's closed form and the survival formulas of
     # ``extraction``, and joins its rows without ``csv``.
     if command == "zeno-sweep":

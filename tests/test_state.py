@@ -1,7 +1,10 @@
 import cmath
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -10,6 +13,7 @@ from oamcomp.errors import ValidationError
 from oamcomp.readout import born_distribution
 from oamcomp.state import (
     PhotonState,
+    _real_field,
     basis_state,
     checked_norm2,
     from_amplitudes,
@@ -176,3 +180,19 @@ def test_json_roundtrip(rng):
 def test_json_rejects_garbage():
     with pytest.raises(ValidationError):
         PhotonState.from_json_dict({"n": 1})
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), Fraction(1, 2)],
+                         ids=["float32", "int64", "fraction"])
+def test_real_field_takes_any_real_number(value):
+    """A real number of any type but bool is a real field, stored as a float;
+    only a type other than float and int makes the rule load ``numbers``."""
+    real = _real_field("phi", value)
+    assert type(real) is float and real == value
+
+
+@pytest.mark.parametrize("value", [Decimal("0.5"), True, "0.5"], ids=["decimal", "bool", "str"])
+def test_real_field_refuses_what_is_no_real_number(value):
+    message = f"^phi must be a finite number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValidationError, match=message):
+        _real_field("phi", value)
