@@ -13,9 +13,9 @@ _EXPORTS = {
     ),
     "elements": (
         "IDEAL", "BeamSplitter", "ExtractGate", "ExtractionSpec", "Filter", "Hologram",
-        "Mirror", "Netlist", "PhaseShifter", "ReintegrateGate", "run_netlist",
+        "Mirror", "Netlist", "PhaseShifter", "ReintegrateGate", "component_survival",
+        "run_netlist", "survival_lower_bound",
     ),
-    "extraction": ("component_survival", "survival_lower_bound"),
     "compiler": (
         "CompileReport", "TwoLevelFactor", "compile_unitary", "decompose_two_level",
         "haar_random_unitary", "lower_two_level",

@@ -7,9 +7,10 @@ check on the program's own result failed, such as the ideal-mode residual
 guard; no output is written); 2 bad input, whether a bad option (error type
 ``usage``) or a bad file (``validation``); 3 I/O failure (``io``).  Every
 failure prints one JSON object ``{"error": {"type": ..., "message": ...}}``
-on stderr.  Options are read from one table, ``_COMMANDS``, and each
-command imports only the modules it runs: ``--help`` loads no ``oamcomp``
-module but ``errors``, and no command loads numpy or a parser library:
+on stderr, or nothing if the process has none, never on stdout.  Options
+are read from one table, ``_COMMANDS``, and each command imports only the
+modules it runs: ``--help`` loads no ``oamcomp`` module but ``errors``, and
+no command loads numpy, a parser library or :mod:`oamcomp.extraction`:
 ``simulate --monte-carlo`` and ``readout`` draw from ``random.Random(seed)``,
 whose stream CPython keeps across releases, and the successes of
 ``--monte-carlo`` are numpy's binomial algorithm on it (:mod:`oamcomp.rng`).
@@ -38,7 +39,11 @@ def _write(*outputs: tuple[str | None, str]) -> None:
     """Write each ``(path, text)``: to stdout if ``path`` is None, else to the
     file ``path``.  The files are written all or none: each goes to a
     temporary file beside it, none is moved into place before all are
-    written, and on a failure every temporary file is removed."""
+    written, and on a failure every temporary file is removed.  Text due to a
+    missing stdout is an ``OSError`` before any file is written."""
+    shown = "".join(text for path, text in outputs if path is None)
+    if shown and sys.stdout is None:
+        raise OSError("cannot write to stdout: the process has none")
     temps: list[tuple[str, str]] = []
     try:
         for path, text in outputs:
@@ -55,7 +60,8 @@ def _write(*outputs: tuple[str | None, str]) -> None:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         raise
-    sys.stdout.write("".join(text for path, text in outputs if path is None))
+    if shown:
+        sys.stdout.write(shown)
 
 
 def _json(payload, indent: int | None = 2, separators: tuple[str, str] | None = None) -> str:
@@ -90,8 +96,9 @@ def _read_json(path: str) -> dict:
 
 
 def _fail(kind: str, message: str, code: int) -> None:
-    import json
-    print(json.dumps({"error": {"type": kind, "message": message}}), file=sys.stderr)
+    if sys.stderr is not None:  # None when the process started without it: never stdout
+        import json
+        print(json.dumps({"error": {"type": kind, "message": message}}), file=sys.stderr)
     sys.exit(code)
 
 
@@ -178,8 +185,7 @@ def cmd_verify(args) -> None:
 
 def cmd_zeno_sweep(args) -> None:
     """Survival of a non-extracted component versus Zeno stage count (CSV)."""
-    from . import extraction
-    from .elements import ExtractGate, apply_element
+    from .elements import ExtractGate, apply_element, component_survival, survival_lower_bound
     from .state import basis_state, survival_probability
     # No column can hold a comma: an int and three ``repr`` floats.
     rows = ["N,analytic_survival,simulated_survival,bound_1_minus_pi2_over_4N"]
@@ -188,8 +194,8 @@ def cmd_zeno_sweep(args) -> None:
     for stages in args.n_list:
         gate = ExtractGate(m=0, src=0, dst=1, stages=stages)
         simulated = survival_probability(apply_element(probe, gate))
-        rows.append(f"{stages},{extraction.component_survival(stages)!r},{simulated!r},"
-                    f"{extraction.survival_lower_bound(stages)!r}")
+        rows.append(f"{stages},{component_survival(stages)!r},{simulated!r},"
+                    f"{survival_lower_bound(stages)!r}")
     _write((args.output, "\n".join(rows) + "\n"))
 
 
@@ -282,11 +288,11 @@ def _value(kind, name: str, text: str):
 def _parse(argv: list[str]):
     """The command ``argv`` names and its options: a value follows ``=`` or is
     the next token unless that begins with ``--``, and a repeated option keeps
-    its last value.  ``--help`` prints help and exits; a fault is a ``ValueError``."""
+    its last value.  With ``--help`` the command writes the help; a fault is a ``ValueError``."""
     command, *tokens = argv
     if command == "--help" or command in _COMMANDS and "--help" in tokens:
-        sys.stdout.write(_help(None if command == "--help" else command))
-        sys.exit(0)
+        text = _help(None if command == "--help" else command)
+        return lambda args: _write((None, text)), None
     if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
     run, options = _COMMANDS[command]
@@ -312,7 +318,8 @@ def main(argv: list[str] | None = None) -> None:
     default).  Without arguments, print the help on stderr and exit 2."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv:
-        sys.stderr.write(_help())
+        if sys.stderr is not None:
+            sys.stderr.write(_help())
         sys.exit(EXIT_VALIDATION)
     try:
         command, args = _parse(argv)

@@ -131,7 +131,11 @@ class Netlist(Record):
         if self.mode_count < 1:
             raise ValidationError(f"mode_count must be an integer >= 1, got {self.mode_count!r}")
         for el in self.elements:
-            for mode in _element_modes(el):
+            names = _MODE_FIELDS.get(type(el))
+            if names is None:
+                raise ValidationError(f"unknown element {el!r}")
+            for name in names:
+                mode = getattr(el, name)
                 if mode >= self.mode_count:  # each element refuses a negative mode
                     raise ValidationError(f"element {el!r} references mode {mode!r}, "
                                           f"not an integer in [0, {self.mode_count})")
@@ -157,14 +161,6 @@ class Netlist(Record):
         return cls(n=n, mode_count=modes, elements=tuple(elements))
 
 
-def _element_modes(el: Element) -> tuple[int, ...]:
-    if isinstance(el, BeamSplitter):
-        return (el.mode_a, el.mode_b)
-    if isinstance(el, ExtractionSpec):
-        return (el.src, el.dst)
-    return (el.mode,)
-
-
 #: Netlist JSON ``type`` tag of each element class; the other JSON keys are
 #: the class's field names.
 _ELEMENT_TYPES = {
@@ -172,11 +168,13 @@ _ELEMENT_TYPES = {
     "mirror": Mirror, "extract": ExtractGate, "reintegrate": ReintegrateGate,
 }
 _ELEMENT_TAGS = {cls: tag for tag, cls in _ELEMENT_TYPES.items()}
+#: The fields annotated ``Mode`` of each element class, by exact type: a
+#: netlist holds only these classes, and checks these fields against its modes.
+_MODE_FIELDS = {cls: tuple(name for name, kind in cls._fields.items() if kind == "Mode")
+                for cls in _ELEMENT_TYPES.values()}
 
 
 def _element_to_json(el: Element) -> dict:
-    if type(el) not in _ELEMENT_TAGS:
-        raise ValidationError(f"unknown element {el!r}")
     return {"type": _ELEMENT_TAGS[type(el)], **el.asdict()}
 
 
@@ -430,6 +428,18 @@ def _zeno_chain(rows: Rows, spec: ExtractionSpec, theta: float) -> None:
             rows.put(src, j + m, [-x * s_n + y * c_n for x, y in zip(a, b)])
         else:
             rows.put(src, j + m, [(-x * s + y * c) * decay for x, y in zip(a, b)])
+
+
+def component_survival(stages: Stages) -> float:
+    """Survival probability of a non-extracted component, ``cos^{2N}(pi/2N)``."""
+    if stages == IDEAL:
+        return 1.0
+    return math.cos(math.pi / (2 * stages)) ** (2 * stages)
+
+
+def survival_lower_bound(stages: int) -> float:
+    """First-order estimate ``1 - pi^2 / (4 N)`` of the survival probability."""
+    return 1.0 - math.pi**2 / (4 * stages)
 
 
 def _macro(rows: Rows, gate: ExtractGate | ReintegrateGate) -> None:

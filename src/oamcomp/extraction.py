@@ -1,4 +1,4 @@
-"""Extraction gate: Zeno-chain lowering, survival accounting, absorption sampling.
+"""Extraction gate as its chain of primitives, and absorption sampling.
 
 The gate moves the OAM-``m`` component of a superposition in one spatial mode
 into OAM 0 of another mode.  Physically it is realized by a chain of ``N``
@@ -9,10 +9,11 @@ every other component is repeatedly clipped by the filters and survives with
 probability ``cos(pi / (2 N)) ** (2 N)``, which tends to 1 as ``N`` grows.
 
 The gate is the netlist element ``ExtractGate`` or ``ReintegrateGate`` of
-:mod:`oamcomp.elements`, whose semantics, ideal and in the chain's exact
-closed form, live with the other elements'.  The chain of primitives that
-:func:`expand_netlist` builds is the physical elaboration of the gate and the
-oracle that tests hold the closed form to.
+:mod:`oamcomp.elements`, which holds its semantics, ideal and in the chain's
+exact closed form, and its survival formulas.  This module keeps what the
+tests and ``oambench/layers.py`` read: :func:`expand_netlist`, whose chain of
+primitives the tests hold the closed form to, and the Monte Carlo sampler.
+No ``oamc`` command loads it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from random import Random
 
 # ``apply_macro`` is re-exported: oambench/layers.py reads it here.
 from .elements import (  # noqa: F401
-    IDEAL, BeamSplitter, Element, ExtractGate, Filter, Hologram, Netlist, ReintegrateGate,
-    Rows, Stages, apply_macro, check_state_fits, is_lossy, iter_steps,
+    BeamSplitter, Element, ExtractGate, Filter, Hologram, Netlist, ReintegrateGate, Rows,
+    apply_macro, check_state_fits, is_lossy, iter_steps,
 )
 from .state import PhotonState, Record, normalized, survival_probability
 
@@ -39,26 +40,6 @@ def _chain_elements(gate: ExtractGate | ReintegrateGate) -> list[Element]:
              Filter(mode=gate.dst, m=0)]
     return [Hologram(mode=gate.src, k=-gate.m), *stage * gate.stages,
             Hologram(mode=gate.src, k=gate.m)]
-
-
-# ---------------------------------------------------------------------------
-# Analytic survival accounting.
-
-
-def component_survival(stages: Stages) -> float:
-    """Survival probability of a non-extracted component, ``cos^{2N}(pi/2N)``."""
-    if stages == IDEAL:
-        return 1.0
-    return math.cos(math.pi / (2 * stages)) ** (2 * stages)
-
-
-def survival_lower_bound(stages: int) -> float:
-    """First-order estimate ``1 - pi^2 / (4 N)`` of the survival probability."""
-    return 1.0 - math.pi**2 / (4 * stages)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo absorption sampling.
 
 
 def expand_netlist(netlist: Netlist) -> Netlist:

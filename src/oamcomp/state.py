@@ -213,8 +213,9 @@ class PhotonState(Record):
             amps: dict[ModeOAM, complex] = {}
             for entry in data["amplitudes"]:
                 key = (_mode_field("mode", entry["mode"]), _int_field("l", entry["l"]))
-                amp = complex(_real_field("re", entry["re"]), _real_field("im", entry["im"]))
-                amps[key] = amps.get(key, 0j) + amp
+                if key in amps:
+                    raise ValueError(f"amplitude at (mode, l) = {key} given twice")
+                amps[key] = complex(_real_field("re", entry["re"]), _real_field("im", entry["im"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed state JSON: {exc}") from exc
         return cls(n=n, amplitudes=amps)

@@ -20,9 +20,11 @@ from oamcomp.elements import (
     ReintegrateGate,
     apply_beamsplitter,
     apply_element,
+    component_survival,
     run_netlist,
+    survival_lower_bound,
 )
-from oamcomp.extraction import component_survival, expand_netlist, survival_lower_bound
+from oamcomp.extraction import expand_netlist
 from oamcomp.readout import demux, repeated_run_readout, sorter_cost
 from oamcomp.state import (
     basis_state,

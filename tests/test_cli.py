@@ -378,6 +378,21 @@ class TestRejectsBadInput:
         assert error == {"type": "validation",
                          "message": f"malformed {kind} JSON: {field} must be an integer, got True"}
 
+    def test_repeated_amplitude_key_is_malformed_json(self, tmp_path):
+        """Two entries at one ``(mode, l)`` are refused, not summed."""
+        write_json(tmp_path / "s.json", {"n": 1, "amplitudes": [
+            {"mode": 0, "l": 1, "re": 0.6, "im": 0.0},
+            {"mode": 0, "l": 1, "re": 0.2, "im": 0.0}]})
+        write_json(tmp_path / "net.json", {"n": 1, "modes": 1, "elements": []})
+        result = invoke_cli(["simulate", "--netlist", str(tmp_path / "net.json"),
+                             "--input", str(tmp_path / "s.json"),
+                             "--output", str(tmp_path / "out.json")])
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "validation"
+        assert error["message"].startswith("malformed state JSON: ")
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("kind", ["state", "netlist"])
     def test_negative_mode_is_malformed_json(self, tmp_path, kind):
         """Both readers hold a mode to the one mode rule."""
@@ -622,6 +637,38 @@ class TestProcessLifecycle:
                               stdout=subprocess.PIPE, text=True, env=self.env(),
                               preexec_fn=lambda: os.close(2), timeout=60)
         assert (proc.returncode, proc.stdout) == (0, invoke(args).stdout)
+
+    def test_a_process_without_stdout_writes_its_files(self, tmp_path):
+        """Started with its stdout closed (``>&-``), a command whose output
+        all goes to files never touches stdout."""
+        args = ["zeno-sweep", "--n-list", "3"]
+        out = tmp_path / "z.csv"
+        proc = subprocess.run([sys.executable, "-m", "oamcomp.cli", *args, "--output", str(out)],
+                              stderr=subprocess.PIPE, text=True, env=self.env(),
+                              preexec_fn=lambda: os.close(1), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert out.read_text() == invoke(args).stdout
+
+    @pytest.mark.parametrize("args", [["--help"], ["compile", "--help"],
+                                      ["zeno-sweep", "--n-list", "3"]])
+    def test_text_due_to_a_missing_stdout_is_an_io_error(self, args):
+        proc = subprocess.run([sys.executable, "-m", "oamcomp.cli", *args],
+                              stderr=subprocess.PIPE, text=True, env=self.env(),
+                              preexec_fn=lambda: os.close(1), timeout=60)
+        assert proc.returncode == 3
+        assert json.loads(proc.stderr)["error"]["type"] == "io"
+
+    @pytest.mark.parametrize("case", ["validation", "no-arguments"])
+    def test_a_process_without_stderr_never_writes_an_error_to_stdout(self, tmp_path, case):
+        """Without a stderr, a failure prints nothing and exits with its own code."""
+        write_json(tmp_path / "s.json", basis_state(0, 1, 1).to_json_dict())
+        write_json(tmp_path / "net.json", {"n": True, "modes": 1, "elements": []})
+        args = ["simulate", "--netlist", str(tmp_path / "net.json"),
+                "--input", str(tmp_path / "s.json")] if case == "validation" else []
+        proc = subprocess.run([sys.executable, "-m", "oamcomp.cli", *args],
+                              stdout=subprocess.PIPE, text=True, env=self.env(),
+                              preexec_fn=lambda: os.close(2), timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
 
     def test_an_internal_error_propagates(self):
         """An exception other than ``SystemExit`` leaves ``run`` as it leaves

@@ -1,4 +1,5 @@
 import cmath
+import gc
 import math
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from oamcomp.compiler import TwoLevelFactor
 from oamcomp.elements import (
     _ELEMENT_TYPES,
+    _MODE_FIELDS,
+    _SEMANTICS,
     BeamSplitter,
     ExtractGate,
     Filter,
@@ -25,7 +28,9 @@ from oamcomp.elements import (
     run_netlist,
 )
 from oamcomp.errors import ValidationError
-from oamcomp.state import PhotonState, basis_state, from_amplitudes, survival_probability
+from oamcomp.state import (
+    Mode, PhotonState, Record, _mode_field, basis_state, from_amplitudes, survival_probability,
+)
 
 from conftest import random_state, states_close
 
@@ -261,6 +266,35 @@ class TestNetlist:
             Netlist.from_json_dict(
                 {"n": 1, "modes": 1, "elements": [{"type": "prism", "mode": 0}]}
             )
+
+    def test_rejects_an_element_of_unknown_type(self):
+        """A netlist holds only the element classes, by exact type, as the
+        stepping loop dispatches on it; anything else is refused when the
+        netlist is built, not when it is written or run."""
+        class Prism(Record):  # a record with a mode field, but no element
+            mode: Mode
+
+        class SubFilter(Filter):
+            pass
+
+        for element in (Prism(mode=0), SubFilter(mode=0, m=0), object()):
+            with pytest.raises(ValidationError, match=r"^unknown element "):
+                Netlist(n=1, mode_count=1, elements=(element,))
+        # Every live Record subclass must have a twin in test_records: let these go.
+        del Prism, SubFilter, element
+        gc.collect()
+
+
+def test_every_element_class_has_semantics():
+    assert set(_ELEMENT_TYPES.values()) == _SEMANTICS.keys()
+
+
+@pytest.mark.parametrize("cls", list(_ELEMENT_TYPES.values()), ids=lambda cls: cls.__name__)
+def test_mode_fields_are_the_fields_held_to_the_mode_rule(cls):
+    """A netlist checks each element's fields annotated ``Mode``, the ones
+    its constructor holds to the mode rule, against its mode count."""
+    assert _MODE_FIELDS[cls] == tuple(name for name, rule in cls._rules if rule is _mode_field)
+    assert _MODE_FIELDS[cls]
 
 
 @pytest.mark.parametrize("make", [

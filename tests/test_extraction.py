@@ -17,16 +17,13 @@ from oamcomp.elements import (
     ReintegrateGate,
     Rows,
     apply_element,
+    component_survival,
     iter_steps,
     run_netlist,
-)
-from oamcomp.errors import ValidationError
-from oamcomp.extraction import (
-    component_survival,
-    expand_netlist,
-    monte_carlo_run,
     survival_lower_bound,
 )
+from oamcomp.errors import ValidationError
+from oamcomp.extraction import expand_netlist, monte_carlo_run
 from oamcomp.state import (
     RESIDUE_TOL,
     PhotonState,

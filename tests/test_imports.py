@@ -26,8 +26,8 @@ EXPORTS = {
     state: ["PhotonState", "basis_state", "from_amplitudes", "normalized",
             "survival_probability"],
     elements: ["IDEAL", "BeamSplitter", "ExtractGate", "ExtractionSpec", "Filter", "Hologram",
-               "Mirror", "Netlist", "PhaseShifter", "ReintegrateGate", "run_netlist"],
-    extraction: ["component_survival", "survival_lower_bound"],
+               "Mirror", "Netlist", "PhaseShifter", "ReintegrateGate", "component_survival",
+               "run_netlist", "survival_lower_bound"],
     compiler: ["CompileReport", "TwoLevelFactor", "compile_unitary", "decompose_two_level",
                "haar_random_unitary", "lower_two_level"],
     verification: ["reconstruct_and_verify"],
@@ -98,14 +98,15 @@ def test_light_commands_import_no_numpy(tmp_path, command):
     assert not {"cmath", "numbers"} & names
     if command == "help":
         assert "json" not in names
-    # The sweep runs the gate's closed form and the survival formulas of
-    # ``extraction``, and joins its rows without ``csv``.
+    # The gate's closed forms live in ``elements``: no command loads ``extraction``.
+    assert "oamcomp.extraction" not in names
+    # The sweep joins its rows without ``csv``.
     if command == "zeno-sweep":
-        assert not (HEAVY - {"oamcomp.extraction"} | {"csv", "_csv"}) & names
+        assert not (HEAVY | {"csv", "_csv"}) & names
     elif command == "readout":
         # The readouts call only ``random()`` of the seeded ``random.Random``.
         assert "oamcomp.readout" in names
-        assert not {"oamcomp.extraction", "oamcomp.rng"} & names
+        assert "oamcomp.rng" not in names
     else:
         assert not HEAVY & names
     # ``verify`` loads the verification pass without the compiler, which

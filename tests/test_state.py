@@ -182,6 +182,12 @@ def test_json_rejects_garbage():
         PhotonState.from_json_dict({"n": 1})
 
 
+def test_json_rejects_a_repeated_key():
+    entry = {"mode": 0, "l": 1, "re": 0.6, "im": 0.0}
+    with pytest.raises(ValidationError, match=r"^malformed state JSON: .* given twice$"):
+        PhotonState.from_json_dict({"n": 1, "amplitudes": [entry, {**entry, "re": 0.2}]})
+
+
 @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), Fraction(1, 2)],
                          ids=["float32", "int64", "fraction"])
 def test_real_field_takes_any_real_number(value):
