@@ -7,13 +7,14 @@ check on the program's own result failed, such as the ideal-mode residual
 guard; no output is written); 2 bad input, whether a bad option (error type
 ``usage``) or a bad file (``validation``); 3 I/O failure (``io``).  Every
 failure prints one JSON object ``{"error": {"type": ..., "message": ...}}``
-on stderr, or nothing if the process has none, never on stdout.  Options
-are read from one table, ``_COMMANDS``, and each command imports only the
-modules it runs: ``--help`` loads no ``oamcomp`` module but ``errors``, and
-no command loads numpy, a parser library or :mod:`oamcomp.extraction`:
-``simulate --monte-carlo`` and ``readout`` draw from ``random.Random(seed)``,
-whose stream CPython keeps across releases, and the successes of
-``--monte-carlo`` are numpy's binomial algorithm on it (:mod:`oamcomp.rng`).
+on stderr, or nothing if it has none or cannot be written, never on stdout.
+Options are read from one table, ``_COMMANDS``, and each command imports only
+the modules it runs: ``--help`` loads no ``oamcomp`` module but ``errors``;
+no command loads numpy, ``tempfile``, ``typing``, a parser library or
+:mod:`oamcomp.extraction`; only ``simulate --monte-carlo`` and ``readout``
+load ``random`` and draw from ``random.Random(seed)``, whose stream CPython
+keeps across releases, and the successes of ``--monte-carlo`` are numpy's
+binomial algorithm on it (:mod:`oamcomp.rng`).
 ``--help`` loads no ``json`` either.  The process entry point :func:`run`
 ends the process with ``os._exit``, skipping interpreter teardown; :func:`main`,
 the in-process entry, neither ends the process nor touches the collector.
@@ -23,9 +24,7 @@ from __future__ import annotations
 
 import atexit
 import os
-import random
 import sys
-import tempfile
 import types
 
 from .errors import InternalError, ValidationError
@@ -37,10 +36,10 @@ EXIT_IO = 3
 
 def _write(*outputs: tuple[str | None, str]) -> None:
     """Write each ``(path, text)``: to stdout if ``path`` is None, else to the
-    file ``path``.  The files are written all or none: each goes to a
-    temporary file beside it, none is moved into place before all are
-    written, and on a failure every temporary file is removed.  Text due to a
-    missing stdout is an ``OSError`` before any file is written."""
+    file ``path``.  The files are written all or none: each goes to a new file
+    beside it (``open(tmp, "x")``, the umask's mode), none is moved into place
+    before all are written, and on a failure every one is removed.  Text due
+    to a missing stdout is an ``OSError`` before any file is written."""
     shown = "".join(text for path, text in outputs if path is None)
     if shown and sys.stdout is None:
         raise OSError("cannot write to stdout: the process has none")
@@ -48,10 +47,10 @@ def _write(*outputs: tuple[str | None, str]) -> None:
     try:
         for path, text in outputs:
             if path is not None:
-                directory = os.path.dirname(os.path.abspath(path))
-                fd, tmp = tempfile.mkstemp(dir=directory, prefix=".oamc-")
-                temps.append((tmp, path))
-                with os.fdopen(fd, "w") as handle:
+                tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                   f".oamc-{os.getpid()}-{os.urandom(6).hex()}")
+                with open(tmp, "x") as handle:
+                    temps.append((tmp, path))
                     handle.write(text)
         for tmp, path in temps:
             os.replace(tmp, path)
@@ -98,7 +97,10 @@ def _read_json(path: str) -> dict:
 def _fail(kind: str, message: str, code: int) -> None:
     if sys.stderr is not None:  # None when the process started without it: never stdout
         import json
-        print(json.dumps({"error": {"type": kind, "message": message}}), file=sys.stderr)
+        try:
+            print(json.dumps({"error": {"type": kind, "message": message}}), file=sys.stderr)
+        except OSError:  # an unwritable stderr loses the line, not the exit code
+            pass
     sys.exit(code)
 
 
@@ -164,7 +166,8 @@ def cmd_simulate(args) -> None:
             p = min(survival, initial) / initial
         else:
             p = float(not any(map(is_lossy, netlist.elements)))
-        successes = binomial(random.Random(args.seed), runs, p)
+        from random import Random
+        successes = binomial(Random(args.seed), runs, p)
         payload["monte_carlo"] = {
             "runs": runs, "successes": successes, "success_rate": successes / runs,
             "seed": args.seed,
@@ -201,12 +204,13 @@ def cmd_zeno_sweep(args) -> None:
 
 def cmd_readout(args) -> None:
     """Plan or sample a readout of the final OAM state."""
+    from random import Random
     from . import readout as readout_mod
     from .state import PhotonState
     state = PhotonState.from_json_dict(_read_json(args.input))
     if args.mode not in state.modes():
         raise ValidationError(f"--mode {args.mode} holds no amplitude in {args.input}")
-    rng = random.Random(args.seed)
+    rng = Random(args.seed)
     payload: dict = {"strategy": args.strategy, "n": state.n, "seed": args.seed}
     if args.strategy == "sorter":
         cost, payload["exponential_warning"] = readout_mod.sorter_cost(state.n)
@@ -319,7 +323,10 @@ def main(argv: list[str] | None = None) -> None:
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv:
         if sys.stderr is not None:
-            sys.stderr.write(_help())
+            try:
+                sys.stderr.write(_help())
+            except OSError:  # as in ``_fail``
+                pass
         sys.exit(EXIT_VALIDATION)
     try:
         command, args = _parse(argv)
@@ -338,20 +345,21 @@ def main(argv: list[str] | None = None) -> None:
 def run() -> None:
     """Entry point of the ``oamc`` process: run :func:`main`, then the exit
     handlers, flush the standard streams and end with ``os._exit``, skipping
-    teardown.  A failed flush (a closed pipe) exits normally, so that the
-    interpreter reports it as ever; any other exception propagates."""
+    teardown.  A failed flush of stdout (a closed pipe) exits normally, for the
+    interpreter to report it as ever; any other exception propagates."""
     try:
         main()
         code = 0
     except SystemExit as exc:
         code = exc.code
     atexit._run_exitfuncs()
-    try:
-        for stream in (sys.stdout, sys.stderr):
+    for stream in (sys.stdout, sys.stderr):
+        try:
             if stream is not None:  # None when the process started without it
                 stream.flush()
-    except OSError:
-        raise SystemExit(code) from None
+        except OSError:  # an unwritable stderr loses its text, not the exit code
+            if stream is sys.stdout:
+                raise SystemExit(code) from None
     os._exit(code)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .errors import InternalError, ValidationError
 from .elements import (
@@ -33,9 +32,6 @@ from .state import Record, norm
 from .verification import (  # noqa: F401
     Matrix, _frobenius2, _square, _verify, reconstruct_and_verify, unitary_from_json,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 UNITARITY_TOL = 1e-9
 #: Residual above which an IDEAL-mode compile is treated as an internal bug.

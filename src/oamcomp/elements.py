@@ -18,9 +18,9 @@ OAM indices never mix.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from itertools import repeat
 from operator import add, mul, neg, sub, truediv
-from typing import Mapping, Union
 
 from .errors import ValidationError
 from .state import (
@@ -31,7 +31,7 @@ from .state import (
 #: Marker for the lossless, infinite-stage limit of the extraction gate.
 IDEAL = "ideal"
 
-Stages = Union[int, str]  # positive int or IDEAL
+Stages = int | str  # positive int or IDEAL
 
 #: Largest finite stage count: the gate's closed form takes ``N theta`` in
 #: double precision, which holds every integer only up to ``2**53``.
@@ -107,9 +107,7 @@ class ReintegrateGate(ExtractionSpec):
     """Macro: inverse of :class:`ExtractGate` on the same mode pair."""
 
 
-Element = Union[
-    PhaseShifter, Hologram, BeamSplitter, Filter, Mirror, ExtractGate, ReintegrateGate
-]
+Element = PhaseShifter | Hologram | BeamSplitter | Filter | Mirror | ExtractGate | ReintegrateGate
 
 
 def is_lossy(el: Element) -> bool:
@@ -524,11 +522,6 @@ def apply_beamsplitter(
 def apply_filter(state: PhotonState, mode: int, m: int) -> PhotonState:
     """Project ``mode`` onto OAM ``m``; everything else in that mode is absorbed."""
     return apply_element(state, Filter(mode=mode, m=m))
-
-
-def apply_macro(state: PhotonState, gate: ExtractGate | ReintegrateGate) -> PhotonState:
-    """The exact Zeno chain, or when ideal its limit, a signed swap."""
-    return apply_element(state, gate)
 
 
 def check_state_fits(state: PhotonState, netlist: Netlist) -> None:

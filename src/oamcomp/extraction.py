@@ -22,10 +22,10 @@ import bisect
 import math
 from random import Random
 
-# ``apply_macro`` is re-exported: oambench/layers.py reads it here.
+# ``apply_element`` is re-exported as ``apply_macro``: oambench/layers.py reads it here.
 from .elements import (  # noqa: F401
     BeamSplitter, Element, ExtractGate, Filter, Hologram, Netlist, ReintegrateGate, Rows,
-    apply_macro, check_state_fits, is_lossy, iter_steps,
+    apply_element as apply_macro, check_state_fits, is_lossy, iter_steps,
 )
 from .state import PhotonState, Record, normalized, survival_probability
 

@@ -9,8 +9,8 @@ cumulative absorption probability.  All operations return new states.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .errors import ValidationError
 

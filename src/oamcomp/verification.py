@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import LeakageError, ValidationError
 from .elements import Netlist, Rows, is_lossy, iter_steps

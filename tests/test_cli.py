@@ -670,6 +670,31 @@ class TestProcessLifecycle:
                               preexec_fn=lambda: os.close(2), timeout=60)
         assert (proc.returncode, proc.stdout) == (2, "")
 
+    @staticmethod
+    def read_only_stderr():
+        """Put a read-only descriptor on fd 2, as a shell-script launcher run
+        with ``2>&-`` hands the interpreter its script: ``sys.stderr`` exists,
+        but every write to it raises ``EBADF``."""
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.dup2(fd, 2)
+        os.close(fd)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("case", ["validation", "no-arguments"])
+    def test_an_unwritable_stderr_keeps_the_exit_code(self, tmp_path, case, unbuffered):
+        """The lost error line changes neither the exit code nor stdout,
+        whether the write fails at once (``PYTHONUNBUFFERED``) or at the
+        flush before the process ends."""
+        write_json(tmp_path / "s.json", basis_state(0, 1, 1).to_json_dict())
+        write_json(tmp_path / "net.json", {"n": True, "modes": 1, "elements": []})
+        args = ["simulate", "--netlist", str(tmp_path / "net.json"),
+                "--input", str(tmp_path / "s.json")] if case == "validation" else []
+        env = dict(self.env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+        proc = subprocess.run([sys.executable, "-m", "oamcomp.cli", *args],
+                              stdout=subprocess.PIPE, text=True, env=env,
+                              preexec_fn=self.read_only_stderr, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+
     def test_an_internal_error_propagates(self):
         """An exception other than ``SystemExit`` leaves ``run`` as it leaves
         ``main``: a traceback and exit 1."""
@@ -698,6 +723,58 @@ class TestProcessLifecycle:
         before = gc.isenabled(), gc.get_freeze_count()
         assert invoke(["zeno-sweep", "--n-list", "3"]).exit_code == 0
         assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+class TestOutputFiles:
+    """Each output file is first written to a new file beside it, created by
+    ``open(..., "x")`` with the mode the umask leaves, and the files of one
+    command are moved into place all or none."""
+
+    @pytest.fixture(params=[0o022, 0o077], ids=["umask-022", "umask-077"])
+    def umask(self, request):
+        old = os.umask(request.param)
+        yield request.param
+        os.umask(old)
+
+    def test_outputs_take_the_umask_mode(self, tmp_path, umask):
+        U = haar_random_unitary(4, np.random.default_rng(8))
+        write_json(tmp_path / "u.json", unitary_to_json(U))
+        write_json(tmp_path / "s.json", basis_state(0, 0, 2).to_json_dict())
+        net, u, s = (str(tmp_path / name) for name in ("net.json", "u.json", "s.json"))
+        outputs = {"net.json", "rep.json", "sim.json", "mc.json", "ver.json", "z.csv",
+                   "ro.json"}
+        for args in (["compile", "--input", u, "--output", net, "--spec-n", "5",
+                      "--report", str(tmp_path / "rep.json")],
+                     ["simulate", "--netlist", net, "--input", s,
+                      "--output", str(tmp_path / "sim.json")],
+                     ["simulate", "--netlist", net, "--input", s, "--monte-carlo", "3",
+                      "--output", str(tmp_path / "mc.json")],
+                     ["verify", "--netlist", net, "--input", u,
+                      "--output", str(tmp_path / "ver.json")],
+                     ["zeno-sweep", "--output", str(tmp_path / "z.csv")],
+                     ["readout", "--input", s, "--strategy", "repeat",
+                      "--output", str(tmp_path / "ro.json")]):
+            assert invoke(args).exit_code == 0, args
+        assert {path.name for path in tmp_path.iterdir()} == outputs | {"u.json", "s.json"}
+        for name in outputs:
+            assert os.stat(tmp_path / name).st_mode & 0o777 == 0o666 & ~umask, name
+
+    def test_a_file_at_a_temporary_name_is_left_alone(self, tmp_path, monkeypatch):
+        """The second output's temporary name is taken: the command is an I/O
+        error, the file there is untouched, and the first output's temporary
+        file is removed, so nothing is written."""
+        write_json(tmp_path / "u.json", unitary_to_json(np.eye(2, dtype=complex)))
+        draws = iter([b"\x01" * 6, b"\x02" * 6])
+        monkeypatch.setattr(cli.os, "urandom", lambda size: next(draws))
+        taken = tmp_path / f".oamc-{os.getpid()}-{'02' * 6}"
+        taken.write_text("not ours")
+        result = invoke_cli(["compile", "--input", str(tmp_path / "u.json"),
+                             "--output", str(tmp_path / "net.json"),
+                             "--report", str(tmp_path / "rep.json")])
+        assert result.exit_code == 3
+        assert json.loads(result.stderr)["error"]["type"] == "io"
+        assert taken.read_text() == "not ours"
+        assert {path.name for path in tmp_path.iterdir()} == {"u.json", taken.name}
 
 
 class TestVerify:

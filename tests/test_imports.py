@@ -36,11 +36,15 @@ EXPORTS = {
 }
 
 
-def imported_modules(*args):
+def imported_modules(*args, site=True):
     """Exit code and the modules that ``python -m oamcomp.cli *args`` imports,
-    read from the interpreter's own import log (``-X importtime``)."""
+    read from the interpreter's own import log (``-X importtime``).  With
+    ``site=False`` the interpreter starts with ``-S``: a ``.pth`` file in
+    site-packages may import modules in every process, and only without
+    ``site`` does the log hold every module that the command imports."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "oamcomp.cli", *args],
+    flags = ["-X", "importtime"] if site else ["-S", "-X", "importtime"]
+    proc = subprocess.run([sys.executable, *flags, "-m", "oamcomp.cli", *args],
                           env=env, capture_output=True, text=True, timeout=60)
     names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
              if line.startswith("import time:")}
@@ -75,18 +79,24 @@ def compile_verify_args(tmp_path, command):
     return ["verify", "--netlist", str(netlist), "--input", str(unitary)]
 
 
-@pytest.mark.parametrize("command", ["help", "simulate", "monte-carlo", "zeno-sweep",
-                                     "compile", "verify", "readout"])
-def test_light_commands_import_no_numpy(tmp_path, command):
-    args = {"help": ["--help"], "simulate": simulate_args(tmp_path),
+def command_args(tmp_path, command, strategy="sorter"):
+    """The arguments of one run of ``command``, on files in tmp_path."""
+    return {"help": ["--help"], "simulate": simulate_args(tmp_path),
             "monte-carlo": simulate_args(tmp_path, "--monte-carlo", "3"),
             "zeno-sweep": ["zeno-sweep", "--n-list", "1,3"],
             "compile": compile_verify_args(tmp_path, "compile"),
             "verify": compile_verify_args(tmp_path, "verify"),
             # simulate_args wrote the state file s.json.
             "readout": ["readout", "--input", str(tmp_path / "s.json"),
-                        "--strategy", "sorter"]}[command]
-    code, names = imported_modules(*args)
+                        "--strategy", strategy]}[command]
+
+
+COMMANDS = ["help", "simulate", "monte-carlo", "zeno-sweep", "compile", "verify", "readout"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_light_commands_import_no_numpy(tmp_path, command):
+    code, names = imported_modules(*command_args(tmp_path, command))
     assert code == 0
     assert "oamcomp" in names  # the log was read
     assert not {name for name in names if name.partition(".")[0] == "numpy"}
@@ -123,18 +133,24 @@ def test_light_commands_import_no_numpy(tmp_path, command):
 def test_no_command_imports_an_option_parser(tmp_path, command):
     """The options are read from the table in ``cli``, so no command loads
     ``argparse`` or the ``gettext`` that it imports."""
-    args = {"help": ["--help"], "compile": compile_verify_args(tmp_path, "compile"),
-            "simulate": simulate_args(tmp_path),
-            "monte-carlo": simulate_args(tmp_path, "--monte-carlo", "3"),
-            "verify": compile_verify_args(tmp_path, "verify"),
-            "zeno-sweep": ["zeno-sweep", "--n-list", "1,3"],
-            # simulate_args wrote the state file s.json.
-            "readout": ["readout", "--input", str(tmp_path / "s.json"),
-                        "--strategy", "repeat"]}[command]
-    code, names = imported_modules(*args)
+    code, names = imported_modules(*command_args(tmp_path, command, strategy="repeat"))
     assert code == 0
     assert "oamcomp.errors" in names  # the log was read
     assert not {"argparse", "gettext"} & names
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_only_the_commands_that_draw_import_random(tmp_path, command):
+    """Without ``site`` (``-S``), so that no ``.pth`` hook has loaded them
+    first: no command imports ``tempfile`` (an output's temporary file is
+    made by ``open(..., "x")``) or ``typing`` (the annotations name
+    ``collections.abc``), and only ``simulate --monte-carlo`` and ``readout``,
+    which draw, import ``random``."""
+    code, names = imported_modules(*command_args(tmp_path, command), site=False)
+    assert code == 0
+    assert "oamcomp.errors" in names  # the log was read
+    assert not {"tempfile", "typing"} & names
+    assert ("random" in names) == (command in ("monte-carlo", "readout"))
 
 
 def test_monte_carlo_samples_without_extraction(tmp_path):
@@ -229,3 +245,10 @@ def test_macro_gate_has_no_other_entry_point(module):
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         oamcomp.no_such_name
+
+
+def test_apply_macro_is_apply_element():
+    """``extraction.apply_macro``, which the benchmark's gate probe reads, is
+    ``apply_element`` itself; ``elements`` keeps no second name for it."""
+    assert extraction.apply_macro is elements.apply_element
+    assert not hasattr(elements, "apply_macro")
