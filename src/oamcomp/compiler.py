@@ -8,6 +8,15 @@ that level.  The pair of affected OAM levels is routed through extraction
 gates into two auxiliary spatial modes where that 2x2 stage acts.  Three
 spatial modes suffice for any circuit: one primary register mode plus two
 reusable aux modes.
+
+A level that two consecutive factors route through the same aux mode stays
+there between them: the first factor does not reintegrate it and the second
+does not extract it again, as each factor's hold flags say.  Each factor is
+still lowered on its own, so a compiled netlist is the concatenation of its
+factors' lowerings.  Ideally the dropped pair, a signed swap and its
+inverse, is the identity, so an ideal netlist's map is bit for bit the same;
+at a finite stage count each dropped pair is two lossy gates fewer.  A Haar
+draw of ``d >= 4`` lowers to ``(d - 1)(d + 2) - 2`` gates, not ``2d(d - 1)``.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from .elements import (
     BeamSplitter,
     Element,
     ExtractGate,
+    ExtractionSpec,
     Netlist,
     PhaseShifter,
     ReintegrateGate,
@@ -72,7 +82,14 @@ class TwoLevelFactor(Record):
     ``exp(i delta) * diag(exp(i phi_pre), 1) @ R(theta) @ diag(exp(i phi_post), 1)``
     with ``R(theta) = [[cos, sin], [-sin, cos]]`` (the beamsplitter rotation).
     It is unitary by construction; :func:`decompose_two_level` checks its
-    input once."""
+    input once.
+
+    The hold flags say whether level ``m``, which the factor routes through
+    aux mode ``aux_b``, and level ``n_idx``, routed through ``aux_c``, arrive
+    there held by the previous factor (``*_held_in``) and stay there for the
+    next one (``*_held_out``).  A factor's lowering assumes that its
+    neighbours hold the levels its flags name; with every flag ``False``,
+    the default, it stands alone."""
 
     m: int
     n_idx: int
@@ -80,6 +97,10 @@ class TwoLevelFactor(Record):
     phi_pre: float
     phi_post: float
     delta: float
+    m_held_in: bool = False
+    m_held_out: bool = False
+    n_held_in: bool = False
+    n_held_out: bool = False
 
     def __post_init__(self) -> None:
         if self.m == self.n_idx or self.m < 0 or self.n_idx < 0:
@@ -101,6 +122,9 @@ def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
     ``G^dagger diag(exp(i p), exp(i q)) = exp(i q) G^dagger diag(exp(i (p -
     q)), 1)`` (``delta = q``, ``phi_post = p - q``), and a level that no
     factor touches keeps a phase-only factor ``diag(exp(i phi_pre), 1)``.
+    A level that consecutive factors both name as ``m``, or both as
+    ``n_idx``, is held in its aux mode between them: the earlier factor's
+    ``*_held_out`` and the later one's ``*_held_in`` are set.
     Raises unless ``U`` is unitary.
     """
     working = check_unitary(U)
@@ -134,14 +158,19 @@ def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
         phase = phase / abs(phase)  # magnitude drift inherits U's unitarity slack
         if abs(phase - 1.0) > 1e-13:
             pending[level] = math.atan2(phase.imag, phase.real)
-    folded: list[TwoLevelFactor] = []
+    folded = []  # (m, n_idx, theta, phi_pre, phi_post, delta) of each factor
     for col, row, theta, phi in reversed(eliminations):
         p, q = pending.pop(col, 0.0), pending.pop(row, 0.0)
-        folded.append(TwoLevelFactor(m=col, n_idx=row, theta=theta, phi_pre=phi,
-                                     phi_post=p - q, delta=q))
-    return [TwoLevelFactor(m=level, n_idx=(level + 1) % d, theta=0.0, phi_pre=phi,
-                           phi_post=0.0, delta=0.0)
-            for level, phi in pending.items()] + folded
+        folded.append((col, row, theta, phi, p - q, q))
+    angles = [(level, (level + 1) % d, 0.0, phi, 0.0, 0.0)
+              for level, phi in pending.items()] + folded
+    # Whether the two factors at each boundary share m, and n_idx; the
+    # first and the last boundary have a factor on one side only.
+    shared = [(False, False), *((a[0] == b[0], a[1] == b[1])
+                                for a, b in zip(angles, angles[1:])), (False, False)]
+    return [TwoLevelFactor(*a, m_held_in=into[0], n_held_in=into[1],
+                           m_held_out=out[0], n_held_out=out[1])
+            for a, into, out in zip(angles, shared, shared[1:])]
 
 
 def lower_two_level(
@@ -161,14 +190,19 @@ def lower_two_level(
     exp(i delta))``.  So a factor of :func:`decompose_two_level` lowers to
     one beamsplitter and one phase shifter, plus ``phi_post`` and the
     ``aux_c`` phase where level phases were folded into it.
+
+    A level that the factor's flags name as held in is not extracted: the
+    previous factor's lowering left it in its aux mode.  One held out is not
+    reintegrated: the next factor's lowering takes it from there.
     """
     src, aux_b, aux_c = mode_plan
     if len({src, aux_b, aux_c}) != 3:
         raise ValidationError("mode plan needs three distinct modes")
-    seq: list[Element] = [
-        ExtractGate(m=factor.m, src=src, dst=aux_b, stages=spec_stages),
-        ExtractGate(m=factor.n_idx, src=src, dst=aux_c, stages=spec_stages),
-    ]
+    seq: list[Element] = []
+    if not factor.m_held_in:
+        seq.append(ExtractGate(m=factor.m, src=src, dst=aux_b, stages=spec_stages))
+    if not factor.n_held_in:
+        seq.append(ExtractGate(m=factor.n_idx, src=src, dst=aux_c, stages=spec_stages))
     if factor.phi_post != 0.0:
         seq.append(PhaseShifter(mode=aux_b, phi=factor.phi_post))
     if factor.theta != 0.0:
@@ -177,14 +211,21 @@ def lower_two_level(
         seq.append(PhaseShifter(mode=aux_b, phi=factor.phi_pre + factor.delta))
     if factor.delta != 0.0:
         seq.append(PhaseShifter(mode=aux_c, phi=factor.delta))
-    seq.append(ReintegrateGate(m=factor.n_idx, src=src, dst=aux_c, stages=spec_stages))
-    seq.append(ReintegrateGate(m=factor.m, src=src, dst=aux_b, stages=spec_stages))
+    if not factor.n_held_out:
+        seq.append(ReintegrateGate(m=factor.n_idx, src=src, dst=aux_c, stages=spec_stages))
+    if not factor.m_held_out:
+        seq.append(ReintegrateGate(m=factor.m, src=src, dst=aux_b, stages=spec_stages))
     return seq
 
 
 class CompileReport(Record):
+    """``gate_count`` is the number of extraction and reintegration gates
+    in the netlist: the only elements the compiler emits that absorb the
+    photon at a finite stage count."""
+
     factor_count: int
     element_count: int
+    gate_count: int
     analytic_survival: float
     verification_residual: float
 
@@ -210,6 +251,7 @@ def compile_unitary(
     report = CompileReport(
         factor_count=len(factors),
         element_count=len(netlist),
+        gate_count=sum(isinstance(el, ExtractionSpec) for el in seq),
         analytic_survival=1.0 if spec_stages == IDEAL else float(survival[0]),
         verification_residual=residual,
     )

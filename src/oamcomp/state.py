@@ -111,16 +111,26 @@ def _real_field(name: str, value) -> float:
     raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
+def _bool_field(name: str, value) -> bool:
+    """``value`` of the flag field ``name``: ``True`` or ``False``, not a
+    number that reads as one."""
+    if type(value) is not bool:
+        raise ValidationError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
 #: The rule of each field annotation that has one.
-_FIELD_RULES = {"int": _int_field, "float": _real_field, "Mode": _mode_field}
+_FIELD_RULES = {"int": _int_field, "float": _real_field, "Mode": _mode_field,
+                "bool": _bool_field}
 
 
 class Record:
     """A frozen record, as ``@dataclass(frozen=True)`` makes one but without
     generated code: the fields are the annotations, after the bases', and a
-    class attribute is a default.  A field annotated ``int``, ``float`` or
-    ``Mode`` is held to its rule in ``_FIELD_RULES``, and ``__post_init__``
-    runs last; only it may set a field, with ``object.__setattr__``."""
+    class attribute is a default.  A field annotated ``int``, ``float``,
+    ``Mode`` or ``bool`` is held to its rule in ``_FIELD_RULES``, and
+    ``__post_init__`` runs last; only it may set a field, with
+    ``object.__setattr__``."""
 
     _fields: dict = {}  # field name -> annotation, a string
     _required: frozenset = frozenset()  # the fields without a default

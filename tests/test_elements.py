@@ -28,6 +28,7 @@ from oamcomp.elements import (
     run_netlist,
 )
 from oamcomp.errors import ValidationError
+from oamcomp.extraction import MonteCarloResult
 from oamcomp.state import (
     Mode, PhotonState, Record, _mode_field, basis_state, from_amplitudes, survival_probability,
 )
@@ -319,6 +320,9 @@ def test_mode_fields_are_the_fields_held_to_the_mode_rule(cls):
     lambda: PhaseShifter(mode=0, phi=True),
     lambda: BeamSplitter(mode_a=0, mode_b=1, theta="x"),
     lambda: TwoLevelFactor(m=True, n_idx=1, theta=0.0, phi_pre=0.0, phi_post=0.0, delta=0.0),
+    lambda: TwoLevelFactor(m=0, n_idx=1, theta=0.0, phi_pre=0.0, phi_post=0.0, delta=0.0,
+                           m_held_in=1),
+    lambda: MonteCarloResult(success=1, state=None, absorbed_at=None),
 ])
 def test_constructors_reject_bad_parameters(make):
     # Each message states the rule broken and the value that broke it: a

@@ -30,9 +30,11 @@ DECLARED = {
     elements.ReintegrateGate: GATE,
     elements.Netlist: ["n", "mode_count", ("elements", dataclasses.field(default=()))],
     extraction.MonteCarloResult: ["success", "state", "absorbed_at"],
-    compiler.TwoLevelFactor: ["m", "n_idx", "theta", "phi_pre", "phi_post", "delta"],
-    compiler.CompileReport: ["factor_count", "element_count", "analytic_survival",
-                             "verification_residual"],
+    compiler.TwoLevelFactor: ["m", "n_idx", "theta", "phi_pre", "phi_post", "delta",
+                              *[(name, dataclasses.field(default=False)) for name in (
+                                  "m_held_in", "m_held_out", "n_held_in", "n_held_out")]],
+    compiler.CompileReport: ["factor_count", "element_count", "gate_count",
+                             "analytic_survival", "verification_residual"],
     readout.ReadoutCost: [(name, dataclasses.field(default=0))
                           for name in ("decision_points", "arms", "runs", "cnot_count")],
 }
@@ -40,8 +42,8 @@ DECLARED = {
 
 def twin(cls):
     """A frozen dataclass named as ``cls``, with its declared fields, that
-    holds each field annotated ``int`` or ``float`` to its rule and then runs
-    ``cls.__post_init__``."""
+    holds each field annotated ``int``, ``float``, ``Mode`` or ``bool`` to
+    its rule and then runs ``cls.__post_init__``."""
     fields = [(f[0], object, f[1]) if isinstance(f, tuple) else f for f in DECLARED[cls]]
     rules = [(name, state._FIELD_RULES[kind]) for name, kind in cls._fields.items()
              if kind in state._FIELD_RULES]
@@ -81,6 +83,8 @@ some_elements = st.lists(
     | st.builds(ExtractGate, m=small, src=st.integers(0, 1), dst=st.integers(2, 3)),
     max_size=3).map(tuple)
 angles = reals | st.sampled_from([math.nan, -math.inf, "x"])
+#: A bool field's value: mostly a bool, else a number that reads as one.
+flags = st.booleans() | st.sampled_from([0, 1, 1.0])
 
 #: Keyword arguments of each record class, valid and invalid alike.
 ARGUMENTS = {
@@ -97,14 +101,15 @@ ARGUMENTS = {
     elements.Netlist: st.fixed_dictionaries(
         {"n": st.integers(0, 3), "mode_count": ints, "elements": some_elements}),
     extraction.MonteCarloResult: st.fixed_dictionaries({
-        "success": st.booleans(), "state": st.none() | st.just(basis_state(0, 1, 1)),
+        "success": flags, "state": st.none() | st.just(basis_state(0, 1, 1)),
         "absorbed_at": st.none() | small}),
     compiler.TwoLevelFactor: st.fixed_dictionaries(
         {"m": small, "n_idx": ints, "theta": angles, "phi_pre": angles, "phi_post": angles,
-         "delta": angles}),
+         "delta": angles, "m_held_in": flags, "m_held_out": flags, "n_held_in": flags,
+         "n_held_out": flags}),
     compiler.CompileReport: st.fixed_dictionaries(
-        {"factor_count": small, "element_count": ints, "analytic_survival": reals,
-         "verification_residual": reals}),
+        {"factor_count": small, "element_count": ints, "gate_count": small,
+         "analytic_survival": reals, "verification_residual": reals}),
     readout.ReadoutCost: st.fixed_dictionaries(
         {"decision_points": small, "arms": small, "runs": ints, "cnot_count": small}),
 }
