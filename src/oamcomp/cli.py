@@ -94,13 +94,17 @@ def _read_json(path: str) -> dict:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _fail(kind: str, message: str, code: int) -> None:
+def _stderr(text: str) -> None:
     if sys.stderr is not None:  # None when the process started without it: never stdout
-        import json
         try:
-            print(json.dumps({"error": {"type": kind, "message": message}}), file=sys.stderr)
-        except OSError:  # an unwritable stderr loses the line, not the exit code
+            sys.stderr.write(text)
+        except OSError:  # an unwritable stderr loses the text, not the exit code
             pass
+
+
+def _fail(kind: str, message: str, code: int) -> None:
+    import json
+    _stderr(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
     sys.exit(code)
 
 
@@ -322,11 +326,7 @@ def main(argv: list[str] | None = None) -> None:
     default).  Without arguments, print the help on stderr and exit 2."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv:
-        if sys.stderr is not None:
-            try:
-                sys.stderr.write(_help())
-            except OSError:  # as in ``_fail``
-                pass
+        _stderr(_help())
         sys.exit(EXIT_VALIDATION)
     try:
         command, args = _parse(argv)

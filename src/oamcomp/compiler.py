@@ -22,7 +22,6 @@ draw of ``d >= 4`` lowers to ``(d - 1)(d + 2) - 2`` gates, not ``2d(d - 1)``.
 from __future__ import annotations
 
 import math
-from operator import mul
 
 from .errors import InternalError, ValidationError
 from .elements import (
@@ -46,27 +45,6 @@ from .verification import (  # noqa: F401
 UNITARITY_TOL = 1e-9
 #: Residual above which an IDEAL-mode compile is treated as an internal bug.
 IDEAL_RESIDUAL_GUARD = 1e-6
-
-
-def check_unitary(matrix: Matrix) -> list[list[complex]]:
-    """``matrix`` as a list of rows of ``complex``; raises unless it is
-    unitary within ``UNITARITY_TOL``: the Frobenius norm of
-    ``U^dagger U - I``, summed from the upper triangle of the Hermitian
-    product."""
-    rows = _square(matrix)
-    columns = list(zip(*rows))
-    total = 0.0
-    for i, column in enumerate(columns):
-        conj = [z.conjugate() for z in column]
-        gram = [sum(map(mul, conj, other)) for other in columns[i:]]
-        gram[0] -= 1.0
-        total += 2.0 * _frobenius2(gram) - _frobenius2(gram[:1])
-    residual = math.sqrt(total)
-    if not residual <= UNITARITY_TOL:
-        raise ValidationError(
-            f"matrix is not unitary: residual {residual:.3e} exceeds {UNITARITY_TOL:.1e}"
-        )
-    return rows
 
 
 def qubit_count_for(d: int) -> int:
@@ -125,9 +103,19 @@ def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
     A level that consecutive factors both name as ``m``, or both as
     ``n_idx``, is held in its aux mode between them: the earlier factor's
     ``*_held_out`` and the later one's ``*_held_in`` are set.
-    Raises unless ``U`` is unitary.
+
+    This is the compiler's one unitarity check.  A row whose squared norm is
+    not within ``UNITARITY_TOL`` of 1 (NaN, inf, a huge entry) is refused
+    before a rotation takes its ``abs``.  The rotations ``G`` are unitary, so
+    ``||U^dagger U - I||_F <= 2r + r^2`` where ``r`` is the Frobenius distance
+    of ``W = G U`` from a diagonal of unit phases; ``r`` above
+    ``UNITARITY_TOL / 2`` is refused.
     """
-    working = check_unitary(U)
+    working = _square(U)
+    for i, row in enumerate(working):
+        norm2 = _frobenius2(row)
+        if not abs(norm2 - 1.0) <= UNITARITY_TOL:
+            raise ValidationError(f"matrix is not unitary: row {i} has squared norm {norm2:.3e}")
     d = len(working)
     eliminations: list[tuple[int, int, float, float]] = []
     for col in range(d - 1):
@@ -143,7 +131,8 @@ def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
             e = -(b / abs(b)) * (a.conjugate() / abs(a)) if a else 1 + 0j  # exp(-i phi)
             ce, se = c * e, s * e
             # The rotation touches rows col and row; their entries left of
-            # col are already eliminated, and no later step reads them.
+            # col are already eliminated, and it would keep their sum of
+            # squares, all that the residual below reads of them.
             pairs = list(zip(top[col:], low[col:]))
             top[col:] = [ce * x - s * y for x, y in pairs]
             low[col:] = [se * x + c * y for x, y in pairs]
@@ -152,6 +141,13 @@ def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
             eliminations.append((col, row, math.atan2(abs(b), abs(a)), phi))
 
     # working is now diagonal (phases); U = G_1^† ... G_K^† D, applied D first.
+    # Its distance from that includes the entries skipped above and must be
+    # checked before a zero diagonal entry is divided by its magnitude.
+    residual = math.sqrt(sum(_frobenius2(row[:i] + row[i + 1:]) + (abs(row[i]) - 1.0) ** 2
+                             for i, row in enumerate(working)))
+    if not residual <= UNITARITY_TOL / 2:
+        raise ValidationError(f"matrix is not unitary: its elimination leaves residual "
+                              f"{residual:.3e}, above {UNITARITY_TOL / 2:.1e}")
     pending: dict[int, float] = {}
     for level in range(d):
         phase = working[level][level]

@@ -307,6 +307,21 @@ class TestRejectsBadInput:
         assert not (tmp_path / "net.json").exists()
         assert not (tmp_path / "rep.json").exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[[2, 0], [0, 0]], [[0, 0], [2, 0]]], "matrix is not unitary: row 0"),
+        ([[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "matrix is not unitary: row 1"),
+        ([[[1, 0], [0, 0]], [[1, 0], [0, 0]]], "matrix is not unitary: its elimination"),
+        ([[[1.5e308, 1.5e308], [0, 0]], [[0, 0], [1, 0]]], "matrix is not unitary: row 0"),
+    ], ids=["2I", "zero-row", "rank-one-unit-rows", "overflowing-square"])
+    def test_non_unitary_matrix(self, tmp_path, rows, message):
+        write_json(tmp_path / "u.json", {"d": 2, "rows": rows})
+        result = invoke_cli(["compile", "--input", str(tmp_path / "u.json"),
+                             "--output", str(tmp_path / "net.json")])
+        assert result.exit_code == 2 and result.exc_info is None
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "validation" and error["message"].startswith(message), error
+        assert not (tmp_path / "net.json").exists()
+
     @pytest.mark.parametrize("netlist, state, extra, kind", [
         ({"elements": [{"type": "extract", "m": 0, "src": 0, "dst": 1, "stages": True}]},
          {}, [], "validation"),

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -9,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from oamcomp.compiler import (
     TwoLevelFactor,
-    check_unitary,
     compile_unitary,
     decompose_two_level,
     haar_random_unitary,
@@ -483,6 +483,37 @@ class TestHeldLevels:
             _, plain = basis_response(lowered(unheld(factors), d, stages))
             assert min(held) >= min(plain), stages
 
+    @pytest.mark.parametrize("name, d, gates", [
+        ("CZ", 4, 4), ("CZ", 8, 4), ("T", 4, 12), ("T", 8, 28),
+        ("cyclic", 4, 12), ("cyclic", 8, 28), ("H", 4, 16), ("H", 8, 68),
+        ("QFT", 4, 16), ("QFT", 8, 68), ("block", 4, 4), ("block", 8, 16),
+        ("block+phase", 4, 8), ("block+phase", 8, 20),
+    ])
+    def test_structured_unitaries_keep_the_unheld_map(self, name, d, gates):
+        """Unitaries whose elimination skips entries or leaves phase-only
+        factors, with their dummy ``n_idx = (level + 1) % d``, next to
+        rotations: the n-qubit controlled Z ``diag(1, ..., 1, -1)``, ``T`` on
+        each qubit, the cyclic permutation ``l -> l + 1``, ``H`` on each
+        qubit, the QFT, and a Haar block on levels ``1 .. d/2`` with the
+        other levels untouched, or with ``i`` on level ``d - 1``."""
+        n = qubit_count_for(d)
+        block = np.eye(d, dtype=complex)
+        block[1:1 + d // 2, 1:1 + d // 2] = haar_random_unitary(d // 2, np.random.default_rng(d))
+        U = {
+            "CZ": np.diag([1.0] * (d - 1) + [-1.0]).astype(complex),
+            "T": np.diag([cmath.exp(1j * math.pi / 4 * bin(l).count("1")) for l in range(d)]),
+            "cyclic": np.roll(np.eye(d, dtype=complex), 1, axis=0),
+            "H": functools.reduce(np.kron, [HADAMARD] * n),
+            "QFT": np.array([[cmath.exp(2j * math.pi * j * k / d) for k in range(d)]
+                             for j in range(d)]) / math.sqrt(d),
+            "block": block,
+            "block+phase": block @ np.diag([1] * (d - 1) + [1j]),
+        }[name]
+        held, report = compile_unitary(U)
+        assert report.gate_count == gates
+        unheld_net = lowered(unheld(decompose_two_level(U)), d, IDEAL)
+        assert basis_response(held) == basis_response(unheld_net)
+
     def test_flags_name_the_neighbours_levels(self):
         """Four levels: column 2 is (2, 3), column 1 is (1, 3), (1, 2) and
         column 0 is (0, 3), (0, 2), (0, 1), in application order."""
@@ -554,9 +585,69 @@ def test_unitary_json_shape_mismatch():
 
 def test_non_finite_matrix_is_not_unitary():
     with pytest.raises(ValidationError):
-        check_unitary(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+        decompose_two_level(np.array([[np.nan, 0], [0, 1]], dtype=complex))
 
 
 def test_haar_unitary_is_unitary(rng):
     for d in (2, 4, 8):
-        check_unitary(haar_random_unitary(d, rng))
+        decompose_two_level(haar_random_unitary(d, rng))
+
+
+def gram_residual(U) -> float:
+    """``||U^dagger U - I||_F``: the oracle of the unitarity check."""
+    U = np.asarray(U)
+    return float(np.linalg.norm(U.conj().T @ U - np.eye(len(U))))
+
+
+def perturbed(U, kind: str, eps: float, rng) -> np.ndarray:
+    """``U`` moved by about ``eps``: by a random matrix of Frobenius norm
+    ``eps`` (generic), by a column scaling ``1 + eps * x`` (diagonal drift),
+    or in one entry by ``eps`` times a random phase (single entry)."""
+    d = len(U)
+    if kind == "generic":
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return U + eps * z / np.linalg.norm(z)
+    if kind == "diagonal drift":
+        return U * (1 + eps * rng.normal(size=d))
+    moved = U.copy()
+    moved[rng.integers(d), rng.integers(d)] += eps * np.exp(2j * math.pi * rng.random())
+    return moved
+
+
+@pytest.mark.parametrize("kind", ["generic", "diagonal drift", "single entry"])
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_unitarity_check_is_no_looser_than_the_gram_rule(d, kind):
+    """Whatever ``decompose_two_level`` accepts is unitary within
+    ``UNITARITY_TOL`` by the Gram residual, over perturbations of ``1e-11``
+    to ``1e-7``; both outcomes occur."""
+    rng = np.random.default_rng(d)
+    accepted = refused = 0
+    for eps in np.logspace(-11, -7, 17):
+        for _ in range(3):
+            U = perturbed(haar_random_unitary(d, rng), kind, eps, rng)
+            try:
+                decompose_two_level(U)
+            except ValidationError as exc:
+                assert str(exc).startswith("matrix is not unitary"), exc
+                refused += 1
+                continue
+            assert gram_residual(U) <= 1e-9 * (1 + 1e-9), (eps, gram_residual(U))
+            accepted += 1
+    assert accepted and refused
+
+
+@pytest.mark.parametrize("U", [
+    2 * HADAMARD,
+    np.array([[1, 0], [0, 0]], dtype=complex),
+    np.array([[1, 0], [1, 0]], dtype=complex),
+    np.array([[1, 0], [np.nan, 1]], dtype=complex),
+    np.array([[1, 0], [0, np.inf]], dtype=complex),
+    np.array([[1.5e308 + 1.5e308j, 0], [0, 1]], dtype=complex),
+], ids=["2U", "zero-row", "rank-one-unit-rows", "nan", "inf", "overflowing-square"])
+def test_unitarity_check_refuses_cleanly(U):
+    """Each is refused as not unitary, never with the ``OverflowError`` of
+    ``abs`` or the ``ZeroDivisionError`` of a zero diagonal's phase: the
+    rank-one matrix's rows have unit norm, and its elimination leaves a zero
+    on the diagonal."""
+    with pytest.raises(ValidationError, match="^matrix is not unitary"):
+        decompose_two_level(U)
