@@ -15,8 +15,11 @@ does not extract it again, as each factor's hold flags say.  Each factor is
 still lowered on its own, so a compiled netlist is the concatenation of its
 factors' lowerings.  Ideally the dropped pair, a signed swap and its
 inverse, is the identity, so an ideal netlist's map is bit for bit the same;
-at a finite stage count each dropped pair is two lossy gates fewer.  A Haar
-draw of ``d >= 4`` lowers to ``(d - 1)(d + 2) - 2`` gates, not ``2d(d - 1)``.
+at a finite stage count each dropped pair is two lossy gates fewer.  Each
+column's rows are eliminated in the order :func:`elimination_rows` gives, so
+that every pair of consecutive factors of a Haar draw shares one level: the
+draw lowers to ``d(d - 1) + 2`` gates, not ``2d(d - 1)``, the least that
+extract and reintegrate pairs through two aux modes need without swaps.
 """
 
 from __future__ import annotations
@@ -87,6 +90,26 @@ class TwoLevelFactor(Record):
             )
 
 
+def elimination_rows(col: int, d: int) -> list[int]:
+    """The rows whose entries in column ``col`` the elimination of a ``d x d``
+    matrix nulls, in the order it nulls them.
+
+    Any order gives the same product.  This one ends column ``c`` on row
+    ``d - 1`` when ``d - 3 - c`` is even, else on row ``d - 2``, and starts
+    column ``c + 1`` on that row; the rows in between run in ascending
+    order.  Factors apply in reverse elimination order, so the last factor
+    of column ``c + 1`` and the first of column ``c`` share that row as
+    ``n_idx``, and it stays in ``aux_c`` between them.
+    """
+    def last(c: int) -> int:
+        return d - 1 if (d - 3 - c) % 2 == 0 else d - 2
+
+    head = [last(col - 1)] if col else []
+    tail = [last(col)] if col < d - 2 else []
+    ends = head + tail
+    return head + [row for row in range(col + 1, d) if row not in ends] + tail
+
+
 def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
     """Factor ``U`` into two-level unitaries, listed in application order.
 
@@ -102,7 +125,10 @@ def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
     factor touches keeps a phase-only factor ``diag(exp(i phi_pre), 1)``.
     A level that consecutive factors both name as ``m``, or both as
     ``n_idx``, is held in its aux mode between them: the earlier factor's
-    ``*_held_out`` and the later one's ``*_held_in`` are set.
+    ``*_held_out`` and the later one's ``*_held_in`` are set.  Column ``c``
+    pivots on row ``c``, so its factors all share ``m = c``; its rows run in
+    the order of :func:`elimination_rows`, so that a column's first factor
+    in application order shares ``n_idx`` with the previous column's last.
 
     This is the compiler's one unitarity check.  A row whose squared norm is
     not within ``UNITARITY_TOL`` of 1 (NaN, inf, a huge entry) is refused
@@ -120,7 +146,7 @@ def decompose_two_level(U: Matrix) -> list[TwoLevelFactor]:
     eliminations: list[tuple[int, int, float, float]] = []
     for col in range(d - 1):
         top = working[col]
-        for row in range(col + 1, d):
+        for row in elimination_rows(col, d):
             low = working[row]
             b = low[col]
             if abs(b) <= 1e-14:
@@ -189,15 +215,19 @@ def lower_two_level(
 
     A level that the factor's flags name as held in is not extracted: the
     previous factor's lowering left it in its aux mode.  One held out is not
-    reintegrated: the next factor's lowering takes it from there.
+    reintegrated: the next factor's lowering takes it from there.  A factor
+    with ``theta == 0`` and ``delta == 0`` is a phase on level ``m`` alone,
+    so unless its flags hold ``n_idx``, that level is not routed at all.
     """
     src, aux_b, aux_c = mode_plan
     if len({src, aux_b, aux_c}) != 3:
         raise ValidationError("mode plan needs three distinct modes")
+    n_idle = (factor.theta == 0.0 and factor.delta == 0.0
+              and not factor.n_held_in and not factor.n_held_out)
     seq: list[Element] = []
     if not factor.m_held_in:
         seq.append(ExtractGate(m=factor.m, src=src, dst=aux_b, stages=spec_stages))
-    if not factor.n_held_in:
+    if not (factor.n_held_in or n_idle):
         seq.append(ExtractGate(m=factor.n_idx, src=src, dst=aux_c, stages=spec_stages))
     if factor.phi_post != 0.0:
         seq.append(PhaseShifter(mode=aux_b, phi=factor.phi_post))
@@ -207,7 +237,7 @@ def lower_two_level(
         seq.append(PhaseShifter(mode=aux_b, phi=factor.phi_pre + factor.delta))
     if factor.delta != 0.0:
         seq.append(PhaseShifter(mode=aux_c, phi=factor.delta))
-    if not factor.n_held_out:
+    if not (factor.n_held_out or n_idle):
         seq.append(ReintegrateGate(m=factor.n_idx, src=src, dst=aux_c, stages=spec_stages))
     if not factor.m_held_out:
         seq.append(ReintegrateGate(m=factor.m, src=src, dst=aux_b, stages=spec_stages))
@@ -223,6 +253,7 @@ class CompileReport(Record):
     element_count: int
     gate_count: int
     analytic_survival: float
+    min_survival: float
     verification_residual: float
 
 
@@ -232,8 +263,9 @@ def compile_unitary(
     """Full pipeline: decompose, lower each factor, verify, report.
 
     ``analytic_survival`` in the report is the exact survival probability of
-    the basis state ``|0>`` in mode 0, read off the verification pass (1.0 in
-    IDEAL mode, which absorbs nothing); it is not an estimate.
+    the basis state ``|0>`` in mode 0, and ``min_survival`` the least over
+    the basis inputs of mode 0, both read off the verification pass (1.0 in
+    IDEAL mode, which absorbs nothing); neither is an estimate.
     """
     n = qubit_count_for(len(U))
     factors = decompose_two_level(U)
@@ -249,6 +281,7 @@ def compile_unitary(
         element_count=len(netlist),
         gate_count=sum(isinstance(el, ExtractionSpec) for el in seq),
         analytic_survival=1.0 if spec_stages == IDEAL else float(survival[0]),
+        min_survival=1.0 if spec_stages == IDEAL else float(min(survival)),
         verification_residual=residual,
     )
     return netlist, report

@@ -47,7 +47,7 @@ class TestCompile:
         rep = json.loads((tmp_path / "rep.json").read_text())
         assert net["elements"] == []
         assert rep == {"analytic_survival": 1.0, "element_count": 0, "factor_count": 0,
-                       "gate_count": 0, "verification_residual": 0.0}
+                       "gate_count": 0, "min_survival": 1.0, "verification_residual": 0.0}
 
     def test_hadamard(self, tmp_path):
         H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)

@@ -12,6 +12,7 @@ from oamcomp.compiler import (
     TwoLevelFactor,
     compile_unitary,
     decompose_two_level,
+    elimination_rows,
     haar_random_unitary,
     lower_two_level,
     qubit_count_for,
@@ -132,7 +133,7 @@ def full_matrix_decompose(U):
     d = U.shape[0]
     working, eliminations = U.copy(), []
     for col in range(d - 1):
-        for row in range(col + 1, d):
+        for row in elimination_rows(col, d):
             b = working[row, col]
             if abs(b) <= 1e-14:
                 continue
@@ -168,7 +169,7 @@ def four_parameter_decompose(U):
     d = U.shape[0]
     working, eliminations = U.copy(), []
     for col in range(d - 1):
-        for row in range(col + 1, d):
+        for row in elimination_rows(col, d):
             b = working[row, col]
             if abs(b) <= 1e-14:
                 continue
@@ -350,7 +351,7 @@ class TestCompileUnitary:
     def test_hadamard(self):
         net, report = compile_unitary(HADAMARD)
         assert report.verification_residual < 1e-10
-        assert report.analytic_survival == 1.0
+        assert report.analytic_survival == report.min_survival == 1.0
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_random_roundtrip(self, d, rng):
@@ -378,8 +379,9 @@ class TestCompileUnitary:
     @pytest.mark.parametrize("stages", [1, 2, 7, 100, 500])
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_survival_matches_a_separate_run(self, d, stages):
-        """The report's survival, read off the verification pass, against a
-        run of ``|0>`` on its own: equal within rounding, not bit-equal."""
+        """The report's survivals, read off the verification pass, against
+        runs of each basis input on its own: ``|0>``'s and the least, equal
+        within rounding, not bit-equal."""
         rng = np.random.default_rng(1000 * d + stages)
         for U in (haar_random_unitary(d, rng) for _ in range(3)):
             if stages == 1 and min(column_norms(U, stages)) < sys.float_info.min:
@@ -391,8 +393,10 @@ class TestCompileUnitary:
                     compile_unitary(U, spec_stages=stages)
                 continue
             net, report = compile_unitary(U, spec_stages=stages)
-            alone = survival_probability(run_netlist(basis_state(0, 0, net.n), net))
-            assert abs(report.analytic_survival - alone) <= 1e-12
+            alone = [survival_probability(run_netlist(basis_state(0, l, net.n), net))
+                     for l in range(d)]
+            assert abs(report.analytic_survival - alone[0]) <= 1e-12
+            assert abs(report.min_survival - min(alone)) <= 1e-12
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
@@ -407,9 +411,10 @@ class TestElementBudget:
     """Each factor of a Haar draw costs one beamsplitter, one phase shifter
     and at most four gates, and each level's phase at most one more phase
     shifter.  Column ``c`` of the elimination is a run of factors on level
-    ``c``, held in ``aux_b`` along the run, and the last factor of column
-    ``d - 2`` and the first of column ``d - 3`` share level ``d - 1``: of
-    ``2d(d - 1)`` gates, ``(d - 1)(d - 2) + 2`` go."""
+    ``c``, held in ``aux_b`` along the run, and each column's first factor
+    shares its ``n_idx`` with the previous column's last: every one of the
+    ``F - 1`` boundaries between the ``F = d(d - 1)/2`` factors holds one
+    level, so of ``2d(d - 1)`` gates, ``d(d - 1) - 2`` go."""
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
@@ -418,7 +423,7 @@ class TestElementBudget:
         net, report = compile_unitary(haar_random_unitary(d, np.random.default_rng(seed)))
         gates = sum(isinstance(el, (ExtractGate, ReintegrateGate)) for el in net.elements)
         assert report.factor_count == d * (d - 1) // 2
-        assert gates == report.gate_count == ((d - 1) * (d + 2) - 2 if d >= 4 else 4)
+        assert gates == report.gate_count == d * (d - 1) + 2
         assert report.element_count <= gates + 2 * report.factor_count + d
 
     @pytest.mark.parametrize("name, U, before", [
@@ -457,6 +462,16 @@ def unheld(factors: list[TwoLevelFactor]) -> list[TwoLevelFactor]:
                                   n_held_in=False, n_held_out=False)) for f in factors]
 
 
+#: ``(name, d, before, gates)`` of each structured unitary of
+#: :meth:`TestHeldLevels.test_structured_unitaries_keep_the_unheld_map`.
+STRUCTURED = [
+    ("CZ", 4, 4, 2), ("CZ", 8, 4, 2), ("T", 4, 12, 6), ("T", 8, 28, 14), ("T", 128, 508, 254),
+    ("cyclic", 4, 12, 12), ("cyclic", 8, 28, 28), ("H", 4, 16, 14), ("H", 8, 68, 58),
+    ("QFT", 4, 16, 14), ("QFT", 8, 68, 58), ("block", 4, 4, 4), ("block", 8, 16, 16),
+    ("block+phase", 4, 8, 6), ("block+phase", 8, 20, 18), ("pair+phase", 4, 6, 6),
+]
+
+
 class TestHeldLevels:
     """A level held in its aux mode between two factors drops a gate pair
     that is, ideally, a signed swap and its inverse."""
@@ -483,22 +498,25 @@ class TestHeldLevels:
             _, plain = basis_response(lowered(unheld(factors), d, stages))
             assert min(held) >= min(plain), stages
 
-    @pytest.mark.parametrize("name, d, gates", [
-        ("CZ", 4, 4), ("CZ", 8, 4), ("T", 4, 12), ("T", 8, 28),
-        ("cyclic", 4, 12), ("cyclic", 8, 28), ("H", 4, 16), ("H", 8, 68),
-        ("QFT", 4, 16), ("QFT", 8, 68), ("block", 4, 4), ("block", 8, 16),
-        ("block+phase", 4, 8), ("block+phase", 8, 20),
-    ])
-    def test_structured_unitaries_keep_the_unheld_map(self, name, d, gates):
+    @pytest.mark.parametrize("name, d, before, gates", STRUCTURED,
+                             ids=[f"{name}-{d}-{before}" for name, d, before, _ in STRUCTURED])
+    def test_structured_unitaries_keep_the_unheld_map(self, name, d, before, gates):
         """Unitaries whose elimination skips entries or leaves phase-only
         factors, with their dummy ``n_idx = (level + 1) % d``, next to
         rotations: the n-qubit controlled Z ``diag(1, ..., 1, -1)``, ``T`` on
         each qubit, the cyclic permutation ``l -> l + 1``, ``H`` on each
         qubit, the QFT, and a Haar block on levels ``1 .. d/2`` with the
-        other levels untouched, or with ``i`` on level ``d - 1``."""
+        other levels untouched, or with ``i`` on level ``d - 1``, and a Haar
+        pair on levels 0 and 2 with ``i`` on level 1, whose phase-only factor
+        holds level 2 for the next factor.  ``gates``
+        is the ideal gate count, ``before`` that of the ascending row order
+        with both levels of every phase-only factor routed: a phase-only
+        factor now routes only the level it touches."""
         n = qubit_count_for(d)
         block = np.eye(d, dtype=complex)
         block[1:1 + d // 2, 1:1 + d // 2] = haar_random_unitary(d // 2, np.random.default_rng(d))
+        pair = np.diag([1.0, 1j] + [1.0] * (d - 2))
+        pair[np.ix_([0, 2], [0, 2])] = haar_random_unitary(2, np.random.default_rng(d))
         U = {
             "CZ": np.diag([1.0] * (d - 1) + [-1.0]).astype(complex),
             "T": np.diag([cmath.exp(1j * math.pi / 4 * bin(l).count("1")) for l in range(d)]),
@@ -508,22 +526,59 @@ class TestHeldLevels:
                              for j in range(d)]) / math.sqrt(d),
             "block": block,
             "block+phase": block @ np.diag([1] * (d - 1) + [1j]),
+            "pair+phase": pair,
         }[name]
         held, report = compile_unitary(U)
-        assert report.gate_count == gates
+        assert report.gate_count == gates <= before
         unheld_net = lowered(unheld(decompose_two_level(U)), d, IDEAL)
         assert basis_response(held) == basis_response(unheld_net)
 
     def test_flags_name_the_neighbours_levels(self):
         """Four levels: column 2 is (2, 3), column 1 is (1, 3), (1, 2) and
-        column 0 is (0, 3), (0, 2), (0, 1), in application order."""
+        column 0 is (0, 2), (0, 3), (0, 1), in application order: level 3
+        is held from column 2 into column 1, level 2 from column 1 into
+        column 0, and level ``c`` along column ``c``."""
         factors = decompose_two_level(haar_random_unitary(4, np.random.default_rng(0)))
-        assert [(f.m, f.n_idx) for f in factors] == [(2, 3), (1, 3), (1, 2), (0, 3), (0, 2),
+        assert [(f.m, f.n_idx) for f in factors] == [(2, 3), (1, 3), (1, 2), (0, 2), (0, 3),
                                                      (0, 1)]
         flags = [(f.m_held_in, f.m_held_out, f.n_held_in, f.n_held_out) for f in factors]
         assert flags == [(False, False, False, True), (False, True, True, False),
-                         (True, False, False, False), (False, True, False, False),
+                         (True, False, False, True), (False, True, True, False),
                          (True, True, False, False), (True, False, False, False)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
+    def test_every_boundary_holds_one_level(self, d, seed):
+        """Each column's rows are all of those below its pivot, once, and on
+        a Haar draw exactly one level, ``m`` or ``n_idx``, is held across
+        each boundary between consecutive factors: the floor of
+        ``d(d - 1) + 2`` gates."""
+        for col in range(d - 1):
+            assert sorted(elimination_rows(col, d)) == list(range(col + 1, d))
+        factors = decompose_two_level(haar_random_unitary(d, np.random.default_rng(seed)))
+        assert not (factors[0].m_held_in or factors[0].n_held_in)
+        assert not (factors[-1].m_held_out or factors[-1].n_held_out)
+        for a, b in zip(factors, factors[1:]):
+            assert a.m_held_out + a.n_held_out == 1, (a, b)
+            assert (a.m_held_out, a.n_held_out) == (b.m_held_in, b.n_held_in), (a, b)
+
+    @pytest.mark.parametrize("d", [8, 16])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_worst_survival_does_not_fall_from_the_ascending_order(self, d, seed):
+        """Fewer lossy gates than the ascending row order gives: the least
+        survival over basis inputs does not fall at d=8 and d=16 (on seeds
+        0-399 at 100 and 200 stages it rose on every one, by x1.095 or
+        more).  At d=4 it can fall slightly: on seeds 0-399 at 100 stages it
+        fell on 14, by x0.981 at most."""
+        U = haar_random_unitary(d, np.random.default_rng(seed))
+        for stages in (100, 200):
+            snake = compile_unitary(U, stages)[1].min_survival
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("oamcomp.compiler.elimination_rows",
+                              lambda col, d: list(range(col + 1, d)))
+                ascending = compile_unitary(U, stages)[1].min_survival
+            assert snake >= ascending, stages
 
 
 class TestBasisResponse:

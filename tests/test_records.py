@@ -34,7 +34,7 @@ DECLARED = {
                               *[(name, dataclasses.field(default=False)) for name in (
                                   "m_held_in", "m_held_out", "n_held_in", "n_held_out")]],
     compiler.CompileReport: ["factor_count", "element_count", "gate_count",
-                             "analytic_survival", "verification_residual"],
+                             "analytic_survival", "min_survival", "verification_residual"],
     readout.ReadoutCost: [(name, dataclasses.field(default=0))
                           for name in ("decision_points", "arms", "runs", "cnot_count")],
 }
@@ -109,7 +109,8 @@ ARGUMENTS = {
          "n_held_out": flags}),
     compiler.CompileReport: st.fixed_dictionaries(
         {"factor_count": small, "element_count": ints, "gate_count": small,
-         "analytic_survival": reals, "verification_residual": reals}),
+         "analytic_survival": reals, "min_survival": reals,
+         "verification_residual": reals}),
     readout.ReadoutCost: st.fixed_dictionaries(
         {"decision_points": small, "arms": small, "runs": ints, "cnot_count": small}),
 }
