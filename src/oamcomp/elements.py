@@ -202,15 +202,16 @@ class Rows:
     exist only where an input put amplitude, never per declared mode, and
     may hold exact zeros.
 
-    Each row's weights are kept beside it, in stored units (before the
-    scale).  ``norm2`` is an upper bound on each input's squared norm: every
-    row written adds its change of weight, and a decay, which only removes
-    weight, leaves it as it is.  :meth:`check` makes it exact again.  Every
-    change to the totals assigns a new list, never an edit in place, so a
-    list that passed the norm guard holds until ``norm2`` is another object.
+    Each row is stored once, as the pair ``(entries, weights)`` in
+    ``rows[mode][l]``, both in stored units (before the scale).  ``norm2``
+    is an upper bound on each input's squared norm: every row written adds
+    its change of weight, and a decay, which only removes weight, leaves it
+    as it is.  :meth:`check` makes it exact again.  Every change to the
+    totals assigns a new list, never an edit in place, so a list that passed
+    the norm guard holds until ``norm2`` is another object.
     """
 
-    __slots__ = ("k", "rows", "row_weights", "scale", "norm2")
+    __slots__ = ("k", "rows", "scale", "norm2")
 
     #: A mode's scale is folded into its rows once it falls below this, so
     #: that a stored entry (amplitude over scale) stays far from overflow.
@@ -218,13 +219,11 @@ class Rows:
 
     def __init__(self, k: int, amplitudes: Mapping[ModeOAM, list[complex]]):
         self.k = k
-        self.rows: dict[int, dict[int, list[complex]]] = {}
-        self.row_weights: dict[int, dict[int, list[float]]] = {}
+        self.rows: dict[int, dict[int, tuple[list[complex], list[float]]]] = {}
         self.scale: dict[int, float] = {}
         for (mode, l), row in amplitudes.items():
-            if mode not in self.rows:
-                self._mode(mode)
-            self.rows[mode][l] = row
+            self.rows.setdefault(mode, {})[l] = row, None  # weighed by resync
+            self.scale[mode] = 1.0
         self.resync()
 
     @classmethod
@@ -237,12 +236,12 @@ class Rows:
 
     def weight_in(self, mode: int, skip: int | None = None) -> float:
         """The first input's squared norm in ``mode``, leaving out the row
-        at OAM ``skip``: its kept row weights times the mode's scale squared."""
-        kept = self.row_weights.get(mode)
-        if not kept:
+        at OAM ``skip``: its rows' weights times the mode's scale squared."""
+        rows = self.rows.get(mode)
+        if not rows:
             return 0.0
         scale = self.scale[mode]
-        return sum(w[0] for l, w in kept.items() if l != skip) * (scale * scale)
+        return sum(w[0] for l, (_, w) in rows.items() if l != skip) * (scale * scale)
 
     def keys(self) -> list[ModeOAM]:
         return [(mode, l) for mode, rows in self.rows.items() for l in rows]
@@ -256,11 +255,6 @@ class Rows:
         ``RESIDUE_TOL``) in the row at ``(mode, l)``; a NaN counts as weight."""
         return not all(abs(z) <= RESIDUE_TOL for z in self.get(mode, l))
 
-    def _mode(self, mode: int) -> dict[int, list[complex]]:
-        rows = self.rows[mode] = {}
-        self.row_weights[mode], self.scale[mode] = {}, 1.0
-        return rows
-
     def _account(self, mode: int, delta: list[float]) -> None:
         """Add ``delta``, a change of stored weight in ``mode``, to the totals."""
         scale = self.scale[mode]
@@ -271,30 +265,25 @@ class Rows:
     def get(self, mode: int, l: int) -> list[complex] | None:
         """The amplitudes at ``(mode, l)``, or None where no row is."""
         rows = self.rows.get(mode)
-        row = None if rows is None else rows.get(l)
-        if row is None or self.scale[mode] == 1.0:
-            return row
-        return list(map(mul, row, repeat(self.scale[mode])))
+        if rows is None or l not in rows:
+            return None
+        row, scale = rows[l][0], self.scale[mode]
+        return row if scale == 1.0 else list(map(mul, row, repeat(scale)))
 
     def put(self, mode: int, l: int, row: list[complex]) -> None:
         """Set the amplitudes at ``(mode, l)`` to ``row``."""
-        rows = self.rows.get(mode)
-        if rows is None:
-            rows = self._mode(mode)
-        elif self.scale[mode] != 1.0:
-            row = list(map(truediv, row, repeat(self.scale[mode])))
-        rows[l] = row
-        kept = self.row_weights[mode]
-        new, old = weights(row), kept.get(l)  # |entry| <= 1 / RESCALE_BELOW: finite
-        kept[l] = new
-        self._account(mode, new if old is None else list(map(sub, new, old)))
+        rows, scale = self.rows.setdefault(mode, {}), self.scale.setdefault(mode, 1.0)
+        if scale != 1.0:
+            row = list(map(truediv, row, repeat(scale)))
+        new, old = weights(row), rows.get(l)  # |entry| <= 1 / RESCALE_BELOW: finite
+        rows[l] = row, new
+        self._account(mode, new if old is None else list(map(sub, new, old[1])))
 
     def pop(self, mode: int, l: int) -> list[complex] | None:
         """Remove the row at ``(mode, l)``, returning it as :meth:`get` does."""
         row = self.get(mode, l)
         if row is not None:
-            del self.rows[mode][l]
-            self._account(mode, list(map(neg, self.row_weights[mode].pop(l))))
+            self._account(mode, list(map(neg, self.rows[mode].pop(l)[1])))
         return row
 
     def swap(self, source: ModeOAM, target: ModeOAM) -> None:
@@ -307,17 +296,14 @@ class Rows:
             if back is not None:
                 self.put(src, l_src, list(map(neg, back)))
         elif l_src in self.levels(src):
-            # A vacant target at one scale: the row and its weights move, the totals stay.
-            if dst not in self.rows:
-                self._mode(dst)
-            self.rows[dst][l_dst] = self.rows[src].pop(l_src)
-            self.row_weights[dst][l_dst] = self.row_weights[src].pop(l_src)
+            # A vacant target at one scale: the row moves with its weights, the totals stay.
+            self.scale.setdefault(dst, 1.0)
+            self.rows.setdefault(dst, {})[l_dst] = self.rows[src].pop(l_src)
 
     def relabel(self, mode: int, sign: int, shift: int) -> None:
         """Move every row of ``mode`` from ``l`` to ``sign * l + shift``."""
         if mode in self.rows:
-            for table in (self.rows, self.row_weights):
-                table[mode] = {sign * l + shift: row for l, row in table[mode].items()}
+            self.rows[mode] = {sign * l + shift: pair for l, pair in self.rows[mode].items()}
 
     def decay(self, mode: int, factor: float) -> None:
         """Scale every row of ``mode`` by ``factor``, through the mode's scale.
@@ -331,24 +317,20 @@ class Rows:
         if mode not in self.rows:
             return
         scale = self.scale[mode] = self.scale[mode] * factor
-        if scale < self.RESCALE_BELOW:
-            self.rows[mode] = {l: list(map(mul, row, repeat(scale)))
-                               for l, row in self.rows[mode].items()}
-            self.scale[mode] = 1.0
-            self._reweigh(mode)
-
-    def _reweigh(self, mode: int) -> dict[int, list[float]]:
-        """Recompute the row weights of ``mode`` from its rows, finite as in :meth:`put`."""
-        kept = self.row_weights[mode] = {l: weights(row) for l, row in self.rows[mode].items()}
-        return kept
+        if scale < self.RESCALE_BELOW:  # fold: the weights are recomputed, finite as in put
+            rows, self.scale[mode] = self.rows[mode], 1.0
+            for l, (row, _) in rows.items():
+                row = list(map(mul, row, repeat(scale)))
+                rows[l] = row, weights(row)
 
     def resync(self) -> None:
-        """Recompute every row's weights, and so an exact ``norm2``, from the rows."""
+        """Recompute every row's weights, and so an exact ``norm2``, from its entries."""
         norm2 = [0.0] * self.k
-        for mode in self.rows:
+        for mode, rows in self.rows.items():
             total = [0.0] * self.k
-            for kept in self._reweigh(mode).values():
-                total = list(map(add, total, kept))
+            for l, (row, _) in rows.items():
+                rows[l] = row, weights(row)
+                total = list(map(add, total, rows[l][1]))
             scale = self.scale[mode]
             norm2 = list(map(add, norm2, map(mul, total, repeat(scale * scale))))
         self.norm2 = norm2

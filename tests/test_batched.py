@@ -25,7 +25,9 @@ from oamcomp.elements import (
 )
 from oamcomp.errors import LeakageError, ValidationError
 from oamcomp.extraction import monte_carlo_run
-from oamcomp.state import PhotonState, basis_state, normalized, survival_probability
+from oamcomp.state import (
+    NORM_EPS, PhotonState, basis_state, normalized, survival_probability,
+)
 from oamcomp.verification import basis_response, reconstruct_and_verify
 
 import map_oracle
@@ -277,6 +279,50 @@ def test_engine_matches_the_map_oracle(case, fault):
     with mock.patch.dict(elements._SEMANTICS, {PhaseShifter: fault}), \
             mock.patch.dict(map_oracle._SEMANTICS, {PhaseShifter: _amplifying_map_phase_shift}):
         assert_engine_matches_oracle(netlist, inputs)
+
+
+def assert_totals_bound_the_norms(rows: elements.Rows, netlist: Netlist) -> None:
+    """Step ``rows`` through ``netlist``: after every element, each input's
+    total is at least its exact squared norm, less ``NORM_EPS`` for rounding.
+    The tolerance is absolute: after an absorption the exact norm can be far
+    below 1, while the rounding of the totals is not."""
+    try:
+        for _ in elements.iter_steps(rows, netlist.elements):
+            for i, total in enumerate(rows.norm2):
+                exact = math.fsum(abs(rows.get(*key)[i]) ** 2 for key in rows.keys())
+                assert total >= exact - NORM_EPS, (i, total, exact)
+    except ValidationError as exc:
+        assert "would absorb" in str(exc), exc  # an ideal gate's refusal, before any change
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=netlists().flatmap(lambda net: st.tuples(st.just(net), states(net))))
+# 1-stage gates decay every other ``src`` row by cos(pi/2) = 6e-17 each, so
+# the mode's scale falls below ``Rows.RESCALE_BELOW`` and is folded at the
+# seventh gate.  The beamsplitter writes (0, 1) at a scale of 2e-49, in stored
+# units of about 1e48, and the phase shifter rewrites it after the fold: a
+# weight left in the old units would take about 2e96 off the totals.
+@example(case=(Netlist(n=1, mode_count=3, elements=(
+    *[ExtractGate(m=0, src=0, dst=1, stages=1)] * 3, BeamSplitter(mode_a=0, mode_b=2, theta=0.5),
+    *[ExtractGate(m=0, src=0, dst=1, stages=1)] * 4, PhaseShifter(mode=0, phi=1.0),
+)), PhotonState(n=1, amplitudes={(0, 0): 0.6, (0, 1): 0.48j, (2, 1): 0.64})))
+# An ideal extraction into an occupied slot, (1, 0): ``Rows.swap`` pops both
+# rows and puts each at the other's slot.
+@example(case=(Netlist(n=1, mode_count=2, elements=(
+    BeamSplitter(mode_a=0, mode_b=1, theta=0.5), Filter(mode=1, m=0),
+    ExtractGate(m=1, src=0, dst=1),
+)), PhotonState(n=1, amplitudes={(0, 0): 0.6, (0, 1): 0.8})))
+def test_totals_never_under_count(case):
+    """The invariant of the ``Rows`` docstring, which a stale stored weight
+    would break: the norm guard's totals bound each input's squared norm
+    from above after every element, on the basis rows of ``basis_response``
+    and on a drawn state."""
+    netlist, drawn = case
+    d = 1 << netlist.n
+    basis = elements.Rows(d, {(0, l): [1 + 0j if i == l else 0j for i in range(d)]
+                              for l in range(d)})
+    assert_totals_bound_the_norms(basis, netlist)
+    assert_totals_bound_the_norms(elements.Rows.from_state(drawn), netlist)
 
 
 @pytest.mark.parametrize("d, stages", [(16, IDEAL), (16, 200), (32, 2000)])
